@@ -44,8 +44,11 @@ use crate::sim::SimConfig;
 use crate::technique::code_cache::{CodeCache, CodeCacheStats};
 use crate::technique::mode::WrongPathMode;
 use crate::technique::wrongpath::{ConvergenceStats, WpInst};
-use ffsim_emu::{DynInst, Emulator, FetchSource, InstrQueue, NoFrontendWrongPath, StreamEntry};
-use ffsim_isa::{Addr, Instr, INSTR_BYTES};
+use ffsim_emu::{
+    DynInst, Emulator, FetchSource, InstrQueue, MemAccess, NoFrontendWrongPath, StreamEntry,
+    WpRecord,
+};
+use ffsim_isa::{Addr, Instr, Program, INSTR_BYTES};
 use ffsim_obs::{EventRing, Log2Hist};
 use ffsim_uarch::BranchPredictor;
 use std::fmt;
@@ -194,50 +197,92 @@ pub fn passive_frontend(emu: Emulator, cfg: &SimConfig) -> Box<dyn FetchSource> 
     )
 }
 
-/// A wrong-path instruction as the injection loop sees it — implemented by
-/// both [`WpInst`] (reconstructed) and [`DynInst`] (functionally emulated)
-/// so [`inject_wrong_path`] can run straight off a
-/// [`WrongPathBundle`](ffsim_emu::WrongPathBundle) without first copying
-/// it element-by-element into a `Vec<WpInst>`.
+/// A wrong-path instruction as the injection loop sees it: a
+/// reconstructed [`WpInst`], or a functionally emulated [`WpRecord`]
+/// joined with its instruction from the program text (see
+/// [`emulated_feed`]).
 pub trait WpFeed {
     /// Instruction address.
     fn wp_pc(&self) -> Addr;
     /// The decoded instruction.
-    fn wp_instr(&self) -> &ffsim_isa::Instr;
+    fn wp_instr(&self) -> &Instr;
     /// Data memory access, if known.
-    fn wp_mem(&self) -> Option<ffsim_emu::MemAccess>;
-    /// The next wrong-path fetch pc actually followed.
-    fn wp_next_pc(&self) -> Addr;
+    fn wp_mem(&self) -> Option<MemAccess>;
+    /// Whether wrong-path fetch was redirected after this instruction
+    /// instead of continuing at `pc + 4`.
+    fn wp_redirected(&self) -> bool;
 }
 
 impl WpFeed for WpInst {
     fn wp_pc(&self) -> Addr {
         self.pc
     }
-    fn wp_instr(&self) -> &ffsim_isa::Instr {
+    fn wp_instr(&self) -> &Instr {
         &self.instr
     }
-    fn wp_mem(&self) -> Option<ffsim_emu::MemAccess> {
+    fn wp_mem(&self) -> Option<MemAccess> {
         self.mem
     }
-    fn wp_next_pc(&self) -> Addr {
-        self.next_pc
+    fn wp_redirected(&self) -> bool {
+        self.next_pc != self.pc + INSTR_BYTES
     }
 }
 
-impl WpFeed for DynInst {
+impl<W: WpFeed + ?Sized> WpFeed for &W {
     fn wp_pc(&self) -> Addr {
-        self.pc
+        (**self).wp_pc()
     }
-    fn wp_instr(&self) -> &ffsim_isa::Instr {
-        &self.instr
+    fn wp_instr(&self) -> &Instr {
+        (**self).wp_instr()
     }
-    fn wp_mem(&self) -> Option<ffsim_emu::MemAccess> {
-        self.mem
+    fn wp_mem(&self) -> Option<MemAccess> {
+        (**self).wp_mem()
     }
-    fn wp_next_pc(&self) -> Addr {
-        self.next_pc
+    fn wp_redirected(&self) -> bool {
+        (**self).wp_redirected()
     }
+}
+
+/// A functionally emulated wrong-path record with its instruction.
+struct Emulated<'p> {
+    record: WpRecord,
+    instr: &'p Instr,
+}
+
+impl WpFeed for Emulated<'_> {
+    fn wp_pc(&self) -> Addr {
+        self.record.pc()
+    }
+    fn wp_instr(&self) -> &Instr {
+        self.instr
+    }
+    fn wp_mem(&self) -> Option<MemAccess> {
+        self.record.mem(self.instr)
+    }
+    fn wp_redirected(&self) -> bool {
+        self.record.redirected()
+    }
+}
+
+/// Feeds an emulated wrong-path bundle's `records` to [`inject_wrong_path`],
+/// re-reading each instruction from `program`, the text it was emulated
+/// from. The lookup is lazy: records the pipeline never takes are never
+/// decoded.
+///
+/// # Panics
+///
+/// When iterated, panics if a record's pc lies outside `program`'s text;
+/// the emulator only records instructions it fetched from that text.
+pub fn emulated_feed<'a>(
+    records: &'a [WpRecord],
+    program: &'a Program,
+) -> impl Iterator<Item = impl WpFeed + 'a> + 'a {
+    records.iter().map(move |&record| Emulated {
+        record,
+        instr: program
+            .instr_at(record.pc())
+            .expect("wrong-path records come from the program text"),
+    })
 }
 
 /// Injects a wrong-path instruction sequence into the pipeline.
@@ -246,23 +291,26 @@ impl WpFeed for DynInst {
 /// branch resolves (`resolve`), the sequence ends, or the budget runs
 /// out; the register scoreboard is snapshotted and restored around the
 /// injection (the squash). Loads with known addresses access the real
-/// hierarchy; the rest are modeled as L1 hits (§III-A, §V-C).
+/// hierarchy; the rest are modeled as L1 hits (§III-A, §V-C). The
+/// resolve check comes before each instruction is pulled from `wp`, so a
+/// lazy sequence is never advanced past what the pipeline takes.
 ///
 /// `conv_stats`, when present, receives the Table III accounting of
 /// wrong-path memory operations that actually entered the pipeline.
 pub fn inject_wrong_path<W: WpFeed>(
     pipeline: &mut Pipeline,
-    wp: &[W],
+    wp: impl IntoIterator<Item = W>,
     resolve: u64,
     budget: usize,
     mut conv_stats: Option<&mut ConvergenceStats>,
 ) {
     let snapshot = pipeline.snapshot_regs();
     let mut window = pipeline.begin_wrong_path();
-    for w in wp.iter().take(budget) {
-        if pipeline.next_fetch_cycle() >= resolve {
+    let mut wp = wp.into_iter().take(budget);
+    while pipeline.next_fetch_cycle() < resolve {
+        let Some(w) = wp.next() else {
             break;
-        }
+        };
         let instr = w.wp_instr();
         let mem = w.wp_mem();
         let timing = if instr.is_load() && mem.is_some() {
@@ -281,7 +329,7 @@ pub fn inject_wrong_path<W: WpFeed>(
                 }
             }
         }
-        if instr.is_branch() && w.wp_next_pc() != w.wp_pc() + INSTR_BYTES {
+        if instr.is_branch() && w.wp_redirected() {
             pipeline.break_fetch_group();
         }
     }

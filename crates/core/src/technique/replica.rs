@@ -160,7 +160,8 @@ mod tests {
         let (_pc, last) = bundles.last().unwrap();
         // The wrong path on exit re-enters the loop body: addi, bnez, ...
         assert!(!last.insts.is_empty());
-        assert_eq!(last.insts[0].instr.to_string(), "addi x1, x1, -1");
+        let first = q.emulator().program().instr_at(last.insts[0].pc()).unwrap();
+        assert_eq!(first.to_string(), "addi x1, x1, -1");
     }
 
     #[test]
@@ -182,7 +183,7 @@ mod tests {
                 );
                 if let (Some(wp), Some(start)) = (&e.wrong_path, res.wrong_path_start) {
                     if let Some(first) = wp.insts.first() {
-                        assert_eq!(first.pc, start);
+                        assert_eq!(first.pc(), start);
                     }
                 }
             } else {

@@ -4,7 +4,7 @@
 use crate::sim::SimConfig;
 use crate::technique::mode::WrongPathMode;
 use crate::technique::replica::ReplicaPolicy;
-use crate::technique::{inject_wrong_path, MispredictContext, WrongPathTechnique};
+use crate::technique::{emulated_feed, inject_wrong_path, MispredictContext, WrongPathTechnique};
 use ffsim_emu::{Emulator, FetchSource, InstrQueue};
 
 /// The functional frontend checkpoints, redirects, and fully emulates the
@@ -61,10 +61,12 @@ impl WrongPathTechnique for EmulationTechnique {
             cx.entry.inst.pc
         );
         if let Some(bundle) = &cx.entry.wrong_path {
-            // Inject straight from the emulated bundle: `DynInst` feeds
-            // the pipeline through `WpFeed`, so nothing is copied into an
-            // intermediate `Vec<WpInst>` first.
-            inject_wrong_path(cx.pipeline, &bundle.insts, cx.resolve, self.budget, None);
+            // The bundle holds packed records; the instructions the
+            // pipeline takes are re-read from the program text as they
+            // are injected.
+            let program = cx.frontend.emulator().program();
+            let feed = emulated_feed(&bundle.insts, program);
+            inject_wrong_path(cx.pipeline, feed, cx.resolve, self.budget, None);
         }
     }
 }

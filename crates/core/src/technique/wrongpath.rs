@@ -19,31 +19,18 @@ use ffsim_emu::{DynInst, MemAccess};
 use ffsim_isa::{Addr, Instr, RegSet, INSTR_BYTES};
 use ffsim_uarch::BranchPredictor;
 
-/// One reconstructed (or emulated) wrong-path instruction.
+/// One reconstructed wrong-path instruction.
 #[derive(Clone, Copy, PartialEq, Debug)]
 pub struct WpInst {
     /// Instruction address.
     pub pc: Addr,
-    /// Decoded instruction (from the code cache or the emulator).
+    /// Decoded instruction (from the code cache).
     pub instr: Instr,
     /// Data memory access, if known. Reconstruction leaves this `None`;
-    /// convergence recovery or functional emulation fill it in.
+    /// convergence recovery fills some of them in.
     pub mem: Option<MemAccess>,
     /// The next wrong-path fetch pc actually followed.
     pub next_pc: Addr,
-}
-
-impl WpInst {
-    /// Converts an emulator-produced wrong-path instruction.
-    #[must_use]
-    pub fn from_dyn(d: &DynInst) -> WpInst {
-        WpInst {
-            pc: d.pc,
-            instr: d.instr,
-            mem: d.mem,
-            next_pc: d.next_pc,
-        }
-    }
 }
 
 /// Reconstructs the wrong path starting at `start` from the code cache,
@@ -971,22 +958,5 @@ mod tests {
         let d = recover_addresses(&mut wp, &future, &two_sided, &mut stats2);
         assert_eq!(d, Some(2));
         assert_eq!(wp[1].mem.map(|m| m.addr), Some(0x6_000));
-    }
-
-    #[test]
-    fn wp_inst_from_dyn_preserves_fields() {
-        let d = dyn_at(
-            0x1000,
-            load(1, 2, 8),
-            Some(MemAccess {
-                addr: 0x42,
-                size: 8,
-                is_store: false,
-            }),
-        );
-        let w = WpInst::from_dyn(&d);
-        assert_eq!(w.pc, 0x1000);
-        assert_eq!(w.mem, d.mem);
-        assert_eq!(w.next_pc, d.next_pc);
     }
 }

@@ -3,14 +3,14 @@
 //! dispatch. The oracle below reimplements the old `Simulator::run`
 //! mode switch as one monolithic technique built from the same public
 //! building blocks (`reconstruct`, `recover_addresses`,
-//! `inject_wrong_path`, the replica frontend), and the property drives
-//! both through identical random workloads.
+//! `inject_wrong_path`, `emulated_feed`, the replica frontend), and the
+//! property drives both through identical random workloads.
 
-use ffsim_core::technique::inject_wrong_path;
+use ffsim_core::technique::{emulated_feed, inject_wrong_path};
 use ffsim_core::{
     passive_frontend, reconstruct, recover_addresses, CodeCache, ConvergenceConfig,
     ConvergenceStats, MispredictContext, ObsConfig, ReplicaPolicy, SimConfig, Simulator,
-    TechniqueStats, WpInst, WrongPathMode, WrongPathTechnique,
+    TechniqueStats, WrongPathMode, WrongPathTechnique,
 };
 use ffsim_emu::{DynInst, Emulator, FetchSource, InstrQueue, Memory};
 use ffsim_isa::{AluOp, Instr, MemWidth, Program, Reg, INSTR_BYTES};
@@ -103,8 +103,8 @@ impl WrongPathTechnique for MonolithOracle {
             );
         } else if self.mode == WrongPathMode::WrongPathEmulation {
             if let Some(bundle) = &cx.entry.wrong_path {
-                let wp: Vec<WpInst> = bundle.insts.iter().map(WpInst::from_dyn).collect();
-                inject_wrong_path(cx.pipeline, &wp, cx.resolve, self.budget, None);
+                let feed = emulated_feed(&bundle.insts, cx.frontend.emulator().program());
+                inject_wrong_path(cx.pipeline, feed, cx.resolve, self.budget, None);
             }
         }
         // NoWrongPath: detection only, nothing injected.

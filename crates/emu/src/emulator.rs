@@ -14,7 +14,7 @@
 
 use crate::block::{BlockCache, BlockCacheStats, BlockFetchRef, DEFAULT_BLOCK_CACHE_BLOCKS};
 use crate::cancel::{CancelCause, CancelToken};
-use crate::dyninst::{BranchOutcome, DynInst, WrongPathBundle, WrongPathStop};
+use crate::dyninst::{BranchOutcome, DynInst, WpRecord, WrongPathBundle, WrongPathStop};
 use crate::exec::{execute, Fault, FaultModel, RegWrite};
 use crate::mem::Memory;
 use crate::state::ArchState;
@@ -428,7 +428,7 @@ impl Emulator {
         max_insts: usize,
         watchdog: Option<u64>,
         oracle: &mut O,
-        insts: &mut Vec<DynInst>,
+        insts: &mut Vec<WpRecord>,
     ) -> WrongPathStop {
         // Split borrows: the block cache lends decoded runs while the
         // scratch state advances, so the loop never clones a block `Arc`.
@@ -502,37 +502,16 @@ impl Emulator {
                     None => {}
                 }
                 let mut next_pc = out.next_pc;
-                let mut branch = out.branch;
                 if let Some(computed) = out.branch {
                     match oracle.next_fetch_pc(pc, &instr, computed) {
-                        Some(predicted) => {
-                            next_pc = predicted;
-                            branch = Some(BranchOutcome {
-                                taken: predicted != pc + ffsim_isa::INSTR_BYTES,
-                                next_pc: predicted,
-                            });
-                        }
+                        Some(predicted) => next_pc = predicted,
                         None => {
-                            insts.push(DynInst {
-                                seq: insts.len() as u64,
-                                pc,
-                                instr,
-                                mem: out.mem,
-                                branch,
-                                next_pc,
-                            });
+                            insts.push(WpRecord::new(pc, out.mem, next_pc));
                             return WrongPathStop::OracleStop;
                         }
                     }
                 }
-                insts.push(DynInst {
-                    seq: insts.len() as u64,
-                    pc,
-                    instr,
-                    mem: out.mem,
-                    branch,
-                    next_pc,
-                });
+                insts.push(WpRecord::new(pc, out.mem, next_pc));
                 state.pc = next_pc;
             }
         }
@@ -657,13 +636,67 @@ mod tests {
         assert_eq!(bundle.insts.len(), 3);
         assert_eq!(bundle.stop, WrongPathStop::Halt);
         // The suppressed store still reports its address.
-        let store = &bundle.insts[1];
-        let mem = store.mem.unwrap();
+        let store = bundle.insts[1];
+        assert_eq!(store.pc(), wrong_target + 4);
+        let mem = store
+            .mem(emu.program().instr_at(store.pc()).unwrap())
+            .unwrap();
         assert!(mem.is_store);
         assert_eq!(mem.addr, 0x200);
         // Correct path continues unaffected.
         emu.run_to_halt(10).unwrap();
         assert_eq!(emu.state().reg(x3), 1);
+    }
+
+    #[test]
+    fn wrong_path_records_match_correct_path_steps_at_high_text_base() {
+        // Emulated as a wrong path that follows computed outcomes, the
+        // program yields one record per instruction its correct-path run
+        // steps through. A text base near the top of the address space
+        // checks that the record's flag bit leaves the pc intact.
+        let (x1, x2, x3) = (Reg::new(1), Reg::new(2), Reg::new(3));
+        let f1 = ffsim_isa::FReg::new(1);
+        let mut a = Asm::with_base(0xffff_ffff_ffff_0000);
+        a.li(x1, 3);
+        a.li(x2, 0x2000);
+        a.label("loop");
+        a.lb(x3, 1, x2).lhu(x3, 2, x2).lw(x3, 4, x2).ld(x3, 8, x2);
+        a.sb(x3, 1, x2).sh(x3, 2, x2).sw(x3, 4, x2).sd(x3, 8, x2);
+        a.fld(f1, 16, x2).fsd(f1, 24, x2);
+        a.addi(x1, x1, -1);
+        a.bnez(x1, "loop");
+        a.j("end");
+        a.nop();
+        a.label("end");
+        a.halt();
+        let p = a.assemble().unwrap();
+        let entry = p.entry();
+        let mut emu = Emulator::new(p).unwrap();
+        let bundle = emu.emulate_wrong_path(entry, 1000, &mut FollowComputed);
+        assert_eq!(bundle.stop, WrongPathStop::Halt);
+        let mut stepped = Vec::new();
+        while let Ok(inst) = emu.step() {
+            stepped.push(inst);
+        }
+        stepped.pop(); // the halt, where wrong-path emulation stops
+        assert_eq!(bundle.insts.len(), stepped.len());
+        for (rec, inst) in bundle.insts.iter().zip(&stepped) {
+            assert_eq!(rec.pc(), inst.pc);
+            assert_eq!(emu.program().instr_at(rec.pc()), Some(&inst.instr));
+            assert_eq!(
+                rec.mem(&inst.instr),
+                inst.mem,
+                "{} at {:#x}",
+                inst.instr,
+                inst.pc
+            );
+            assert_eq!(rec.redirected(), inst.next_pc != inst.fallthrough());
+        }
+        // Two taken back edges and the jump redirect; the loop exit falls
+        // through.
+        assert_eq!(bundle.insts.iter().filter(|r| r.redirected()).count(), 3);
+        let stores = stepped.iter().filter(|d| d.mem.is_some_and(|m| m.is_store));
+        assert_eq!(stores.count(), 3 * 5);
     }
 
     #[test]
@@ -721,7 +754,12 @@ mod tests {
         emu.mem_mut().write_u64(0x300, 1234);
         emu.step().unwrap();
         let bundle = emu.emulate_wrong_path(wp, 8, &mut FollowComputed);
-        assert_eq!(bundle.insts[0].mem.unwrap().addr, 0x300);
+        let load = bundle.insts[0];
+        let mem = load
+            .mem(emu.program().instr_at(load.pc()).unwrap())
+            .unwrap();
+        assert!(!mem.is_store);
+        assert_eq!(mem.addr, 0x300);
         // And the register scratch value was really loaded (observable via
         // a dependent wrong-path store address in richer programs); here we
         // just confirm state was restored.

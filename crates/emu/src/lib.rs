@@ -11,7 +11,8 @@
 //! * [`Memory`] / [`ArchState`] — the simulated machine state, with cheap
 //!   checkpoints (Pin's `PIN_SaveContext`/`PIN_ExecuteAt` analogues),
 //! * [`Emulator::emulate_wrong_path`] — full functional wrong-path
-//!   emulation with suppressed stores and faults (paper §III-B),
+//!   emulation with suppressed stores and faults (paper §III-B), into
+//!   packed 16-byte [`WpRecord`]s,
 //! * [`InstrQueue`] — the runahead queue between functional and
 //!   performance simulation, with lookahead peeking for the convergence
 //!   technique (paper §III-C) and [`FrontendPolicy`] hooks for the
@@ -63,7 +64,7 @@ mod state;
 
 pub use block::{BlockCacheStats, BLOCK_LEN_CAP, DEFAULT_BLOCK_CACHE_BLOCKS};
 pub use cancel::{CancelCause, CancelToken};
-pub use dyninst::{BranchOutcome, DynInst, MemAccess, WrongPathBundle, WrongPathStop};
+pub use dyninst::{BranchOutcome, DynInst, MemAccess, WpRecord, WrongPathBundle, WrongPathStop};
 pub use emulator::{BranchOracle, EmuError, Emulator, FollowComputed, StepError};
 pub use exec::{Fault, FaultModel};
 pub use hash::{FxBuildHasher, FxHasher};

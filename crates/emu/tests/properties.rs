@@ -1,12 +1,12 @@
 //! Property-based tests for the functional emulator: memory model
-//! equivalence, execution determinism, wrong-path state isolation, and
-//! queue/emulator stream coherence.
+//! equivalence, execution determinism, wrong-path state isolation,
+//! queue/emulator stream coherence, and the packed wrong-path records.
 
 use ffsim_emu::{
     BranchOracle, BranchOutcome, DynInst, Emulator, FaultModel, FaultPolicy, FollowComputed,
     FrontendPolicy, InstrQueue, Memory, NoFrontendWrongPath, StepError, WrongPathRequest,
 };
-use ffsim_isa::{Addr, AluOp, Instr, MemWidth, Program, Reg, INSTR_BYTES};
+use ffsim_isa::{Addr, AluOp, BranchCond, FReg, Instr, MemWidth, Program, Reg, INSTR_BYTES};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -101,6 +101,176 @@ fn arb_program() -> impl Strategy<Value = Program> {
         instrs.extend(body);
         instrs.push(Instr::Halt);
         Program::new(0x1000, instrs)
+    })
+}
+
+/// A branch-predictor replica in miniature: a table of 2-bit counters,
+/// trained on the correct path, that requests the wrong path at every
+/// conditional branch it mispredicts and steers wrong-path conditional
+/// branches by its predictions without training on them, so wrong-path
+/// fetch both follows and departs from the computed outcomes.
+struct BimodalReplica {
+    counters: [u8; 64],
+    budget: usize,
+}
+
+impl BimodalReplica {
+    fn slot(pc: Addr) -> usize {
+        ((pc / INSTR_BYTES) % 64) as usize
+    }
+
+    fn predicted_next(&self, pc: Addr, target: Addr) -> Addr {
+        if self.counters[Self::slot(pc)] >= 2 {
+            target
+        } else {
+            pc + INSTR_BYTES
+        }
+    }
+}
+
+impl BranchOracle for BimodalReplica {
+    fn next_fetch_pc(&mut self, pc: Addr, instr: &Instr, computed: BranchOutcome) -> Option<Addr> {
+        match *instr {
+            Instr::Branch { target, .. } => Some(self.predicted_next(pc, target)),
+            _ => Some(computed.next_pc),
+        }
+    }
+}
+
+impl FrontendPolicy for BimodalReplica {
+    fn on_instruction(&mut self, inst: &DynInst) -> Option<WrongPathRequest> {
+        let (Instr::Branch { target, .. }, Some(outcome)) = (inst.instr, inst.branch) else {
+            return None;
+        };
+        let predicted = self.predicted_next(inst.pc, target);
+        let counter = &mut self.counters[Self::slot(inst.pc)];
+        *counter = if outcome.taken {
+            (*counter + 1).min(3)
+        } else {
+            counter.saturating_sub(1)
+        };
+        (predicted != outcome.next_pc).then_some(WrongPathRequest {
+            start: predicted,
+            max_insts: self.budget,
+        })
+    }
+}
+
+/// Text base of [`arb_branchy_program`].
+const BRANCHY_BASE: Addr = 0x4000;
+/// Data region of [`arb_branchy_program`]: 64 words at x30, which the
+/// program never writes.
+const DATA_BASE: Addr = 0x10_0000;
+
+/// A loop of 1–5 iterations (counter in x29) over a random body of ALU
+/// ops, loads and stores of every width and FP, and forward conditional
+/// branches that skip up to the back edge. Always fault-free and
+/// terminating; its data accesses stay in the 64-word region at x30.
+/// Yields the program and its trip count.
+fn arb_branchy_program() -> impl Strategy<Value = (Program, i64)> {
+    let reg = || (1u8..29).prop_map(Reg::new);
+    let width = || {
+        prop_oneof![
+            Just(MemWidth::B),
+            Just(MemWidth::H),
+            Just(MemWidth::W),
+            Just(MemWidth::D),
+        ]
+    };
+    let cond = prop_oneof![
+        Just(BranchCond::Eq),
+        Just(BranchCond::Ne),
+        Just(BranchCond::Lt),
+        Just(BranchCond::Geu),
+    ];
+    let base = Reg::new(30);
+    // Branches are generated with a skip distance and resolved to an
+    // absolute target once the layout is known.
+    let item = prop_oneof![
+        (arb_alu_op(), reg(), reg(), reg())
+            .prop_map(|(op, rd, rs1, rs2)| (Instr::Alu { op, rd, rs1, rs2 }, 0)),
+        (reg(), -4i64..4).prop_map(|(rd, imm)| (Instr::LoadImm { rd, imm }, 0)),
+        (reg(), 0i64..64, width(), any::<bool>()).prop_map(move |(rd, word, width, signed)| {
+            let offset = word * 8;
+            (
+                Instr::Load {
+                    rd,
+                    base,
+                    offset,
+                    width,
+                    signed,
+                },
+                0,
+            )
+        }),
+        (reg(), 0i64..64, width()).prop_map(move |(src, word, width)| {
+            let offset = word * 8;
+            (
+                Instr::Store {
+                    src,
+                    base,
+                    offset,
+                    width,
+                },
+                0,
+            )
+        }),
+        (0u8..8, 0i64..64).prop_map(move |(f, word)| {
+            let (fd, offset) = (FReg::new(f), word * 8);
+            (Instr::FpLoad { fd, base, offset }, 0)
+        }),
+        (0u8..8, 0i64..64).prop_map(move |(f, word)| {
+            let (fs, offset) = (FReg::new(f), word * 8);
+            (Instr::FpStore { fs, base, offset }, 0)
+        }),
+        (cond, reg(), reg(), 1u64..8).prop_map(|(cond, rs1, rs2, skip)| {
+            (
+                Instr::Branch {
+                    cond,
+                    rs1,
+                    rs2,
+                    target: 0,
+                },
+                skip,
+            )
+        }),
+    ];
+    (proptest::collection::vec(item, 1..40), 1i64..6).prop_map(|(body, trips)| {
+        let counter = Reg::new(29);
+        let pc_of = |i: usize| BRANCHY_BASE + i as Addr * INSTR_BYTES;
+        let mut instrs = vec![
+            Instr::LoadImm {
+                rd: Reg::new(30),
+                imm: DATA_BASE as i64,
+            },
+            Instr::LoadImm {
+                rd: counter,
+                imm: trips,
+            },
+        ];
+        let head = instrs.len();
+        let back_edge = head + body.len();
+        for (i, (mut instr, skip)) in body.into_iter().enumerate() {
+            if let Instr::Branch { target, .. } = &mut instr {
+                let here = head + i;
+                *target = pc_of((here + 1 + skip as usize).min(back_edge));
+            }
+            instrs.push(instr);
+        }
+        instrs.push(Instr::AluImm {
+            op: AluOp::Add,
+            rd: counter,
+            rs1: counter,
+            imm: -1,
+        });
+        instrs.push(Instr::Branch {
+            cond: BranchCond::Ne,
+            rs1: counter,
+            rs2: Reg::new(0),
+            target: pc_of(head),
+        });
+        instrs.push(Instr::Halt);
+        (Program::new(BRANCHY_BASE, instrs), trips)
     })
 }
 
@@ -271,5 +441,53 @@ proptest! {
         }
         prop_assert!(injected.fault().is_none(), "squash policy never ends the stream");
         prop_assert_eq!(injected.emulator().digest(), clean.emulator().digest());
+    }
+
+    /// Every packed record of a replica-driven bundle decodes against the
+    /// program text: its pc holds an instruction, `mem` is present exactly
+    /// for loads and stores with the instruction's size and kind at an
+    /// address inside the data region, and its redirect flag says whether
+    /// the next record's pc is anything but the fall-through.
+    #[test]
+    fn wrong_path_records_decode_against_the_text(
+        program in arb_branchy_program(),
+        budget in 1usize..96,
+    ) {
+        let (p, trips) = program;
+        let replica = BimodalReplica { counters: [1; 64], budget };
+        let mut q = InstrQueue::new(Emulator::new(p.clone()).unwrap(), replica, 16)
+            .with_fault_policy(FaultPolicy::SquashWrongPath);
+        let mut bundles = 0;
+        while let Some(entry) = q.pop() {
+            let Some(bundle) = entry.wrong_path else { continue };
+            bundles += 1;
+            prop_assert!(bundle.insts.len() <= budget);
+            for rec in &bundle.insts {
+                let instr = p.instr_at(rec.pc());
+                prop_assert!(instr.is_some(), "record pc {:#x} outside the text", rec.pc());
+                let instr = instr.unwrap();
+                let shape = match *instr {
+                    Instr::Load { width, .. } => Some((width.bytes(), false)),
+                    Instr::Store { width, .. } => Some((width.bytes(), true)),
+                    Instr::FpLoad { .. } => Some((8, false)),
+                    Instr::FpStore { .. } => Some((8, true)),
+                    _ => None,
+                };
+                let mem = rec.mem(instr);
+                prop_assert_eq!(mem.map(|m| (u64::from(m.size), m.is_store)), shape);
+                if let Some(m) = mem {
+                    prop_assert!((DATA_BASE..DATA_BASE + 64 * 8).contains(&m.addr));
+                    prop_assert_eq!(m.addr % u64::from(m.size), 0);
+                }
+            }
+            for pair in bundle.insts.windows(2) {
+                let falls_through = pair[1].pc() == pair[0].pc() + INSTR_BYTES;
+                prop_assert_eq!(pair[0].redirected(), !falls_through, "at {:#x}", pair[0].pc());
+            }
+        }
+        prop_assert!(q.fault().is_none());
+        // The back edge starts weakly not-taken, so a loop that runs twice
+        // mispredicts at least once.
+        prop_assert!(trips < 2 || bundles > 0);
     }
 }
