@@ -50,6 +50,7 @@
 #![warn(missing_debug_implementations)]
 
 mod error;
+mod issue_queue;
 mod metrics;
 mod pipeline;
 mod sim;

@@ -21,12 +21,12 @@
 //! performance model is identical, only the wrong-path instruction streams
 //! differ (paper §IV).
 
+use crate::issue_queue::IssueQueue;
 use ffsim_emu::MemAccess;
 use ffsim_isa::{Addr, ExecClass, Instr, NUM_ARCH_REGS};
 use ffsim_obs::{CpiStack, StallClass};
 use ffsim_uarch::{CoreConfig, Level, MemoryHierarchy, PathKind};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 /// Maps the hierarchy level that served an access to the stall class that
 /// charges cycles to it.
@@ -101,10 +101,21 @@ const ALL_CLASSES: [ExecClass; 9] = [
 /// ([`Pipeline::begin_wrong_path`]): squashed instructions occupy window
 /// entries while they are in flight, but their bookkeeping must not leak
 /// into the post-resolution correct path.
+///
+/// The issue queue keeps a *floor*: `fetch + frontend_depth` of the latest
+/// instruction fed on this window, below which no later dispatch on the
+/// window can fall. That holds because the correct-path fetch cursor
+/// never decreases: `fetch_one`, `break_fetch_group` and decode
+/// backpressure only raise it, and [`Pipeline::redirect`] resumes at the
+/// mispredicted branch's resolution plus the redirect penalty, which is
+/// after that branch's fetch. A wrong-path scratch copy starts from the
+/// correct-path floor and the correct-path cursor, and wrong-path fetch
+/// only raises the cursor too. Entries that vacate at or below the floor
+/// are therefore only counted (see `IssueQueue`).
 #[derive(Clone, Default, Debug)]
 pub struct WindowState {
     rob: VecDeque<u64>,
-    iq: BinaryHeap<Reverse<u64>>,
+    iq: IssueQueue,
     lq: VecDeque<u64>,
     sq: VecDeque<u64>,
 }
@@ -115,7 +126,7 @@ impl WindowState {
     /// `clone_from` impls reuse the destination's allocations.
     fn copy_from(&mut self, src: &WindowState) {
         self.rob.clone_from(&src.rob);
-        self.iq.clone_from(&src.iq);
+        self.iq.copy_from(&src.iq);
         self.lq.clone_from(&src.lq);
         self.sq.clone_from(&src.sq);
     }
@@ -277,7 +288,19 @@ impl Pipeline {
     /// [`Pipeline::break_fetch_group`], this *resets* the fetch cursor —
     /// wherever wrong-path fetch had advanced to, the frontend is squashed
     /// and restarts at the recovery point.
+    ///
+    /// The resume cycle must not be below the correct-path window's floor
+    /// (the latest correct-path instruction's `fetch + frontend_depth`), so
+    /// that the correct-path fetch cursor never decreases as seen by the
+    /// window (see [`WindowState`]). A misprediction resumes at its
+    /// branch's resolution plus the redirect penalty, and the branch
+    /// resolves no earlier than it dispatches.
     pub fn redirect(&mut self, cycle: u64) {
+        debug_assert!(
+            cycle >= self.window.iq.floor(),
+            "redirect to cycle {cycle} is below the correct-path floor {}",
+            self.window.iq.floor()
+        );
         self.fetch_cycle = cycle;
         self.fetch_in_cycle = 0;
         self.last_fetch_line = None;
@@ -342,10 +365,19 @@ impl Pipeline {
     /// `flush_at` is `None` for correct-path instructions (they will
     /// retire) and `Some(resolve)` for wrong-path instructions (they
     /// vacate the window when the mispredicted branch resolves).
+    /// `scratch` is the wrong-path scratch window, or `None` for the
+    /// pipeline's own correct-path window; borrowing that in place rather
+    /// than moving it out and back keeps the window's size off the
+    /// per-instruction cost.
+    ///
+    /// Each call raises the window's issue-queue floor to this instruction's
+    /// `fetch + frontend_depth`. That is only sound because fetch never
+    /// moves backwards along the path `window` belongs to (see
+    /// [`WindowState`] and [`Pipeline::redirect`]).
     #[allow(clippy::too_many_arguments)] // one timing model entry point, mirrored stages
     fn feed(
         &mut self,
-        window: &mut WindowState,
+        mut scratch: Option<&mut WindowState>,
         pc: Addr,
         instr: &Instr,
         mem: Option<MemAccess>,
@@ -362,6 +394,8 @@ impl Pipeline {
         // `window_clamp` remembers which full resource (if any) pushed
         // dispatch back the furthest, for CPI attribution.
         let mut dispatch = fetch + self.cfg.frontend_depth;
+        let window = scratch.as_deref_mut().unwrap_or(&mut self.window);
+        window.iq.advance(dispatch);
         let mut window_clamp = None;
         if window.rob.len() >= self.cfg.rob_size {
             let oldest = window.rob.pop_front().expect("rob non-empty");
@@ -371,7 +405,7 @@ impl Pipeline {
             }
         }
         if window.iq.len() >= self.cfg.iq_size {
-            let Reverse(earliest) = window.iq.pop().expect("iq non-empty");
+            let earliest = window.iq.pop_earliest();
             if earliest > dispatch {
                 dispatch = earliest;
                 window_clamp = Some(StallClass::IqFull);
@@ -496,7 +530,8 @@ impl Pipeline {
         // Window occupancy bookkeeping. Wrong-path entries vacate at the
         // flush; correct-path ROB entries are pushed by `retire`.
         let vacate = flush_at.unwrap_or(complete);
-        window.iq.push(Reverse(issue.min(vacate)));
+        let window = scratch.unwrap_or(&mut self.window);
+        window.iq.push(issue.min(vacate));
         if instr.is_load() {
             window.lq.push_back(complete.min(vacate));
         }
@@ -520,10 +555,9 @@ impl Pipeline {
     /// Returns its timestamps; the retire cycle is folded into
     /// [`Pipeline::cycles`].
     pub fn feed_correct(&mut self, pc: Addr, instr: &Instr, mem: Option<MemAccess>) -> InstrTimes {
-        let mut window = std::mem::take(&mut self.window);
         let prev_retire = self.last_retire;
         let t = self.feed(
-            &mut window,
+            None,
             pc,
             instr,
             mem,
@@ -532,8 +566,7 @@ impl Pipeline {
             None,
         );
         let retire = self.retire_in_order(t.complete);
-        window.rob.push_back(retire);
-        self.window = window;
+        self.window.rob.push_back(retire);
         self.retired += 1;
         self.attribute_retire_gap(retire - prev_retire);
         t
@@ -606,7 +639,7 @@ impl Pipeline {
         resolve: u64,
     ) -> InstrTimes {
         self.feed(
-            window,
+            Some(window),
             pc,
             instr,
             mem,
@@ -810,6 +843,57 @@ mod tests {
         p.redirect(500);
         let t = p.feed_correct(0x1004, &alu(4, 5, 6), None);
         assert!(t.fetch >= 500);
+    }
+
+    #[test]
+    fn mispredict_redirect_resumes_at_or_above_the_floor() {
+        use ffsim_isa::BranchCond;
+        let cfg = CoreConfig::tiny_for_tests();
+        let mut p = pipeline();
+        for i in 0..20u64 {
+            let _ = p.feed_correct(0x1000 + i * 4, &alu((i % 8 + 1) as u8, 9, 10), None);
+        }
+        // A branch on a DRAM load: a long wrong-path shadow.
+        let _ = p.feed_correct(0x1050, &load(1, 2), mem(0x80_0000));
+        let branch = Instr::Branch {
+            cond: BranchCond::Ne,
+            rs1: Reg::new(1),
+            rs2: Reg::new(0),
+            target: 0x2000,
+        };
+        let t = p.feed_correct(0x1054, &branch, None);
+        let floor = p.window.iq.floor();
+        assert_eq!(floor, t.fetch + cfg.frontend_depth);
+        // Wrong-path fetch runs ahead on the scratch copy, as in the run
+        // loop, then fetch redirects to the resolution plus the penalty.
+        let resolve = t.complete;
+        let mut w = p.begin_wrong_path();
+        let mut pc = 0x2000;
+        while p.next_fetch_cycle() < resolve {
+            let _ = p.feed_wrong(&mut w, pc, &alu(3, 4, 5), None, LoadTiming::Real, resolve);
+            pc += 4;
+        }
+        assert!(
+            w.iq.floor() >= floor,
+            "the scratch floor starts at the correct one"
+        );
+        p.end_wrong_path(w);
+        let resume = resolve + cfg.redirect_penalty;
+        assert!(resume >= floor, "resume {resume} below floor {floor}");
+        p.redirect(resume);
+        let after = p.feed_correct(0x1058, &alu(6, 7, 8), None);
+        assert!(after.fetch >= resume);
+        assert!(p.window.iq.floor() > floor);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "below the correct-path floor")]
+    fn redirect_below_the_floor_is_caught() {
+        let mut p = pipeline();
+        p.redirect(500);
+        let _ = p.feed_correct(0x1000, &alu(1, 2, 3), None);
+        p.redirect(10);
     }
 
     #[test]
