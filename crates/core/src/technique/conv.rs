@@ -1,12 +1,10 @@
 //! Convergence exploitation (paper §III-C) — the paper's novel technique.
 
-use crate::pipeline::Pipeline;
 use crate::sim::SimConfig;
 use crate::technique::code_cache::CodeCache;
 use crate::technique::mode::WrongPathMode;
 use crate::technique::wrongpath::{
-    reconstruct_into, recover_addresses_from, ConvergenceConfig, ConvergenceStats, FutureSource,
-    WpInst,
+    ConvergenceConfig, ConvergenceStats, ConvergenceStream, FutureCache, FutureWindow, Walk, WpInst,
 };
 use crate::technique::{
     inject_wrong_path, passive_frontend, MispredictContext, TechniqueStats, WrongPathTechnique,
@@ -27,8 +25,8 @@ pub struct ConvergenceTechnique {
     stats: ConvergenceStats,
     /// Convergence distances (observability histogram).
     dist_hist: Log2Hist,
-    /// Reusable buffer for peeked future correct-path instructions.
-    future_buf: Vec<DynInst>,
+    /// Future correct-path instructions kept across episodes.
+    future: FutureCache,
     /// Reusable buffer for the reconstructed wrong path.
     wp_buf: Vec<WpInst>,
 }
@@ -48,37 +46,9 @@ impl ConvergenceTechnique {
             rob: cfg.core.rob_size,
             stats: ConvergenceStats::default(),
             dist_hist: Log2Hist::new(),
-            future_buf: Vec::new(),
+            future: FutureCache::default(),
             wp_buf: Vec::new(),
         }
-    }
-}
-
-/// Serves the future correct-path window on demand from the mispredict
-/// context's peek window, materializing entries into the technique's
-/// reusable buffer only as deep as the convergence scan actually looks.
-/// Maintains [`FutureSource`]'s contiguous-prefix contract: the buffer is
-/// a prefix of the peek window, and once a peek returns `None` every
-/// deeper index is `None` too.
-struct LazyFuture<'a, 'b> {
-    buf: &'a mut Vec<DynInst>,
-    cx: &'a mut MispredictContext<'b>,
-    limit: usize,
-    exhausted: bool,
-}
-
-impl FutureSource for LazyFuture<'_, '_> {
-    fn at(&mut self, i: usize) -> Option<&DynInst> {
-        if i >= self.limit {
-            return None;
-        }
-        while self.buf.len() <= i && !self.exhausted {
-            match self.cx.peek_ahead(self.buf.len()) {
-                Some(e) => self.buf.push(e.inst),
-                None => self.exhausted = true,
-            }
-        }
-        self.buf.get(i)
     }
 }
 
@@ -99,38 +69,26 @@ impl WrongPathTechnique for ConvergenceTechnique {
         let Some(start) = cx.wrong_path_start else {
             return;
         };
-        let mut wp_buf = std::mem::take(&mut self.wp_buf);
-        reconstruct_into(
+        let walk = Walk::new(
             &mut self.code_cache,
             cx.predictor,
             start,
             self.budget,
-            &mut wp_buf,
+            &mut self.wp_buf,
         );
-        self.wp_buf = wp_buf;
-        // Peek the future correct path out of the runahead queue (§III-C:
-        // "take a peek in the future correct-path instructions"). The
-        // batched handoff serves the peek window from the batch tail first,
-        // then the frontend's runahead buffer — lazily, so a scan that
-        // converges after a handful of instructions never copies the full
-        // ROB-sized window.
-        self.future_buf.clear();
-        let convergence_distance = {
-            let mut future = LazyFuture {
-                buf: &mut self.future_buf,
-                cx: &mut *cx,
-                limit: self.rob,
-                exhausted: false,
-            };
-            recover_addresses_from(
-                &mut self.wp_buf,
-                &mut future,
-                &self.convergence,
-                &mut self.stats,
-            )
-        };
+        // The future correct path comes out of the runahead queue (§III-C:
+        // "take a peek in the future correct-path instructions"): the batch
+        // tail first, then the frontend's buffer, at most one ROB deep.
+        let future = FutureWindow::new(
+            cx.entry.inst.seq + 1,
+            cx.lookahead,
+            Some(&mut *cx.frontend),
+            cx.peek_cap.min(self.rob),
+            &mut self.future,
+        );
+        let mut stream = ConvergenceStream::new(walk, future, self.convergence);
         if cx.trace.is_enabled() {
-            if let Some(distance) = convergence_distance {
+            if let Some(distance) = stream.convergence_distance() {
                 self.dist_hist.record(distance as u64);
                 let resolve = cx.resolve;
                 cx.trace.record(|| TraceEvent {
@@ -142,20 +100,14 @@ impl WrongPathTechnique for ConvergenceTechnique {
                 });
             }
         }
-        let wp = std::mem::take(&mut self.wp_buf);
-        let budget = self.budget;
-        self.inject_wrong_path(cx.pipeline, &wp, cx.resolve, budget);
-        self.wp_buf = wp;
-    }
-
-    fn inject_wrong_path(
-        &mut self,
-        pipeline: &mut Pipeline,
-        wp: &[WpInst],
-        resolve: u64,
-        budget: usize,
-    ) {
-        inject_wrong_path(pipeline, wp, resolve, budget, Some(&mut self.stats));
+        inject_wrong_path(
+            cx.pipeline,
+            &mut stream,
+            cx.resolve,
+            self.budget,
+            Some(&mut self.stats),
+        );
+        self.stats += stream.stats();
     }
 
     fn stats(&self) -> TechniqueStats {

@@ -14,8 +14,8 @@
 //! * [`on_mispredict`](WrongPathTechnique::on_mispredict) — produce and
 //!   inject the wrong path for a detected misprediction,
 //! * [`inject_wrong_path`](WrongPathTechnique::inject_wrong_path) — feed a
-//!   wrong-path sequence into the pipeline (overridable for
-//!   technique-specific accounting),
+//!   buffered wrong-path sequence into the pipeline (the built-in
+//!   techniques feed the shared [`inject_wrong_path`] function directly),
 //! * [`on_resolve`](WrongPathTechnique::on_resolve) — the squash point,
 //!   after the episode is traced and before fetch redirects,
 //! * [`stats`](WrongPathTechnique::stats) — technique-owned counters
@@ -128,7 +128,6 @@ pub struct TechniqueStats {
 ///
 /// [`on_instruction`]: WrongPathTechnique::on_instruction
 /// [`on_mispredict`]: WrongPathTechnique::on_mispredict
-/// [`inject_wrong_path`]: WrongPathTechnique::inject_wrong_path
 /// [`on_resolve`]: WrongPathTechnique::on_resolve
 pub trait WrongPathTechnique: Send + fmt::Debug {
     /// The mode this technique models (labels, reporting).
@@ -149,9 +148,10 @@ pub trait WrongPathTechnique: Send + fmt::Debug {
     /// wrong path.
     fn on_mispredict(&mut self, cx: &mut MispredictContext<'_>);
 
-    /// Feeds a wrong-path sequence into the pipeline. The default performs
-    /// the shared §III-A/§V-C injection (snapshot, bounded feed, squash);
-    /// override to add technique-specific accounting.
+    /// Feeds a buffered wrong-path sequence into the pipeline. The default
+    /// performs the shared §III-A/§V-C injection (snapshot, bounded feed,
+    /// squash) of the free function [`inject_wrong_path`], which the
+    /// built-in techniques call directly with their own lazy sources.
     fn inject_wrong_path(
         &mut self,
         pipeline: &mut Pipeline,
@@ -350,9 +350,7 @@ pub fn inject_wrong_path<W: WpFeed>(
 /// difference is that the code-cache hit/miss counters reflect the probed
 /// prefix rather than the full budget. Used by the reconstruction
 /// technique, whose memory timings are always
-/// [`LoadTiming::AssumeL1Hit`] (`mem` is never known); convergence
-/// exploitation needs the materialized window for address recovery and
-/// keeps the unfused pair.
+/// [`LoadTiming::AssumeL1Hit`] (`mem` is never known).
 pub fn reconstruct_inject(
     code_cache: &mut CodeCache,
     predictor: &BranchPredictor,

@@ -1,10 +1,11 @@
 //! Wrong-path instruction reconstruction and convergence-based memory
 //! address recovery — the paper's §III-A and §III-C techniques.
 //!
-//! **Instruction reconstruction** ([`reconstruct`]): on a misprediction,
-//! walk the [`CodeCache`] from the wrong-path start, steering branches with
-//! speculative predictions, until the budget is exhausted or an address is
-//! not remembered. The result carries no data addresses.
+//! **Instruction reconstruction** ([`reconstruct`], a [`Walk`] taken to
+//! its end): on a misprediction, walk the [`CodeCache`] from the
+//! wrong-path start, steering branches with speculative predictions, until
+//! the budget is exhausted or an address is not remembered. The result
+//! carries no data addresses.
 //!
 //! **Convergence exploitation** ([`recover_addresses`]): exploit the
 //! functional simulator's runahead to peek at the *future correct path*;
@@ -12,12 +13,14 @@
 //! the paper), copy memory addresses from matching post-convergence
 //! correct-path instructions into the wrong path — but only for
 //! operations that are register-dependence-free of the non-converged code
-//! ("dirty registers"), to avoid the optimism pitfall of §III-C.
+//! ("dirty registers"), to avoid the optimism pitfall of §III-C. The
+//! simulator runs it lazily as a [`ConvergenceStream`], which walks,
+//! peeks and matches only as far as the pipeline takes the wrong path.
 
 use crate::technique::code_cache::{CodeCache, RunEnd, RUN_CAP};
-use ffsim_emu::{DynInst, MemAccess};
-use ffsim_isa::{Addr, Instr, RegSet, INSTR_BYTES};
-use ffsim_uarch::BranchPredictor;
+use ffsim_emu::{DynInst, FetchSource, MemAccess, StreamEntry};
+use ffsim_isa::{Addr, ArchReg, Instr, RegSet, INSTR_BYTES};
+use ffsim_uarch::{BranchPredictor, SpeculativeState};
 
 /// One reconstructed wrong-path instruction.
 #[derive(Clone, Copy, PartialEq, Debug)]
@@ -54,14 +57,7 @@ pub fn reconstruct(
 }
 
 /// [`reconstruct`] into a caller-owned buffer, so techniques can reuse one
-/// allocation across mispredictions. The buffer is cleared first.
-///
-/// Straight-line stretches between branches are served from the code
-/// cache's memoized runs when available (see [`CodeCache`]); stretches
-/// walked per-instruction are memoized for the next episode. The produced
-/// stream and the hit/miss statistics are identical either way: a run hit
-/// counts one cache hit per instruction consumed, exactly as the
-/// per-instruction walk would have.
+/// allocation across mispredictions: a [`Walk`] taken to its end.
 pub fn reconstruct_into(
     code_cache: &mut CodeCache,
     predictor: &BranchPredictor,
@@ -69,13 +65,86 @@ pub fn reconstruct_into(
     budget: usize,
     out: &mut Vec<WpInst>,
 ) {
-    out.clear();
-    let mut spec = predictor.speculative_state();
-    let mut pc = start;
-    'outer: while out.len() < budget {
-        let remaining = budget - out.len();
+    Walk::new(code_cache, predictor, start, budget, out).finish();
+}
+
+/// A resumable wrong-path reconstruction walk over the code cache: the
+/// body of [`reconstruct`], extended on demand so a consumer that stops
+/// early never walks the tail of the budget.
+///
+/// The walk appends to a caller-owned buffer (cleared by [`Walk::new`])
+/// one straight-line stretch at a time. Stretches are served from the
+/// code cache's memoized runs when available (see [`CodeCache`]);
+/// stretches walked per instruction are memoized for the next episode.
+/// The produced stream and the hit/miss statistics are identical either
+/// way: a run hit counts one cache hit per instruction consumed, exactly
+/// as the per-instruction walk would have. The statistics therefore count
+/// only the stretches actually walked.
+#[derive(Debug)]
+pub struct Walk<'a> {
+    code_cache: &'a mut CodeCache,
+    predictor: &'a BranchPredictor,
+    spec: SpeculativeState,
+    pc: Addr,
+    budget: usize,
+    out: &'a mut Vec<WpInst>,
+    ended: bool,
+}
+
+impl<'a> Walk<'a> {
+    /// Starts a walk at `start` into `out`, which is cleared first.
+    pub fn new(
+        code_cache: &'a mut CodeCache,
+        predictor: &'a BranchPredictor,
+        start: Addr,
+        budget: usize,
+        out: &'a mut Vec<WpInst>,
+    ) -> Walk<'a> {
+        out.clear();
+        Walk {
+            code_cache,
+            predictor,
+            spec: predictor.speculative_state(),
+            pc: start,
+            budget,
+            out,
+            ended: false,
+        }
+    }
+
+    /// Walks until instruction `i` exists; returns whether it does (it
+    /// does not when the walk ends first).
+    fn reach(&mut self, i: usize) -> bool {
+        while self.out.len() <= i && !self.ended {
+            self.extend();
+        }
+        i < self.out.len()
+    }
+
+    /// The pc of instruction `i`, walking until it exists; `None` when the
+    /// walk ends first.
+    fn pc(&mut self, i: usize) -> Option<Addr> {
+        self.reach(i).then(|| self.out[i].pc)
+    }
+
+    /// Walks to the end: the budget or a §III-A stopping rule.
+    fn finish(&mut self) {
+        while !self.ended {
+            self.extend();
+        }
+    }
+
+    /// Appends one memoized run or one probed stretch.
+    fn extend(&mut self) {
+        let (predictor, out) = (self.predictor, &mut *self.out);
+        if out.len() >= self.budget {
+            self.ended = true;
+            return;
+        }
+        let remaining = self.budget - out.len();
+        let pc = self.pc;
         // Fast path: replay a memoized run entered at `pc`.
-        if let Some((run, end)) = code_cache.run_at(pc) {
+        if let Some((run, end)) = self.code_cache.run_at(pc) {
             let m = run.len().min(remaining);
             let full = m == run.len();
             // A fully consumed branch-terminated run needs its last
@@ -102,7 +171,7 @@ pub fn reconstruct_into(
                 let bpc = pc + (m - 1) as Addr * INSTR_BYTES;
                 let instr = run[m - 1];
                 match predictor
-                    .predict_speculative(bpc, &instr, &mut spec)
+                    .predict_speculative(bpc, &instr, &mut self.spec)
                     .next_pc
                 {
                     Some(t) => {
@@ -132,58 +201,52 @@ pub fn reconstruct_into(
                 }
                 stop = true;
             }
-            code_cache.add_run_hits(hits);
-            if stop {
-                return;
-            }
-            pc = next;
-            continue;
+            self.code_cache.add_run_hits(hits);
+            self.ended = stop;
+            self.pc = next;
+            return;
         }
         // Slow path: probe per instruction, exactly like the original walk,
         // recording the stretch so the next episode through this entry pc
         // replays it. Only complete runs (branch / remembered halt / cap)
         // are memoized — a budget- or unknown-pc-ended prefix could grow
         // longer in a later episode.
-        let run_start = pc;
+        let code_cache = &mut *self.code_cache;
+        let mut pc = pc;
         let mut recorded: Vec<Instr> = Vec::new();
         loop {
-            if out.len() >= budget {
+            if out.len() >= self.budget {
+                self.ended = true;
                 return;
             }
             let Some(instr) = code_cache.lookup(pc) else {
+                self.ended = true;
                 return;
             };
             if matches!(instr, Instr::Halt) {
-                code_cache.memoize_run(run_start, recorded, RunEnd::Halt);
+                code_cache.memoize_run(self.pc, recorded, RunEnd::Halt);
+                self.ended = true;
                 return;
             }
             recorded.push(instr);
             if instr.is_branch() {
-                match predictor.predict_speculative(pc, &instr, &mut spec).next_pc {
-                    Some(t) => {
-                        out.push(WpInst {
-                            pc,
-                            instr,
-                            mem: None,
-                            next_pc: t,
-                        });
-                        code_cache.memoize_run(run_start, recorded, RunEnd::Branch);
-                        pc = t;
-                        continue 'outer;
-                    }
-                    None => {
-                        // The branch itself was fetched; reconstruction
-                        // cannot continue past it.
-                        out.push(WpInst {
-                            pc,
-                            instr,
-                            mem: None,
-                            next_pc: pc + INSTR_BYTES,
-                        });
-                        code_cache.memoize_run(run_start, recorded, RunEnd::Branch);
-                        return;
-                    }
+                let next_pc = predictor
+                    .predict_speculative(pc, &instr, &mut self.spec)
+                    .next_pc;
+                out.push(WpInst {
+                    pc,
+                    instr,
+                    mem: None,
+                    // Unpredictable: the branch itself was fetched, but
+                    // reconstruction cannot continue past it.
+                    next_pc: next_pc.unwrap_or(pc + INSTR_BYTES),
+                });
+                code_cache.memoize_run(self.pc, recorded, RunEnd::Branch);
+                match next_pc {
+                    Some(t) => self.pc = t,
+                    None => self.ended = true,
                 }
+                return;
             }
             out.push(WpInst {
                 pc,
@@ -193,8 +256,9 @@ pub fn reconstruct_into(
             });
             pc += INSTR_BYTES;
             if recorded.len() >= RUN_CAP {
-                code_cache.memoize_run(run_start, recorded, RunEnd::Cap);
-                continue 'outer;
+                code_cache.memoize_run(self.pc, recorded, RunEnd::Cap);
+                self.pc = pc;
+                return;
             }
         }
     }
@@ -228,6 +292,15 @@ impl Default for ConvergenceConfig {
 }
 
 /// Counters behind the paper's Table III.
+///
+/// The detection counters (`branch_misses_checked`, `converged`,
+/// `distance_sum`) describe each episode's first convergence detection.
+/// The memory-operation counters cover the instructions injected into the
+/// pipeline. The lock-step counters (`scan_length_sum` through
+/// `reconvergences`) count the matching work: in a simulation, where the
+/// convergence technique matches lazily through a [`ConvergenceStream`],
+/// only the work for the injected prefix of each wrong path; for
+/// [`recover_addresses`], the whole wrong path.
 #[derive(Clone, Copy, PartialEq, Eq, Default, Debug)]
 pub struct ConvergenceStats {
     /// Branch misses where convergence detection ran.
@@ -245,18 +318,50 @@ pub struct ConvergenceStats {
     /// Executed wrong-path memory operations whose address was recovered
     /// (→ "Addr recover").
     pub wp_mem_recovered: u64,
-    /// Total post-convergence instructions scanned in lock-step.
+    /// Post-convergence instructions matched in lock-step (per injected
+    /// prefix in a simulation).
     pub scan_length_sum: u64,
-    /// Lock-step scans ended by an instruction-pointer mismatch.
+    /// Lock-step scans ended by an instruction-pointer mismatch (per
+    /// injected prefix in a simulation).
     pub scan_stop_pc_mismatch: u64,
-    /// Lock-step scans ended by a control divergence (wrong-path branch
-    /// predicted differently from the correct path's actual direction).
+    /// Lock-step scans ended by a control divergence — a wrong-path branch
+    /// predicted differently from the correct path's actual direction (per
+    /// injected prefix in a simulation).
     pub scan_stop_control: u64,
-    /// Memory operations skipped because their sources were dirty.
+    /// Memory operations skipped because their sources were dirty (per
+    /// injected prefix in a simulation).
     pub skipped_dirty: u64,
-    /// Convergence points re-detected after an intra-wrong-path
-    /// divergence (loop-structured code reconverges every iteration).
+    /// Convergence points re-detected after an intra-wrong-path divergence
+    /// — loop-structured code reconverges every iteration (per injected
+    /// prefix in a simulation).
     pub reconvergences: u64,
+}
+
+impl std::ops::AddAssign for ConvergenceStats {
+    fn add_assign(&mut self, other: ConvergenceStats) {
+        let ConvergenceStats {
+            branch_misses_checked,
+            converged,
+            distance_sum,
+            wp_mem_ops,
+            wp_mem_recovered,
+            scan_length_sum,
+            scan_stop_pc_mismatch,
+            scan_stop_control,
+            skipped_dirty,
+            reconvergences,
+        } = other;
+        self.branch_misses_checked += branch_misses_checked;
+        self.converged += converged;
+        self.distance_sum += distance_sum;
+        self.wp_mem_ops += wp_mem_ops;
+        self.wp_mem_recovered += wp_mem_recovered;
+        self.scan_length_sum += scan_length_sum;
+        self.scan_stop_pc_mismatch += scan_stop_pc_mismatch;
+        self.scan_stop_control += scan_stop_control;
+        self.skipped_dirty += skipped_dirty;
+        self.reconvergences += reconvergences;
+    }
 }
 
 impl ConvergenceStats {
@@ -301,99 +406,106 @@ fn written_regs<'a>(instrs: impl Iterator<Item = &'a Instr>) -> RegSet {
     dirty
 }
 
-/// Indexed access to the future correct-path window used by convergence
-/// detection and address recovery.
-///
-/// The window is always a contiguous prefix: once `at(i)` returns `None`,
-/// every larger index is `None` too. Abstracting the access lets the
-/// convergence technique serve the window lazily out of the frontend's
-/// runahead buffer — materializing only the entries the scans actually
-/// visit — while tests and the equivalence oracle keep passing plain
-/// slices. The recovery logic is identical either way.
-pub trait FutureSource {
-    /// The `i`th future correct-path instruction, if the window reaches
-    /// that deep.
-    fn at(&mut self, i: usize) -> Option<&DynInst>;
-}
-
-impl FutureSource for &[DynInst] {
-    fn at(&mut self, i: usize) -> Option<&DynInst> {
-        self.get(i)
-    }
-}
-
-/// Finds the next convergence point between `wp[wi..]` and the future
-/// window past `fi` under the configured detection rule. Returns
-/// window-relative offsets.
-fn detect_convergence<F: FutureSource + ?Sized>(
-    wp: &[WpInst],
-    future: &mut F,
-    wi: usize,
-    fi: usize,
+/// Finds the next convergence point under the configured detection rule.
+/// `wp(j)` and `fut(k)` give the pc `j` (`k`) instructions past the
+/// current scan position of the wrong path (the future correct path), or
+/// `None` past its end; the result is the offsets `(j, k)` of the
+/// matching pair.
+fn detect_convergence(
+    mut wp: impl FnMut(usize) -> Option<Addr>,
+    mut fut: impl FnMut(usize) -> Option<Addr>,
     cfg: &ConvergenceConfig,
 ) -> Option<(usize, usize)> {
-    let wp_rest = &wp[wi..];
-    if wp_rest.is_empty() {
+    let wp_head = wp(0)?;
+    let fut_head = fut(0)?;
+    // One-sided detection (§III-C.1): the convergence point is the first
+    // instruction of one of the two paths — the shallowest of the future
+    // reaching the wrong path's head (depth `a`, case A) and the wrong
+    // path reaching the future's head (case B), equal depths resolving to
+    // case A. The future side is searched first: it is a plain buffer,
+    // while each wrong-path instruction searched must be reconstructed,
+    // and the wrong path is then searched no deeper than `a`. On
+    // convergent code (the common case — Table III distances are tens of
+    // instructions against ROB-sized windows) both searches end after a
+    // handful of comparisons.
+    let a = (0..).map_while(&mut fut).position(|pc| pc == wp_head);
+    let depth = a.unwrap_or(usize::MAX);
+    if let Some(j) = (0..depth).map_while(&mut wp).position(|pc| pc == fut_head) {
+        return Some((j, 0));
+    }
+    if let Some(k) = a {
+        return Some((0, k));
+    }
+    if cfg.one_sided_only {
         return None;
     }
-    let fut_head = future.at(fi)?.pc;
-    // One-sided detection (§III-C.1): the convergence point is the first
-    // instruction of one of the two paths. The two scans are interleaved
-    // by depth so the search stops at the shallowest match instead of
-    // walking both full windows; on convergent code (the common case —
-    // Table III distances are tens of instructions against ROB-sized
-    // windows) this exits after a handful of comparisons. Checking the
-    // future side first at each depth preserves the original tie-break:
-    // equal depths resolve to case A, i.e. `k <= j` picks `(0, k)`.
-    let wp_head = wp_rest[0].pc;
-    let mut one_sided = None;
-    let mut fut_ended = false;
-    let mut i = 0;
-    loop {
-        if !fut_ended {
-            match future.at(fi + i) {
-                Some(d) if d.pc == wp_head => {
-                    one_sided = Some((0, i));
-                    break;
-                }
-                Some(_) => {}
-                None => fut_ended = true,
+    // Two-sided ablation: earliest matching pair by summed depth.
+    let mut first_at = std::collections::HashMap::new();
+    for (k, pc) in (0..).map_while(&mut fut).enumerate() {
+        first_at.entry(pc).or_insert(k);
+    }
+    let mut best: Option<(usize, usize)> = None;
+    for (j, pc) in (0..).map_while(&mut wp).enumerate() {
+        if let Some(&k) = first_at.get(&pc) {
+            if best.is_none_or(|(bj, bk)| j + k < bj + bk) {
+                best = Some((j, k));
             }
-        }
-        if let Some(w) = wp_rest.get(i) {
-            if w.pc == fut_head {
-                one_sided = Some((i, 0));
-                break;
-            }
-        }
-        i += 1;
-        if fut_ended && i >= wp_rest.len() {
-            break;
         }
     }
-    match one_sided {
-        Some(found) => Some(found),
-        None => {
-            if cfg.one_sided_only {
-                return None;
-            }
-            // Two-sided ablation: earliest matching pair by summed depth.
-            let mut first_at = std::collections::HashMap::new();
-            let mut k = 0;
-            while let Some(d) = future.at(fi + k) {
-                first_at.entry(d.pc).or_insert(k);
-                k += 1;
-            }
-            let mut best: Option<(usize, usize)> = None;
-            for (j, w) in wp_rest.iter().enumerate() {
-                if let Some(&k) = first_at.get(&w.pc) {
-                    if best.is_none_or(|(bj, bk)| j + k < bj + bk) {
-                        best = Some((j, k));
-                    }
-                }
-            }
-            best
+    best
+}
+
+/// How one lock-step comparison ended.
+enum Lockstep {
+    /// The pcs differ: the paths diverged before this pair.
+    PcMismatch,
+    /// The pair matched; the scan goes on to the next pair.
+    Matched,
+    /// The pair matched, but the wrong path's predicted successor differs
+    /// from the correct path's actual one.
+    ControlDiverged,
+}
+
+/// Compares wrong-path instruction `w` with future correct-path
+/// instruction `f` at the same scan depth (the paper's Fig. 3). On a pc
+/// match, a memory operation whose sources are independent of
+/// non-converged code takes `f`'s address, and `dirty` follows the
+/// destination register.
+fn lockstep(
+    w: &mut WpInst,
+    f: &FutureInst,
+    dirty: &mut RegSet,
+    cfg: &ConvergenceConfig,
+    stats: &mut ConvergenceStats,
+) -> Lockstep {
+    if w.pc != f.pc {
+        stats.scan_stop_pc_mismatch += 1;
+        return Lockstep::PcMismatch;
+    }
+    stats.scan_length_sum += 1;
+    let ops = w.instr.operands();
+    let src_dirty = cfg.track_dirty_regs && ops.src_iter().any(|r| dirty.contains(r));
+    if w.instr.is_mem() {
+        if src_dirty {
+            stats.skipped_dirty += 1;
+        } else if let Some(m) = f.mem {
+            w.mem = Some(m);
         }
+    }
+    if let Some(dst) = ops.dst {
+        if src_dirty {
+            dirty.insert(dst);
+        } else {
+            // Clean sources recompute the same value: the register is no
+            // longer dirty past this point.
+            dirty.remove(dst);
+        }
+    }
+    if w.next_pc == f.next_pc {
+        Lockstep::Matched
+    } else {
+        stats.scan_stop_control += 1;
+        Lockstep::ControlDiverged
     }
 }
 
@@ -410,101 +522,64 @@ fn detect_convergence<F: FutureSource + ?Sized>(
 /// the correct path's actual direction — e.g. a misprediction along the
 /// wrong path), the scan re-detects convergence further down both paths;
 /// instructions skipped on either side dirty their destination registers.
+///
+/// This is the eager form over whole buffers, and the reference the lazy
+/// [`ConvergenceStream`] is checked against.
 pub fn recover_addresses(
     wp: &mut [WpInst],
     future: &[DynInst],
     cfg: &ConvergenceConfig,
     stats: &mut ConvergenceStats,
 ) -> Option<usize> {
-    recover_addresses_from(wp, &mut { future }, cfg, stats)
-}
-
-/// [`recover_addresses`] against an abstract [`FutureSource`], so the
-/// convergence technique can serve the window lazily from the frontend's
-/// runahead buffer. Behavior — matching, dirty-register tracking, and
-/// every statistic — is identical to the slice version.
-pub fn recover_addresses_from<F: FutureSource + ?Sized>(
-    wp: &mut [WpInst],
-    future: &mut F,
-    cfg: &ConvergenceConfig,
-    stats: &mut ConvergenceStats,
-) -> Option<usize> {
     stats.branch_misses_checked += 1;
 
-    let (wj, fk) = detect_convergence(wp, future, 0, 0, cfg)?;
+    let (wj, fk) = detect_convergence(
+        |j| wp.get(j).map(|w| w.pc),
+        |k| future.get(k).map(|d| d.pc),
+        cfg,
+    )?;
     let distance = wj + fk;
     stats.converged += 1;
     stats.distance_sum += distance as u64;
 
     let mut dirty = RegSet::new();
-    let mut wi = 0usize;
-    let mut fi = 0usize;
+    let (mut wi, mut fi) = (0, 0);
     let (mut next_wi, mut next_fi) = (wj, fk);
-
     loop {
         // Instructions skipped on either side before this convergence
         // point hold values the other path did not compute: their
-        // destinations become dirty (§III-C.2). Every index below
-        // `next_fi` exists: detection just matched an entry there.
+        // destinations become dirty (§III-C.2).
         if cfg.track_dirty_regs {
-            dirty = dirty.union(written_regs(wp[wi..next_wi].iter().map(|w| &w.instr)));
-            for i in fi..next_fi {
-                if let Some(d) = future.at(i) {
-                    if let Some(dst) = d.instr.operands().dst {
-                        dirty.insert(dst);
-                    }
-                }
-            }
+            dirty = dirty
+                .union(written_regs(wp[wi..next_wi].iter().map(|w| &w.instr)))
+                .union(written_regs(future[fi..next_fi].iter().map(|d| &d.instr)));
         }
         wi = next_wi;
         fi = next_fi;
 
-        // Lock-step matching.
-        let mut diverged = false;
-        while wi < wp.len() {
-            let Some(f) = future.at(fi) else {
-                break; // future window exhausted
+        // Lock-step matching until a divergence or either side ends.
+        let diverged = loop {
+            let (Some(w), Some(f)) = (wp.get_mut(wi), future.get(fi)) else {
+                break false;
             };
-            let (f_pc, f_mem, f_next_pc) = (f.pc, f.mem, f.next_pc);
-            let w = &mut wp[wi];
-            if w.pc != f_pc {
-                stats.scan_stop_pc_mismatch += 1;
-                diverged = true;
-                break;
-            }
-            stats.scan_length_sum += 1;
-            let ops = w.instr.operands();
-            let src_dirty = cfg.track_dirty_regs && ops.src_iter().any(|r| dirty.contains(r));
-            if w.instr.is_mem() {
-                if src_dirty {
-                    stats.skipped_dirty += 1;
-                } else if let Some(m) = f_mem {
-                    w.mem = Some(m);
+            match lockstep(w, &f.into(), &mut dirty, cfg, stats) {
+                Lockstep::PcMismatch => break true,
+                Lockstep::Matched => (wi, fi) = (wi + 1, fi + 1),
+                Lockstep::ControlDiverged => {
+                    (wi, fi) = (wi + 1, fi + 1);
+                    break true;
                 }
             }
-            if let Some(dst) = ops.dst {
-                if src_dirty {
-                    dirty.insert(dst);
-                } else {
-                    // Clean sources recompute the same value: the register
-                    // is no longer dirty past this point.
-                    dirty.remove(dst);
-                }
-            }
-            let control_diverges = w.next_pc != f_next_pc;
-            wi += 1;
-            fi += 1;
-            if control_diverges {
-                stats.scan_stop_control += 1;
-                diverged = true;
-                break;
-            }
-        }
+        };
         if !diverged {
-            break; // one side exhausted
+            break;
         }
         // Re-detect convergence past the divergence.
-        match detect_convergence(wp, future, wi, fi, cfg) {
+        match detect_convergence(
+            |j| wp.get(wi + j).map(|w| w.pc),
+            |k| future.get(fi + k).map(|d| d.pc),
+            cfg,
+        ) {
             Some((dj, dk)) => {
                 stats.reconvergences += 1;
                 next_wi = wi + dj;
@@ -514,6 +589,284 @@ pub fn recover_addresses_from<F: FutureSource + ?Sized>(
         }
     }
     Some(distance)
+}
+
+/// A future correct-path instruction, reduced to what matching reads.
+#[derive(Clone, Copy, Debug)]
+struct FutureInst {
+    seq: u64,
+    pc: Addr,
+    next_pc: Addr,
+    mem: Option<MemAccess>,
+    dst: Option<ArchReg>,
+}
+
+impl From<&DynInst> for FutureInst {
+    fn from(d: &DynInst) -> FutureInst {
+        FutureInst {
+            seq: d.seq,
+            pc: d.pc,
+            next_pc: d.next_pc,
+            mem: d.mem,
+            dst: d.instr.operands().dst,
+        }
+    }
+}
+
+/// Future correct-path instructions read by earlier episodes, kept for
+/// the next one. Mispredictions come close together, so consecutive
+/// episodes look at largely the same stretch of the future: each entry is
+/// read from the frontend once and reused until the run loop passes it.
+/// The correct path never changes, so a kept entry is exactly what a
+/// fresh peek would return.
+#[derive(Clone, Default, Debug)]
+pub struct FutureCache {
+    /// Consecutive correct-path instructions by sequence number; those
+    /// before `start` are already in the past.
+    insts: Vec<FutureInst>,
+    start: usize,
+}
+
+/// The future correct-path window past a mispredicted branch (§III-C:
+/// "take a peek in the future correct-path instructions"), read on
+/// demand: from the [`FutureCache`], then from the current handoff batch,
+/// then from the frontend's runahead buffer — only as deep as the matcher
+/// looks. The window ends at `cap` entries or at the end of the stream.
+#[derive(Debug)]
+pub struct FutureWindow<'a> {
+    batch: &'a [StreamEntry],
+    frontend: Option<&'a mut dyn FetchSource>,
+    cap: usize,
+    cache: &'a mut FutureCache,
+    exhausted: bool,
+}
+
+impl<'a> FutureWindow<'a> {
+    /// A window of at most `cap` entries starting at the correct-path
+    /// instruction numbered `first_seq`: `batch` (the unconsumed tail of
+    /// the handoff batch, [`MispredictContext::lookahead`]), then
+    /// `frontend`'s buffer (none: the window is `batch` alone). Entries
+    /// `cache` holds from `first_seq` on are reused; older ones are
+    /// dropped.
+    ///
+    /// [`MispredictContext::lookahead`]: crate::MispredictContext::lookahead
+    pub fn new(
+        first_seq: u64,
+        batch: &'a [StreamEntry],
+        frontend: Option<&'a mut dyn FetchSource>,
+        cap: usize,
+        cache: &'a mut FutureCache,
+    ) -> FutureWindow<'a> {
+        let kept = &cache.insts[cache.start..];
+        cache.start += kept.partition_point(|f| f.seq < first_seq);
+        if cache
+            .insts
+            .get(cache.start)
+            .is_none_or(|f| f.seq != first_seq)
+        {
+            cache.insts.clear();
+            cache.start = 0;
+        } else if cache.start >= cache.insts.len() / 2 {
+            cache.insts.drain(..cache.start);
+            cache.start = 0;
+        }
+        FutureWindow {
+            batch,
+            frontend,
+            cap,
+            cache,
+            exhausted: false,
+        }
+    }
+
+    /// The `i`th future correct-path instruction (0 = the architecturally
+    /// next one), if the window reaches that deep.
+    fn at(&mut self, i: usize) -> Option<&FutureInst> {
+        if i >= self.cap {
+            return None;
+        }
+        let start = self.cache.start;
+        while self.cache.insts.len() - start <= i && !self.exhausted {
+            let j = self.cache.insts.len() - start;
+            let entry = match self.batch.get(j) {
+                Some(e) => Some(e),
+                None => self
+                    .frontend
+                    .as_mut()
+                    .and_then(|f| f.peek(j - self.batch.len())),
+            };
+            match entry {
+                Some(e) => self.cache.insts.push(FutureInst::from(&e.inst)),
+                None => self.exhausted = true,
+            }
+        }
+        self.cache.insts.get(start + i)
+    }
+}
+
+/// Convergence exploitation as a pull-based wrong-path stream: a [`Walk`]
+/// matched against a [`FutureWindow`] by an incremental form of
+/// [`recover_addresses`] (detect → lock-step → re-detect).
+///
+/// The first convergence detection runs when the stream is built, so the
+/// detection counters and [`convergence_distance`] equal the eager
+/// scan's. After that, wrong-path instruction `k` is finalized — matched
+/// in lock-step, or skipped on the way to the next convergence point —
+/// only when the consumer pulls it, so matching, walking and peeking stop
+/// where injection stops. Every yielded instruction, recovered address
+/// included, equals the eager [`reconstruct`] + [`recover_addresses`]
+/// result at the same index. The lock-step counters and `reconvergences`
+/// count the work done for the pulled prefix; a drained stream's
+/// [`stats`] equal the eager scan's.
+///
+/// [`convergence_distance`]: ConvergenceStream::convergence_distance
+/// [`stats`]: ConvergenceStream::stats
+#[derive(Debug)]
+pub struct ConvergenceStream<'a> {
+    walk: Walk<'a>,
+    future: FutureWindow<'a>,
+    cfg: ConvergenceConfig,
+    stats: ConvergenceStats,
+    distance: Option<usize>,
+    dirty: RegSet,
+    /// The next wrong-path and future indices to compare in lock-step.
+    wi: usize,
+    fi: usize,
+    /// The paths diverged at `(wi, fi)`: re-detect before comparing.
+    diverged: bool,
+    /// Matching has ended: every further instruction is final as walked.
+    done: bool,
+    /// Index of the next instruction to yield.
+    next: usize,
+}
+
+impl<'a> ConvergenceStream<'a> {
+    /// Builds the stream and runs the first convergence detection.
+    pub fn new(
+        walk: Walk<'a>,
+        future: FutureWindow<'a>,
+        cfg: ConvergenceConfig,
+    ) -> ConvergenceStream<'a> {
+        let mut stream = ConvergenceStream {
+            walk,
+            future,
+            cfg,
+            stats: ConvergenceStats {
+                branch_misses_checked: 1,
+                ..ConvergenceStats::default()
+            },
+            distance: None,
+            dirty: RegSet::new(),
+            wi: 0,
+            fi: 0,
+            diverged: false,
+            done: false,
+            next: 0,
+        };
+        match stream.detect() {
+            Some((wj, fk)) => {
+                stream.stats.converged = 1;
+                stream.stats.distance_sum = (wj + fk) as u64;
+                stream.distance = Some(wj + fk);
+                stream.converge_at(wj, fk);
+            }
+            None => stream.done = true,
+        }
+        stream
+    }
+
+    /// Distance to the first convergence point, when one was found.
+    #[must_use]
+    pub fn convergence_distance(&self) -> Option<usize> {
+        self.distance
+    }
+
+    /// This episode's counters so far (the memory-operation counters,
+    /// which the injector keeps, stay zero).
+    #[must_use]
+    pub fn stats(&self) -> ConvergenceStats {
+        self.stats
+    }
+
+    /// Detects the next convergence point past the lock-step position.
+    fn detect(&mut self) -> Option<(usize, usize)> {
+        let (wi, fi) = (self.wi, self.fi);
+        let (walk, future) = (&mut self.walk, &mut self.future);
+        detect_convergence(
+            |j| walk.pc(wi + j),
+            |k| future.at(fi + k).map(|f| f.pc),
+            &self.cfg,
+        )
+    }
+
+    /// Moves the lock-step position `dj`/`dk` instructions on to a
+    /// convergence point. What either side skipped holds values the other
+    /// path did not compute: its destinations become dirty (§III-C.2).
+    fn converge_at(&mut self, dj: usize, dk: usize) {
+        let (wi, fi) = (self.wi + dj, self.fi + dk);
+        if self.cfg.track_dirty_regs {
+            let skipped = &self.walk.out[self.wi..wi];
+            self.dirty = self
+                .dirty
+                .union(written_regs(skipped.iter().map(|w| &w.instr)));
+            for i in self.fi..fi {
+                if let Some(dst) = self.future.at(i).and_then(|f| f.dst) {
+                    self.dirty.insert(dst);
+                }
+            }
+        }
+        (self.wi, self.fi) = (wi, fi);
+    }
+
+    /// Advances the matcher by one lock-step comparison or one
+    /// re-detection.
+    fn step(&mut self) {
+        if self.diverged {
+            self.diverged = false;
+            match self.detect() {
+                Some((dj, dk)) => {
+                    self.stats.reconvergences += 1;
+                    self.converge_at(dj, dk);
+                }
+                None => self.done = true,
+            }
+            return;
+        }
+        if !self.walk.reach(self.wi) {
+            self.done = true;
+            return;
+        }
+        let Some(f) = self.future.at(self.fi) else {
+            self.done = true;
+            return;
+        };
+        let w = &mut self.walk.out[self.wi];
+        match lockstep(w, f, &mut self.dirty, &self.cfg, &mut self.stats) {
+            Lockstep::PcMismatch => self.diverged = true,
+            Lockstep::Matched => (self.wi, self.fi) = (self.wi + 1, self.fi + 1),
+            Lockstep::ControlDiverged => {
+                (self.wi, self.fi) = (self.wi + 1, self.fi + 1);
+                self.diverged = true;
+            }
+        }
+    }
+}
+
+impl Iterator for ConvergenceStream<'_> {
+    type Item = WpInst;
+
+    fn next(&mut self) -> Option<WpInst> {
+        let k = self.next;
+        if !self.walk.reach(k) {
+            return None;
+        }
+        // Instruction `k` is final once matching has moved past it.
+        while !self.done && self.wi <= k {
+            self.step();
+        }
+        self.next += 1;
+        Some(self.walk.out[k])
+    }
 }
 
 #[cfg(test)]
@@ -636,6 +989,26 @@ mod tests {
         let p = predictor();
         let wp = reconstruct(&mut cc, &p, 0x1000, 16);
         assert_eq!(wp.len(), 1);
+    }
+
+    fn pcs(pcs: &[Addr]) -> impl FnMut(usize) -> Option<Addr> + '_ {
+        |i| pcs.get(i).copied()
+    }
+
+    /// One-sided detection takes the shallower of case A (the future
+    /// reaches the wrong path's head) and case B (the wrong path reaches
+    /// the future's head), and case A when both are equally deep.
+    #[test]
+    fn detection_takes_the_shallower_case_and_case_a_on_ties() {
+        let cfg = ConvergenceConfig::default();
+        let detect = |wp: &[Addr], fut: &[Addr]| detect_convergence(pcs(wp), pcs(fut), &cfg);
+        assert_eq!(detect(&[0xa, 0xb, 0xc], &[0xc, 0xd, 0xa]), Some((0, 2)));
+        assert_eq!(detect(&[0xa, 0xc, 0xb], &[0xc, 0xd, 0xa]), Some((1, 0)));
+        assert_eq!(detect(&[0xa, 0xb, 0xe, 0xc], &[0xc, 0xa]), Some((0, 1)));
+        // Case B past the end of the future window.
+        assert_eq!(detect(&[0xa, 0xb, 0xe, 0xc], &[0xc, 0xd]), Some((3, 0)));
+        assert_eq!(detect(&[0xa, 0xb], &[0xc, 0xd]), None);
+        assert_eq!(detect(&[], &[0xc]), None);
     }
 
     /// Case A convergence: the correct path falls through W X and then

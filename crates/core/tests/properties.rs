@@ -2,12 +2,13 @@
 //! techniques: timestamp ordering, window invariants, reconstruction
 //! chain integrity, recovery soundness, and simulator determinism.
 
+use ffsim_core::technique::wrongpath::{ConvergenceStream, FutureCache, FutureWindow, Walk};
 use ffsim_core::{
     reconstruct, recover_addresses, CodeCache, ConvergenceConfig, ConvergenceStats, ObsConfig,
     Pipeline, SimConfig, Simulator, WpInst, WrongPathMode,
 };
-use ffsim_emu::{DynInst, MemAccess, Memory};
-use ffsim_isa::{AluOp, Instr, MemWidth, Program, Reg, INSTR_BYTES};
+use ffsim_emu::{BranchOutcome, DynInst, MemAccess, Memory, StreamEntry};
+use ffsim_isa::{Addr, AluOp, BranchCond, Instr, MemWidth, Program, Reg, INSTR_BYTES};
 use ffsim_uarch::{BranchPredictor, CoreConfig};
 use proptest::prelude::*;
 
@@ -61,6 +62,175 @@ fn mem_of(instr: &Instr) -> Option<MemAccess> {
             is_store: true,
         }),
         _ => None,
+    }
+}
+
+/// splitmix64: one seed drives a whole random convergence episode.
+struct Mix(u64);
+
+impl Mix {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n.max(1) as u64) as usize
+    }
+
+    fn chance(&mut self, pct: usize) -> bool {
+        self.below(100) < pct
+    }
+
+    fn reg(&mut self) -> Reg {
+        // Few registers, so dirty-register tracking has dependences to see.
+        Reg::new(1 + self.below(6) as u8)
+    }
+}
+
+/// One misprediction episode for the convergence matcher: a code cache
+/// over a small branchy region, a trained predictor, a wrong-path start
+/// and budget, and a future correct path through the same region.
+struct Episode {
+    code_cache: CodeCache,
+    predictor: BranchPredictor,
+    start: Addr,
+    budget: usize,
+    future: Vec<StreamEntry>,
+    /// Window depth bound (may cut the future short).
+    cap: usize,
+}
+
+fn random_episode(seed: u64) -> Episode {
+    let mut r = Mix(seed);
+    let base = 0x4000u64;
+    let n = 8 + r.below(40);
+    let pc_of = |i: usize| base + i as u64 * INSTR_BYTES;
+    let mut code = Vec::with_capacity(n);
+    for _ in 0..n {
+        let instr = match r.below(20) {
+            0..=5 => Instr::Alu {
+                op: AluOp::Add,
+                rd: r.reg(),
+                rs1: r.reg(),
+                rs2: r.reg(),
+            },
+            6..=9 => Instr::Load {
+                rd: r.reg(),
+                base: r.reg(),
+                offset: 8 * r.below(16) as i64,
+                width: MemWidth::D,
+                signed: false,
+            },
+            10..=11 => Instr::Store {
+                src: r.reg(),
+                base: r.reg(),
+                offset: 8 * r.below(16) as i64,
+                width: MemWidth::D,
+            },
+            12..=15 => Instr::Branch {
+                cond: BranchCond::Ne,
+                rs1: r.reg(),
+                rs2: r.reg(),
+                target: pc_of(r.below(n)),
+            },
+            16 => Instr::Jal {
+                rd: Reg::ZERO,
+                target: pc_of(r.below(n)),
+            },
+            17 => Instr::Jalr {
+                rd: Reg::ZERO,
+                base: r.reg(),
+                offset: 0,
+            },
+            _ => Instr::Nop,
+        };
+        code.push(instr);
+    }
+    // Close the region into a loop, so both paths stay in it for long.
+    code[n - 1] = Instr::Jal {
+        rd: Reg::ZERO,
+        target: pc_of(r.below(n / 2)),
+    };
+    let mut code_cache = CodeCache::unbounded();
+    for (i, instr) in code.iter().enumerate() {
+        if r.chance(97) {
+            code_cache.insert(pc_of(i), *instr);
+        }
+    }
+    let mut predictor = BranchPredictor::new(CoreConfig::tiny_for_tests().branch);
+    for _ in 0..r.below(64) {
+        let i = r.below(n);
+        let pc = pc_of(i);
+        let (taken, next_pc) = match code[i] {
+            Instr::Branch { target, .. } if r.chance(50) => (true, target),
+            Instr::Branch { .. } => (false, pc + INSTR_BYTES),
+            Instr::Jal { target, .. } => (true, target),
+            Instr::Jalr { .. } => (true, pc_of(r.below(n))),
+            _ => continue,
+        };
+        let _ = predictor.observe(pc, &code[i], taken, next_pc);
+    }
+    // The future correct path: a random walk through the same region.
+    // Now and then the next entry starts somewhere its predecessor's
+    // `next_pc` does not name, so lock-step also meets pc mismatches.
+    let mut future = Vec::new();
+    let mut i = r.below(n);
+    for seq in 0..r.below(160) as u64 {
+        let pc = pc_of(i);
+        let instr = code[i];
+        let (branch, next) = match instr {
+            Instr::Branch { target, .. } => {
+                let taken = r.chance(50);
+                let next = if taken { target } else { pc + INSTR_BYTES };
+                (Some(taken), next)
+            }
+            Instr::Jal { target, .. } => (Some(true), target),
+            Instr::Jalr { .. } => (Some(true), pc_of(r.below(n))),
+            _ => (None, pc + INSTR_BYTES),
+        };
+        let mem = match instr {
+            Instr::Load { .. } | Instr::Store { .. } => Some(MemAccess {
+                addr: 0x10_0000 + 8 * r.below(512) as u64,
+                size: 8,
+                is_store: matches!(instr, Instr::Store { .. }),
+            }),
+            _ => None,
+        };
+        future.push(StreamEntry {
+            inst: DynInst {
+                seq,
+                pc,
+                instr,
+                mem,
+                branch: branch.map(|taken| BranchOutcome {
+                    taken,
+                    next_pc: next,
+                }),
+                next_pc: next,
+            },
+            wrong_path: None,
+        });
+        i = if r.chance(5) {
+            r.below(n)
+        } else {
+            match usize::try_from((next - base) / INSTR_BYTES) {
+                Ok(j) if j < n => j,
+                _ => break,
+            }
+        };
+    }
+    let cap = r.below(future.len() + 8);
+    Episode {
+        code_cache,
+        predictor,
+        start: pc_of(r.below(n)),
+        budget: r.below(200),
+        future,
+        cap,
     }
 }
 
@@ -188,6 +358,54 @@ proptest! {
             }
         }
         prop_assert!(stats.converged <= stats.branch_misses_checked);
+    }
+
+    /// The lazy convergence stream is the eager scan, cut short: for every
+    /// cut point `k`, the first `k` instructions it yields equal
+    /// `reconstruct` + `recover_addresses` element-wise, its detection
+    /// counters equal the eager scan's, its lock-step counters never
+    /// decrease as `k` grows, and a drained stream reproduces every eager
+    /// counter.
+    #[test]
+    fn convergence_stream_is_the_eager_scan_cut_short(seed in any::<u64>()) {
+        let ep = random_episode(seed);
+        let configs = [
+            ConvergenceConfig::default(),
+            ConvergenceConfig { one_sided_only: false, track_dirty_regs: true },
+            ConvergenceConfig { one_sided_only: true, track_dirty_regs: false },
+        ];
+        for cfg in configs {
+            let mut eager = reconstruct(&mut ep.code_cache.clone(), &ep.predictor, ep.start, ep.budget);
+            let window: Vec<DynInst> =
+                ep.future.iter().take(ep.cap).map(|e| e.inst).collect();
+            let mut eager_stats = ConvergenceStats::default();
+            let distance = recover_addresses(&mut eager, &window, &cfg, &mut eager_stats);
+
+            let mut code_cache = ep.code_cache.clone();
+            let (mut wp_buf, mut cache) = (Vec::new(), FutureCache::default());
+            let mut last = ConvergenceStats::default();
+            for k in 0..=eager.len() + 1 {
+                let walk = Walk::new(&mut code_cache, &ep.predictor, ep.start, ep.budget, &mut wp_buf);
+                let future = FutureWindow::new(0, &ep.future, None, ep.cap, &mut cache);
+                let mut stream = ConvergenceStream::new(walk, future, cfg);
+                prop_assert_eq!(stream.convergence_distance(), distance);
+                let pulled: Vec<WpInst> = stream.by_ref().take(k).collect();
+                prop_assert_eq!(&pulled[..], &eager[..k.min(eager.len())], "cut at {}", k);
+                let s = stream.stats();
+                prop_assert_eq!(s.branch_misses_checked, eager_stats.branch_misses_checked);
+                prop_assert_eq!(s.converged, eager_stats.converged);
+                prop_assert_eq!(s.distance_sum, eager_stats.distance_sum);
+                prop_assert!(s.scan_length_sum >= last.scan_length_sum);
+                prop_assert!(s.scan_stop_pc_mismatch >= last.scan_stop_pc_mismatch);
+                prop_assert!(s.scan_stop_control >= last.scan_stop_control);
+                prop_assert!(s.skipped_dirty >= last.skipped_dirty);
+                prop_assert!(s.reconvergences >= last.reconvergences);
+                if k >= eager.len() {
+                    prop_assert_eq!(s, eager_stats, "drained at {}", k);
+                }
+                last = s;
+            }
+        }
     }
 
     /// Bounded code caches never exceed their capacity.

@@ -13,7 +13,7 @@ use ffsim_core::{
     TechniqueStats, WrongPathMode, WrongPathTechnique,
 };
 use ffsim_emu::{DynInst, Emulator, FetchSource, InstrQueue, Memory};
-use ffsim_isa::{AluOp, Instr, MemWidth, Program, Reg, INSTR_BYTES};
+use ffsim_isa::{AluOp, Asm, Instr, MemWidth, Program, Reg, INSTR_BYTES};
 use ffsim_uarch::CoreConfig;
 use proptest::prelude::*;
 
@@ -86,9 +86,11 @@ impl WrongPathTechnique for MonolithOracle {
                 return;
             };
             let mut wp = reconstruct(&mut self.code_cache, cx.predictor, start, self.budget);
+            // The future window as per-instruction delivery would expose
+            // it: the unconsumed batch tail, then the frontend's buffer.
             let mut future = Vec::new();
             for i in 0..self.rob {
-                match cx.frontend.peek(i) {
+                match cx.peek_ahead(i) {
                     Some(e) => future.push(e.inst),
                     None => break,
                 }
@@ -291,4 +293,92 @@ fn warmup_reset_matches_the_monolith() {
         }
         assert_eq!(refactored.state_digest, oracle.state_digest);
     }
+}
+
+/// A loop opening with a hammock on a pseudo-random bit (one LCG step),
+/// followed by a long converged stretch of loads off the loop counter. The
+/// hammock mispredicts about half the time and both paths converge right
+/// after it, so the eager scan lock-steps through the whole future window;
+/// but the bit comes from a short ALU chain, so the branch resolves after
+/// a fraction of that window has been injected.
+fn hammock_program(trip: i64) -> Program {
+    let r = Reg::new;
+    let mut a = Asm::new();
+    a.li(r(31), trip).li(r(30), 0x10_0000).li(r(5), 12345);
+    a.li(r(7), 6_364_136_223_846_793_005);
+    a.label("loop");
+    a.mul(r(5), r(5), r(7))
+        .addi(r(5), r(5), 1_442_695_040_888_963_407);
+    a.srli(r(6), r(5), 40).andi(r(6), r(6), 1);
+    a.beqz(r(6), "join");
+    a.ld(r(8), 8, r(30))
+        .add(r(9), r(9), r(8))
+        .sd(r(9), 16, r(30));
+    a.label("join");
+    a.slli(r(12), r(31), 6).add(r(12), r(12), r(30));
+    for i in 0..24 {
+        a.ld(r(13 + (i % 8) as u8), i * 8, r(12));
+    }
+    a.addi(r(31), r(31), -1).bnez(r(31), "loop").halt();
+    a.assemble().unwrap()
+}
+
+/// conv matches the eager monolith where its laziness shows: on the
+/// golden-cove core the hammock branch resolves long before the scan of
+/// its ROB-deep future window would end. Everything simulated — timing,
+/// the injected wrong path, the final state and the five Table III
+/// fields — is exact. Only the work counters may be smaller than the
+/// oracle's: the five lock-step counters, which conv counts over the
+/// injected prefix, and the code-cache probes, which cover only the
+/// walked prefix (as instrec's fused walk already does).
+#[test]
+fn conv_matches_the_monolith_when_resolution_cuts_the_scan_short() {
+    let mut cfg = SimConfig::with_core(
+        CoreConfig::golden_cove_like(),
+        WrongPathMode::ConvergenceExploitation,
+    );
+    cfg.obs = ObsConfig::disabled();
+    let program = hammock_program(300);
+    let refactored = Simulator::new(program.clone(), Memory::new(), cfg.clone())
+        .unwrap()
+        .run()
+        .unwrap();
+    let oracle = Simulator::with_technique(
+        program,
+        Memory::new(),
+        cfg.clone(),
+        Box::new(MonolithOracle::new(&cfg)),
+    )
+    .unwrap()
+    .run()
+    .unwrap();
+
+    assert_eq!(refactored.cycles, oracle.cycles);
+    assert_eq!(refactored.instructions, oracle.instructions);
+    assert_eq!(
+        refactored.wrong_path_instructions,
+        oracle.wrong_path_instructions
+    );
+    assert_eq!(refactored.state_digest, oracle.state_digest);
+    assert_eq!(refactored.cpi.total(), oracle.cpi.total());
+    let (r, o) = (refactored.convergence, oracle.convergence);
+    assert_eq!(r.branch_misses_checked, o.branch_misses_checked);
+    assert_eq!(r.converged, o.converged);
+    assert_eq!(r.distance_sum, o.distance_sum);
+    assert_eq!(r.wp_mem_ops, o.wp_mem_ops);
+    assert_eq!(r.wp_mem_recovered, o.wp_mem_recovered);
+    assert!(r.scan_length_sum <= o.scan_length_sum);
+    assert!(r.scan_stop_pc_mismatch <= o.scan_stop_pc_mismatch);
+    assert!(r.scan_stop_control <= o.scan_stop_control);
+    assert!(r.skipped_dirty <= o.skipped_dirty);
+    assert!(r.reconvergences <= o.reconvergences);
+    assert!(refactored.code_cache.hits <= oracle.code_cache.hits);
+    assert!(refactored.code_cache.misses <= oracle.code_cache.misses);
+    assert_eq!(refactored.code_cache.evictions, oracle.code_cache.evictions);
+    // The input must keep exercising the laziness it exists for.
+    assert!(r.converged > 0 && r.wp_mem_recovered > 0);
+    assert!(
+        r.scan_length_sum < o.scan_length_sum,
+        "resolution no longer cuts the scan short: {r:?} vs {o:?}"
+    );
 }
