@@ -89,7 +89,7 @@ fn run_profiled(workload: &Workload, core: &CoreConfig, mode: WrongPathMode, bud
 fn render_counts(runs: &[Run]) -> String {
     let mut headers = vec!["technique", "instrs", "wp_instrs"];
     headers.extend(SIM_PHASES.iter().map(|p| p.name()));
-    headers.extend(["blk_hits", "blk_miss"]);
+    headers.extend(["blk_hits", "blk_miss", "wp_emul"]);
     let rows: Vec<Vec<String>> = runs
         .iter()
         .map(|run| {
@@ -107,6 +107,9 @@ fn render_counts(runs: &[Run]) -> String {
             // stream takes — deterministic like the scope counts.
             row.push(run.result.block_cache.hits.to_string());
             row.push(run.result.block_cache.misses.to_string());
+            // Wrong-path instructions functionally emulated: with lazy
+            // emulation, only what the pipeline fetched.
+            row.push(run.result.wrong_path_emulated.to_string());
             row
         })
         .collect();

@@ -73,8 +73,8 @@ pub struct SimConfig {
     pub wp_pc_corruption: Option<PcCorruption>,
     /// Cooperative cancellation token shared with a supervisor (`None` =
     /// uncancellable). Checked once per retired instruction in
-    /// [`Simulator::run`] and once per emulated instruction in the
-    /// functional frontend; a fired token surfaces as
+    /// [`Simulator::run`] and once per emulated instruction, correct path
+    /// and wrong path alike; a fired token surfaces as
     /// [`SimError::Cancelled`] or [`SimError::DeadlineExceeded`].
     pub cancel: Option<CancelToken>,
     /// Observability: event tracing and wrong-path histograms. Defaults to
@@ -239,14 +239,6 @@ pub struct Simulator {
     prof: ProfHandle,
     /// Wrong-path instructions injected per misprediction episode.
     wp_episode_hist: Log2Hist,
-    /// Timebase unification, SoA form: for each branch that triggered
-    /// frontend wrong-path emulation, its instruction ordinal
-    /// (`wp_seq[i]`, strictly increasing in retire order) and fetch cycle
-    /// (`wp_fetch[i]`), so frontend trace events can be rebased onto the
-    /// cycle axis with a binary search instead of a hash map. Only
-    /// populated when tracing is enabled.
-    wp_seq: Vec<u64>,
-    wp_fetch: Vec<u64>,
 }
 
 impl Simulator {
@@ -302,8 +294,6 @@ impl Simulator {
             trace,
             prof,
             wp_episode_hist: Log2Hist::new(),
-            wp_seq: Vec::new(),
-            wp_fetch: Vec::new(),
         })
     }
 
@@ -313,8 +303,8 @@ impl Simulator {
     /// # Errors
     ///
     /// [`SimError::CorrectPathFault`] when a correct-path instruction
-    /// faults (a workload bug), and [`SimError::WrongPathFault`] when a
-    /// wrong-path fault ends the stream under
+    /// faults (a workload bug), and [`SimError::WrongPathFault`] when the
+    /// emulated part of a wrong path faults under
     /// [`FaultPolicy::AbortRun`](ffsim_emu::FaultPolicy::AbortRun). Under
     /// the default squash policy wrong-path faults are absorbed and only
     /// counted in [`SimResult::faults`].
@@ -403,15 +393,6 @@ impl Simulator {
                 self.technique.on_instruction(&inst);
                 self.prof.exit();
                 let times = self.pipeline.feed_correct(inst.pc, &inst.instr, inst.mem);
-                if self.trace.is_enabled() && entry.wrong_path.is_some() {
-                    // The frontend stamped this branch's emulation episode
-                    // with its instruction ordinal; remember the branch's
-                    // fetch cycle (ordinals arrive strictly increasing, so
-                    // the rebase below can binary-search) so the episode
-                    // can be rebased onto the cycle axis.
-                    self.wp_seq.push(inst.seq);
-                    self.wp_fetch.push(times.fetch);
-                }
                 instructions += 1;
                 observer.on_instruction(&inst, times);
 
@@ -447,6 +428,7 @@ impl Simulator {
                 self.prof.enter(Phase::TechniqueHook);
                 let mut cx = MispredictContext {
                     entry,
+                    fetch: times.fetch,
                     resolve,
                     wrong_path_start: res.wrong_path_start,
                     lookahead,
@@ -455,9 +437,13 @@ impl Simulator {
                     pipeline: &mut self.pipeline,
                     frontend: &mut *self.frontend,
                     trace: &mut self.trace,
+                    abort: None,
                 };
                 self.technique.on_mispredict(&mut cx);
                 self.prof.exit();
+                if let Some(err) = cx.abort {
+                    return Err(err);
+                }
 
                 if self.trace.is_enabled() {
                     let injected = self.pipeline.wrong_path_injected() - wp_before;
@@ -509,44 +495,27 @@ impl Simulator {
         }
 
         if let Some(cause) = self.frontend.cancelled() {
-            // The token fired inside the functional frontend (runahead or
-            // wrong-path emulation) rather than between retirements.
+            // The token fired inside the functional frontend's runahead
+            // rather than between retirements.
             return Err(cause.into());
         }
         if let Some(fault) = self.frontend.fault() {
-            return Err(if self.frontend.fault_was_wrong_path() {
-                SimError::WrongPathFault(fault)
-            } else {
-                SimError::CorrectPathFault {
-                    fault,
-                    retired: instructions,
-                }
+            return Err(SimError::CorrectPathFault {
+                fault,
+                retired: instructions,
             });
         }
 
         self.prof.exit();
         self.prof.finish();
         let obs = if self.cfg.obs.any() {
-            // Timing-model events first, then frontend events — separate
-            // tracks in the Chrome export. Frontend events are rebased from
-            // the instruction ordinal of their triggering branch onto that
-            // branch's fetch cycle, so both tracks share one time axis; an
-            // episode whose branch never reached the timing model (e.g.
-            // truncated by `max_instructions`) keeps its ordinal timestamp.
-            // In profile-only mode the rings are disabled and the event
-            // vector stays empty.
-            let mut events = self.trace.take();
-            let dropped_events = self.trace.dropped() + self.frontend.trace_dropped();
-            let mut frontend_events = self.frontend.take_trace();
-            for e in &mut frontend_events {
-                if let Ok(i) = self.wp_seq.binary_search(&e.ts) {
-                    e.ts = self.wp_fetch[i];
-                }
-            }
-            events.extend(frontend_events);
+            // Timing-model and frontend-track events share the ring and the
+            // cycle axis; they are separate tracks in the Chrome export. In
+            // profile-only mode the ring is disabled and the event vector
+            // stays empty.
             Some(ObsReport {
-                events,
-                dropped_events,
+                events: self.trace.take(),
+                dropped_events: self.trace.dropped(),
                 wp_episode_len: self.wp_episode_hist,
                 conv_distance: self.technique.conv_distance(),
                 profile: self.prof.snapshot(),
@@ -562,10 +531,11 @@ impl Simulator {
             instructions: instructions.saturating_sub(warmup.min(instructions)),
             cycles: self.pipeline.cycles().saturating_sub(cycles_base),
             wrong_path_instructions: self.pipeline.wrong_path_injected().saturating_sub(wp_base),
+            wrong_path_emulated: technique_stats.wrong_path_emulated,
             branch: self.predictor.stats(),
             convergence: technique_stats.convergence,
             code_cache: technique_stats.code_cache,
-            block_cache: self.frontend.emulator().block_cache_stats(),
+            block_cache: technique_stats.block_cache,
             l1i: h.l1i().stats(),
             l1d: h.l1d().stats(),
             l2: h.l2().stats(),
@@ -574,7 +544,7 @@ impl Simulator {
             itlb: h.itlb().stats(),
             dtlb: h.dtlb().stats(),
             wall_time: started.elapsed(),
-            faults: self.frontend.fault_stats(),
+            faults: technique_stats.faults,
             state_digest: self.frontend.emulator().digest(),
             cpi: self.pipeline.cpi(),
             obs,
@@ -1081,9 +1051,9 @@ mod tests {
 
     #[test]
     fn frontend_trace_events_share_the_cycle_timebase() {
-        // Timebase unification: frontend wrong-path emulation events must
-        // land on the fetch cycle of their triggering branch — the same
-        // cycle the timing model stamps on its MispredictDetect event.
+        // Timebase unification: wrong-path emulation events must land on
+        // the fetch cycle of their triggering branch — the same cycle the
+        // timing model stamps on its MispredictDetect event.
         let p = simple_loop(100);
         let mut cfg = tiny(WrongPathMode::WrongPathEmulation);
         cfg.obs = ObsConfig::enabled();

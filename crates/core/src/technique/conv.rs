@@ -114,6 +114,7 @@ impl WrongPathTechnique for ConvergenceTechnique {
         TechniqueStats {
             convergence: self.stats,
             code_cache: self.code_cache.stats(),
+            ..TechniqueStats::default()
         }
     }
 

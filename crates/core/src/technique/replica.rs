@@ -1,4 +1,4 @@
-//! The frontend branch-predictor replica driving wrong-path emulation.
+//! The frontend branch-predictor replica that checkpoints wrong paths.
 //!
 //! For the *wrong-path emulation* technique the functional simulator must
 //! know, while it runs ahead, which branches the timing model will later
@@ -7,16 +7,18 @@
 //! is that copy: it observes the correct-path instruction stream in program
 //! order through the [`FrontendPolicy`] hook of the instruction queue,
 //! maintains a [`BranchPredictor`] identical to the timing model's, and
-//! requests full wrong-path emulation whenever its replica mispredicts.
+//! requests a wrong-path checkpoint whenever its replica mispredicts.
 //!
 //! Because both predictors are deterministic functions of the program-order
 //! branch stream (see `ffsim_uarch::branch`), the replica's mispredictions
-//! coincide exactly with the timing model's, and the emulated wrong path is
-//! steered by the same speculative predictions the timing model would make.
+//! coincide exactly with the timing model's. The wrong path itself is
+//! emulated later, when the timing model detects the misprediction,
+//! steered by the timing model's own speculative predictions — bit-identical
+//! to the replica's at the branch, since both have observed the same
+//! stream.
 
-use ffsim_emu::{BranchOracle, BranchOutcome, DynInst, FrontendPolicy, WrongPathRequest};
-use ffsim_isa::{Addr, Instr};
-use ffsim_uarch::{BranchConfig, BranchPredictor, SpeculativeState};
+use ffsim_emu::{DynInst, FrontendPolicy, WrongPathRequest};
+use ffsim_uarch::{BranchConfig, BranchPredictor};
 
 /// Deterministic wrong-path pc corruption, for fault injection.
 ///
@@ -37,23 +39,17 @@ pub struct PcCorruption {
 #[derive(Clone, Debug)]
 pub struct ReplicaPolicy {
     predictor: BranchPredictor,
-    wrong_path_budget: usize,
-    /// Speculative fetch state for the wrong path currently being emulated.
-    scratch: Option<SpeculativeState>,
     corruption: Option<PcCorruption>,
     requests: u64,
     corrupted: u64,
 }
 
 impl ReplicaPolicy {
-    /// Creates a replica with the given predictor sizing and per-miss
-    /// wrong-path instruction budget (ROB + frontend buffers).
+    /// Creates a replica with the given predictor sizing.
     #[must_use]
-    pub fn new(branch_cfg: BranchConfig, wrong_path_budget: usize) -> ReplicaPolicy {
+    pub fn new(branch_cfg: BranchConfig) -> ReplicaPolicy {
         ReplicaPolicy {
             predictor: BranchPredictor::new(branch_cfg),
-            wrong_path_budget,
-            scratch: None,
             corruption: None,
             requests: 0,
             corrupted: 0,
@@ -81,22 +77,6 @@ impl ReplicaPolicy {
     }
 }
 
-impl BranchOracle for ReplicaPolicy {
-    fn next_fetch_pc(&mut self, pc: Addr, instr: &Instr, _computed: BranchOutcome) -> Option<Addr> {
-        // Steer wrong-path branches by prediction, not by their computed
-        // outcome (paper §III-A): "the predicted target is used to
-        // continue the wrong path".
-        let state = self
-            .scratch
-            .as_mut()
-            // Invariant: the emulator only consults the oracle between
-            // `begin_wrong_path` (which installs the scratch state) and
-            // the matching `end_wrong_path`.
-            .expect("oracle called outside wrong-path emulation");
-        self.predictor.predict_speculative(pc, instr, state).next_pc
-    }
-}
-
 impl FrontendPolicy for ReplicaPolicy {
     fn on_instruction(&mut self, inst: &DynInst) -> Option<WrongPathRequest> {
         let b = inst.branch?;
@@ -111,11 +91,7 @@ impl FrontendPolicy for ReplicaPolicy {
                 self.corrupted += 1;
             }
         }
-        self.scratch = Some(self.predictor.speculative_state());
-        Some(WrongPathRequest {
-            start,
-            max_insts: self.wrong_path_budget,
-        })
+        Some(WrongPathRequest { start })
     }
 }
 
@@ -145,47 +121,46 @@ mod tests {
     }
 
     #[test]
-    fn replica_attaches_bundle_at_final_back_edge() {
-        let policy = ReplicaPolicy::new(branch_cfg(), 16);
+    fn replica_checkpoints_the_final_back_edge() {
+        let policy = ReplicaPolicy::new(branch_cfg());
         let mut q = InstrQueue::new(Emulator::new(loop_program(50)).unwrap(), policy, 256);
-        let mut bundles = Vec::new();
+        let mut checkpoints = Vec::new();
         while let Some(e) = q.pop() {
-            if let Some(wp) = e.wrong_path {
-                bundles.push((e.inst.pc, wp));
+            if let Some(cp) = e.wrong_path {
+                checkpoints.push((e.inst, cp));
             }
         }
         // The trained back-edge mispredicts on loop exit (plus possibly a
-        // couple of cold mispredictions at the start).
-        assert!(!bundles.is_empty());
-        let (_pc, last) = bundles.last().unwrap();
-        // The wrong path on exit re-enters the loop body: addi, bnez, ...
-        assert!(!last.insts.is_empty());
-        let first = q.emulator().program().instr_at(last.insts[0].pc()).unwrap();
+        // couple of cold mispredictions at the start); its wrong path
+        // re-enters the loop body.
+        let (branch, last) = checkpoints.last().expect("loop exit mispredicts");
+        assert_eq!(last.start, branch.instr.direct_target().unwrap());
+        let first = q.emulator().program().instr_at(last.start).unwrap();
         assert_eq!(first.to_string(), "addi x1, x1, -1");
+        assert_eq!(
+            last.state.reg(Reg::new(1)),
+            0,
+            "state right after the branch"
+        );
     }
 
     #[test]
     fn replica_matches_independent_predictor() {
         // A second predictor fed the same stream must mispredict at the
-        // same branches the replica requested bundles for.
-        let policy = ReplicaPolicy::new(branch_cfg(), 16);
+        // same branches the replica checkpointed, with the same start pcs.
+        let policy = ReplicaPolicy::new(branch_cfg());
         let mut q = InstrQueue::new(Emulator::new(loop_program(30)).unwrap(), policy, 256);
         let mut shadow = BranchPredictor::new(branch_cfg());
         while let Some(e) = q.pop() {
             if let Some(b) = e.inst.branch {
                 let res = shadow.observe(e.inst.pc, &e.inst.instr, b.taken, b.next_pc);
-                let expect_bundle = res.mispredicted && res.wrong_path_start.is_some();
+                let expect = res.wrong_path_start.filter(|_| res.mispredicted);
                 assert_eq!(
-                    e.wrong_path.is_some(),
-                    expect_bundle,
+                    e.wrong_path.map(|cp| cp.start),
+                    expect,
                     "replica desync at pc {:#x}",
                     e.inst.pc
                 );
-                if let (Some(wp), Some(start)) = (&e.wrong_path, res.wrong_path_start) {
-                    if let Some(first) = wp.insts.first() {
-                        assert_eq!(first.pc(), start);
-                    }
-                }
             } else {
                 assert!(e.wrong_path.is_none());
             }
@@ -194,23 +169,28 @@ mod tests {
 
     #[test]
     fn pc_corruption_is_counted_and_confined_to_wrong_path() {
-        let policy = ReplicaPolicy::new(branch_cfg(), 16).with_pc_corruption(Some(PcCorruption {
+        let corruption = PcCorruption {
             every_nth: 1,
             xor_mask: 0xffff_0000,
-        }));
+        };
+        let policy = ReplicaPolicy::new(branch_cfg()).with_pc_corruption(Some(corruption));
         let mut q = InstrQueue::new(Emulator::new(loop_program(50)).unwrap(), policy, 256);
+        let mut starts = Vec::new();
         let mut retired = 0;
-        while q.pop().is_some() {
+        while let Some(e) = q.pop() {
             retired += 1;
+            starts.extend(e.wrong_path.map(|cp| cp.start));
         }
         assert!(q.policy().corrupted_requests() >= 1);
         assert!(
-            q.fault_stats().illegal_pc_stops >= 1,
+            starts
+                .iter()
+                .all(|&pc| q.emulator().program().instr_at(pc).is_none()),
             "corrupted start pcs land outside the text"
         );
         assert!(q.fault().is_none(), "corruption never ends the stream");
         // Same correct-path length as an uncorrupted run.
-        let clean = ReplicaPolicy::new(branch_cfg(), 16);
+        let clean = ReplicaPolicy::new(branch_cfg());
         let mut q2 = InstrQueue::new(Emulator::new(loop_program(50)).unwrap(), clean, 256);
         let mut clean_retired = 0;
         while q2.pop().is_some() {
@@ -222,16 +202,5 @@ mod tests {
             q2.emulator().digest(),
             "architectural state is bit-identical"
         );
-    }
-
-    #[test]
-    fn budget_is_honoured() {
-        let policy = ReplicaPolicy::new(branch_cfg(), 5);
-        let mut q = InstrQueue::new(Emulator::new(loop_program(40)).unwrap(), policy, 256);
-        while let Some(e) = q.pop() {
-            if let Some(wp) = e.wrong_path {
-                assert!(wp.insts.len() <= 5);
-            }
-        }
     }
 }

@@ -7,7 +7,8 @@
 //! bounds-checked `Program::instr_at` fetch plus halt test for every one
 //! of those re-executions. This cache decodes a *basic block* — a maximal
 //! straight-line run of instructions starting at an entry pc — once, and
-//! lends the emulator a `&[Instr]` slice to iterate thereafter.
+//! hands out a slot handle whose `&[Instr]` slice the emulator walks
+//! thereafter.
 //!
 //! Invariants (see DESIGN.md §"Batched handoff and the block cache"):
 //!
@@ -15,7 +16,7 @@
 //!   **including** its terminating control-flow instruction, and stops
 //!   *before* `halt`, the end of text, or the [`BLOCK_LEN_CAP`] length
 //!   cap. Entry pcs that address `halt` or lie outside the text are
-//!   reported as [`BlockFetchRef::Halt`] / [`BlockFetchRef::Illegal`] and
+//!   reported as [`BlockFetch::Halt`] / [`BlockFetch::Illegal`] and
 //!   never cached.
 //! * Program text is immutable, so cached blocks never need invalidation.
 //! * Eviction is FIFO by insertion order — deterministic, like the
@@ -61,35 +62,41 @@ impl BlockCacheStats {
     }
 }
 
-/// What the emulator gets back for an entry pc: a borrow of the cached
-/// block, or a terminal classification. Lending instead of handing out an
-/// owned (refcounted) block matters on branchy code, where blocks average
-/// only a few instructions and a per-block `Arc` clone would be an atomic
-/// RMW pair on the hottest loop in wrong-path emulation.
-#[derive(Debug)]
-pub enum BlockFetchRef<'a> {
+/// What a probe of the cache returns for an entry pc: a handle to the
+/// cached block, or a terminal classification. The handle stays valid
+/// until the next probe (which may evict), so a caller can walk the block
+/// one instruction at a time through [`BlockCache::block`] without
+/// holding a borrow of the cache between instructions — what a resumable
+/// wrong-path stream needs — and without cloning the block.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) enum BlockFetch {
     /// A decoded straight-line run (never empty, never contains `halt`).
-    Block(&'a [Instr]),
+    Block(BlockId),
     /// The entry pc addresses `halt`.
     Halt,
     /// The entry pc is outside the program text.
     Illegal,
 }
 
+/// A handle to a cached block, valid until the cache's next probe.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) struct BlockId(u32);
+
 /// How [`BlockCache::decode_insert`] classified an entry pc.
 enum Decoded {
-    /// A real run was decoded and cached under the entry pc.
-    Cached,
+    /// A real run was decoded and cached in this slot.
+    Cached(BlockId),
     /// The entry pc addresses `halt`; nothing was cached.
     Halt,
     /// The entry pc is outside the program text; nothing was cached.
     Illegal,
 }
 
-/// The cache proper: entry pc → decoded block, FIFO-evicted.
+/// The cache proper: entry pc → slot of a decoded block, FIFO-evicted.
 #[derive(Clone, Debug)]
 pub struct BlockCache {
-    blocks: HashMap<Addr, Box<[Instr]>, FxBuildHasher>,
+    index: HashMap<Addr, BlockId, FxBuildHasher>,
+    slots: Vec<Box<[Instr]>>,
     order: VecDeque<Addr>,
     capacity: usize,
     stats: BlockCacheStats,
@@ -105,7 +112,8 @@ impl BlockCache {
     pub fn new(capacity: usize) -> BlockCache {
         assert!(capacity > 0, "block cache capacity must be positive");
         BlockCache {
-            blocks: HashMap::default(),
+            index: HashMap::default(),
+            slots: Vec::new(),
             order: VecDeque::new(),
             capacity,
             stats: BlockCacheStats::default(),
@@ -118,23 +126,33 @@ impl BlockCache {
         self.stats
     }
 
+    /// Zeroes the counters; cached blocks stay.
+    pub fn reset_stats(&mut self) {
+        self.stats = BlockCacheStats::default();
+    }
+
     /// Probes for the block entered at `pc`, counting a hit, and on a miss
-    /// decodes, caches, and counts it — then lends the block. Decode time
-    /// is attributed to `prof` as [`Phase::BlockDecode`].
-    pub fn fetch(&mut self, program: &Program, pc: Addr, prof: &ProfHandle) -> BlockFetchRef<'_> {
-        if self.blocks.contains_key(&pc) {
+    /// decodes, caches, and counts it. Decode time is attributed to `prof`
+    /// as [`Phase::BlockDecode`].
+    pub(crate) fn probe(&mut self, program: &Program, pc: Addr, prof: &ProfHandle) -> BlockFetch {
+        if let Some(&id) = self.index.get(&pc) {
             self.stats.hits += 1;
-        } else {
-            prof.enter(Phase::BlockDecode);
-            let decoded = self.decode_insert(program, pc);
-            prof.exit();
-            match decoded {
-                Decoded::Cached => {}
-                Decoded::Halt => return BlockFetchRef::Halt,
-                Decoded::Illegal => return BlockFetchRef::Illegal,
-            }
+            return BlockFetch::Block(id);
         }
-        BlockFetchRef::Block(self.blocks.get(&pc).expect("probed or just inserted above"))
+        prof.enter(Phase::BlockDecode);
+        let decoded = self.decode_insert(program, pc);
+        prof.exit();
+        match decoded {
+            Decoded::Cached(id) => BlockFetch::Block(id),
+            Decoded::Halt => BlockFetch::Halt,
+            Decoded::Illegal => BlockFetch::Illegal,
+        }
+    }
+
+    /// The instructions of the block `id` from the latest probe.
+    #[must_use]
+    pub(crate) fn block(&self, id: BlockId) -> &[Instr] {
+        &self.slots[id.0 as usize]
     }
 
     /// Decodes the block entered at `pc` from `program`, caches it when it
@@ -161,18 +179,25 @@ impl BlockCache {
                 Decoded::Illegal
             };
         }
-        if self.blocks.len() >= self.capacity {
+        let block = instrs.into_boxed_slice();
+        let id = if self.index.len() >= self.capacity {
             // FIFO eviction by insertion order; insertion never re-inserts
-            // a live key (`fetch` probes before decoding), so `order`
-            // always mirrors the map's key set exactly.
-            if let Some(victim) = self.order.pop_front() {
-                self.blocks.remove(&victim);
-                self.stats.evictions += 1;
-            }
-        }
-        self.blocks.insert(pc, instrs.into_boxed_slice());
+            // a live key (`probe` looks up before decoding), so `order`
+            // always mirrors the index's key set exactly. The new block
+            // takes the victim's slot.
+            let victim = self.order.pop_front().expect("a full cache has entries");
+            let id = self.index.remove(&victim).expect("order mirrors the index");
+            self.stats.evictions += 1;
+            self.slots[id.0 as usize] = block;
+            id
+        } else {
+            let id = BlockId(u32::try_from(self.slots.len()).expect("capacity fits in u32"));
+            self.slots.push(block);
+            id
+        };
+        self.index.insert(pc, id);
         self.order.push_back(pc);
-        Decoded::Cached
+        Decoded::Cached(id)
     }
 }
 
@@ -201,10 +226,11 @@ mod tests {
     fn block_ends_at_branch_inclusive() {
         let p = program();
         let mut cache = BlockCache::new(8);
-        let BlockFetchRef::Block(b) = cache.fetch(&p, p.base(), &prof()) else {
+        let BlockFetch::Block(id) = cache.probe(&p, p.base(), &prof()) else {
             panic!("entry block expected");
         };
         // li, addi, bnez — the branch terminates the block and is included.
+        let b = cache.block(id);
         assert_eq!(b.len(), 3);
         assert!(b[2].is_branch());
         assert_eq!(cache.stats().misses, 1);
@@ -214,14 +240,19 @@ mod tests {
     fn hits_count_and_return_same_block() {
         let p = program();
         let mut cache = BlockCache::new(8);
-        let BlockFetchRef::Block(first) = cache.fetch(&p, p.base(), &prof()) else {
+        let BlockFetch::Block(first) = cache.probe(&p, p.base(), &prof()) else {
             panic!("entry block expected");
         };
-        let first_ptr = first.as_ptr();
-        let BlockFetchRef::Block(again) = cache.fetch(&p, p.base(), &prof()) else {
+        let first_ptr = cache.block(first).as_ptr();
+        let BlockFetch::Block(again) = cache.probe(&p, p.base(), &prof()) else {
             panic!("hit expected");
         };
-        assert_eq!(first_ptr, again.as_ptr(), "hit lends the same block");
+        assert_eq!(first, again, "hit returns the same slot");
+        assert_eq!(
+            first_ptr,
+            cache.block(again).as_ptr(),
+            "hit lends the same block"
+        );
         assert_eq!(cache.stats().hits, 1);
         assert_eq!(cache.stats().misses, 1);
     }
@@ -232,17 +263,17 @@ mod tests {
         let halt_pc = p.base() + 3 * INSTR_BYTES;
         let mut cache = BlockCache::new(8);
         assert!(matches!(
-            cache.fetch(&p, halt_pc, &prof()),
-            BlockFetchRef::Halt
+            cache.probe(&p, halt_pc, &prof()),
+            BlockFetch::Halt
         ));
         assert!(matches!(
-            cache.fetch(&p, 0xdead_0000, &prof()),
-            BlockFetchRef::Illegal
+            cache.probe(&p, 0xdead_0000, &prof()),
+            BlockFetch::Illegal
         ));
         // Terminal pcs are never cached: re-probing decodes (misses) again.
         assert!(matches!(
-            cache.fetch(&p, halt_pc, &prof()),
-            BlockFetchRef::Halt
+            cache.probe(&p, halt_pc, &prof()),
+            BlockFetch::Halt
         ));
         assert_eq!(cache.stats().misses, 3);
         assert_eq!(cache.stats().hits, 0);
@@ -255,26 +286,23 @@ mod tests {
         // Three distinct entry pcs: program base, the loop head, the bnez.
         let pcs = [p.base(), p.base() + INSTR_BYTES, p.base() + 2 * INSTR_BYTES];
         for pc in pcs {
-            assert!(matches!(
-                cache.fetch(&p, pc, &prof()),
-                BlockFetchRef::Block(_)
-            ));
+            assert!(matches!(cache.probe(&p, pc, &prof()), BlockFetch::Block(_)));
         }
         assert_eq!(cache.stats().evictions, 1);
         // Newest two entries survive; the oldest was evicted, so probing it
         // re-decodes (a miss), while the survivors hit.
         assert!(matches!(
-            cache.fetch(&p, pcs[1], &prof()),
-            BlockFetchRef::Block(_)
+            cache.probe(&p, pcs[1], &prof()),
+            BlockFetch::Block(_)
         ));
         assert!(matches!(
-            cache.fetch(&p, pcs[2], &prof()),
-            BlockFetchRef::Block(_)
+            cache.probe(&p, pcs[2], &prof()),
+            BlockFetch::Block(_)
         ));
         assert_eq!(cache.stats().hits, 2);
         assert!(matches!(
-            cache.fetch(&p, pcs[0], &prof()),
-            BlockFetchRef::Block(_)
+            cache.probe(&p, pcs[0], &prof()),
+            BlockFetch::Block(_)
         ));
         assert_eq!(cache.stats().misses, 4, "oldest block was evicted");
     }
@@ -289,14 +317,14 @@ mod tests {
         a.halt();
         let p = a.assemble().unwrap();
         let mut cache = BlockCache::new(8);
-        let len = match cache.fetch(&p, p.base(), &prof()) {
-            BlockFetchRef::Block(b) => b.len(),
+        let len = match cache.probe(&p, p.base(), &prof()) {
+            BlockFetch::Block(id) => cache.block(id).len(),
             other => panic!("entry block expected, got {other:?}"),
         };
         assert_eq!(len, BLOCK_LEN_CAP);
         let next = p.base() + (BLOCK_LEN_CAP as u64) * INSTR_BYTES;
-        let rest = match cache.fetch(&p, next, &prof()) {
-            BlockFetchRef::Block(b) => b.len(),
+        let rest = match cache.probe(&p, next, &prof()) {
+            BlockFetch::Block(id) => cache.block(id).len(),
             other => panic!("tail block expected, got {other:?}"),
         };
         assert_eq!(rest, 10, "tail stops before halt");

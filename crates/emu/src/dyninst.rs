@@ -12,6 +12,7 @@
 
 use crate::cancel::CancelCause;
 use crate::exec::Fault;
+use crate::state::ArchState;
 use ffsim_isa::{Addr, BranchKind, ExecClass, Instr, Operands, INSTR_BYTES};
 
 /// A data-memory access performed by an instruction.
@@ -107,10 +108,7 @@ impl DynInst {
 
 /// One functionally emulated wrong-path instruction, packed into 16 bytes.
 ///
-/// Wrong-path emulation runs each predicted wrong path to the full budget
-/// (ROB plus frontend, several hundred instructions) before the timing
-/// model knows how many it will fetch, and most are never injected. So a
-/// record keeps only what the program text cannot give back: the pc and
+/// A record keeps only what the program text cannot give back: the pc and
 /// the data address. The instruction, the access size and the load/store
 /// kind are re-read from the program at injection ([`WpRecord::mem`]).
 /// Instruction addresses are 4-byte aligned, so the pc's low bits are
@@ -173,11 +171,11 @@ pub enum WrongPathStop {
     /// A fault occurred on the wrong path (e.g. misaligned access); faults
     /// must be suppressed, so generation stops. The
     /// [`FaultPolicy`](crate::FaultPolicy) decides whether the fault is
-    /// squashed with the bundle or aborts the run.
+    /// squashed with the wrong path or aborts the run.
     Fault(Fault),
     /// The wrong path ran for `limit` instructions without terminating and
-    /// the watchdog fired (see `InstrQueue::with_watchdog`); the pc is
-    /// where emulation was cut off.
+    /// the watchdog fired (see [`crate::Emulator::emulate_wrong_path_bounded`]);
+    /// the pc is where emulation was cut off.
     WatchdogExceeded {
         /// Wrong-path pc at which the watchdog fired.
         pc: Addr,
@@ -191,11 +189,73 @@ pub enum WrongPathStop {
     /// branch without a target in the predictor).
     OracleStop,
     /// The run's [`CancelToken`](crate::CancelToken) fired mid-emulation;
-    /// the partial bundle is discarded and the stream ends cooperatively.
+    /// the run ends cooperatively.
     Cancelled(CancelCause),
 }
 
-/// A fully-emulated wrong path for one mispredicted branch, produced by
+/// What to do when a fault (or watchdog trip) occurs during *wrong-path*
+/// emulation.
+///
+/// Correct-path faults always terminate the stream and surface as a typed
+/// error — they indicate a workload bug. Wrong-path faults are a normal
+/// consequence of speculation; the default mirrors hardware, which squashes
+/// the speculative work and carries on.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub enum FaultPolicy {
+    /// End the wrong path at the fault, keep the prefix already fetched
+    /// (the timing model plays it and squashes it, as hardware would), count
+    /// the event, and resume the correct path. The default.
+    #[default]
+    SquashWrongPath,
+    /// Treat any wrong-path fault as fatal: end the run and report the
+    /// fault. Useful for debugging workloads.
+    AbortRun,
+}
+
+/// Counters for wrong-path fault handling under
+/// [`FaultPolicy::SquashWrongPath`].
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub struct WrongPathFaultStats {
+    /// Wrong paths that ended in a fault and were squashed.
+    pub squashed_faults: u64,
+    /// Wrong paths cut off by the watchdog.
+    pub watchdog_trips: u64,
+    /// Wrong paths that ran off the program text (wild fetch address).
+    /// Counted under either policy: leaving the text is normal speculative
+    /// behaviour, not a fault.
+    pub illegal_pc_stops: u64,
+}
+
+/// What the functional frontend keeps for a branch its predictor replica
+/// predicts mispredicted: the checkpoint the wrong path is later emulated
+/// from, lazily, as far as the timing model fetches it (see
+/// [`crate::Emulator::wrong_path_stream`]). Memory is not copied: the
+/// frontend's store log rewinds it to the branch.
+#[derive(Clone, PartialEq, Debug)]
+pub struct WrongPathCheckpoint {
+    /// First wrong-path pc.
+    pub start: Addr,
+    /// The architectural registers right after the branch executed.
+    pub state: Box<ArchState>,
+    /// Always empty: wrong paths are no longer emulated into the entry.
+    /// Kept only so code that counted the records of the former eager
+    /// bundle still compiles.
+    pub insts: [WpRecord; 0],
+}
+
+impl WrongPathCheckpoint {
+    /// A checkpoint of `state` for a wrong path starting at `start`.
+    #[must_use]
+    pub fn new(start: Addr, state: &ArchState) -> WrongPathCheckpoint {
+        WrongPathCheckpoint {
+            start,
+            state: Box::new(state.clone()),
+            insts: [],
+        }
+    }
+}
+
+/// A wrong path emulated eagerly to its end, produced by
 /// [`crate::Emulator::emulate_wrong_path`].
 #[derive(Clone, PartialEq, Debug)]
 pub struct WrongPathBundle {

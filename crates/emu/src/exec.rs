@@ -7,7 +7,7 @@
 //! predictor rather than the computed outcome.
 
 use crate::dyninst::{BranchOutcome, MemAccess};
-use crate::mem::Memory;
+use crate::mem::MemRead;
 use crate::state::ArchState;
 use ffsim_isa::{Addr, AluOp, BranchCond, FpCmpOp, FpOp, Instr, INSTR_BYTES};
 use std::error::Error;
@@ -52,7 +52,7 @@ pub enum Fault {
         pc: Addr,
     },
     /// A wrong path ran past the configured watchdog limit without
-    /// terminating (see `InstrQueue::with_watchdog`).
+    /// terminating (see [`crate::Emulator::emulate_wrong_path_bounded`]).
     WatchdogExceeded {
         /// Wrong-path pc at which the watchdog fired.
         pc: Addr,
@@ -216,10 +216,17 @@ fn sign_extend(value: u64, width_bytes: u64) -> u64 {
 
 /// Executes `instr` at `pc`, reading `state` and `mem`, without mutating
 /// either. The caller decides which effects to commit. `model` selects
-/// which conditions fault (see [`FaultModel`]).
-pub(crate) fn execute(
+/// which conditions fault (see [`FaultModel`]). Generic over the memory
+/// view, so the correct path's instance reads [`Memory`](crate::Memory)
+/// directly.
+// Each instance has one caller, the per-instruction loop of the correct
+// path or of a wrong-path stream; left to itself the compiler calls it
+// out of line, which costs the correct-path handoff about a fifth of its
+// throughput (the `handoff` bench).
+#[inline(always)]
+pub(crate) fn execute<M: MemRead>(
     state: &ArchState,
-    mem: &Memory,
+    mem: &M,
     pc: Addr,
     instr: &Instr,
     model: &FaultModel,
@@ -383,6 +390,7 @@ pub(crate) fn execute(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mem::Memory;
     use ffsim_isa::{FReg, MemWidth, Reg};
 
     fn setup() -> (ArchState, Memory) {

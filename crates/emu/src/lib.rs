@@ -10,13 +10,15 @@
 //!   (address, decoded instruction, memory address, branch outcome),
 //! * [`Memory`] / [`ArchState`] — the simulated machine state, with cheap
 //!   checkpoints (Pin's `PIN_SaveContext`/`PIN_ExecuteAt` analogues),
-//! * [`Emulator::emulate_wrong_path`] — full functional wrong-path
-//!   emulation with suppressed stores and faults (paper §III-B), into
-//!   packed 16-byte [`WpRecord`]s,
+//! * [`Emulator::wrong_path_stream`] — full functional wrong-path
+//!   emulation with suppressed stores and faults (paper §III-B), from a
+//!   branch checkpoint into packed 16-byte [`WpRecord`]s, one record per
+//!   pull; [`Emulator::emulate_wrong_path`] drains one eagerly,
 //! * [`InstrQueue`] — the runahead queue between functional and
 //!   performance simulation, with lookahead peeking for the convergence
 //!   technique (paper §III-C) and [`FrontendPolicy`] hooks for the
-//!   frontend-resident branch predictor replica.
+//!   frontend-resident branch predictor replica, which checkpoints the
+//!   branches it predicts mispredicted.
 //!
 //! # Examples
 //!
@@ -61,16 +63,20 @@ mod hash;
 mod mem;
 mod queue;
 mod state;
+mod undo;
 
-pub use block::{BlockCacheStats, BLOCK_LEN_CAP, DEFAULT_BLOCK_CACHE_BLOCKS};
+pub use block::{BlockCache, BlockCacheStats, BLOCK_LEN_CAP, DEFAULT_BLOCK_CACHE_BLOCKS};
 pub use cancel::{CancelCause, CancelToken};
-pub use dyninst::{BranchOutcome, DynInst, MemAccess, WpRecord, WrongPathBundle, WrongPathStop};
-pub use emulator::{BranchOracle, EmuError, Emulator, FollowComputed, StepError};
+pub use dyninst::{
+    BranchOutcome, DynInst, FaultPolicy, MemAccess, WpRecord, WrongPathBundle, WrongPathCheckpoint,
+    WrongPathFaultStats, WrongPathStop,
+};
+pub use emulator::{BranchOracle, EmuError, Emulator, FollowComputed, StepError, WrongPathStream};
 pub use exec::{Fault, FaultModel};
 pub use hash::{FxBuildHasher, FxHasher};
 pub use mem::{Memory, MemoryLimitError, PAGE_BYTES};
 pub use queue::{
-    FaultPolicy, FetchSource, FrontendPolicy, InstrQueue, NoFrontendWrongPath, StreamBuf,
-    StreamEntry, WrongPathFaultStats, WrongPathRequest,
+    FetchSource, FrontendPolicy, InstrQueue, NoFrontendWrongPath, StreamBuf, StreamEntry,
+    WrongPathRequest,
 };
 pub use state::ArchState;

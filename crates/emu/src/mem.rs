@@ -41,6 +41,31 @@ impl fmt::Display for MemoryLimitError {
 
 impl Error for MemoryLimitError {}
 
+/// Read-only data memory as instruction execution sees it: the
+/// architectural [`Memory`] on the correct path, or a view of it as of an
+/// earlier branch for lazily emulated wrong paths. Accesses are naturally
+/// aligned (execution faults misaligned ones before reading).
+pub(crate) trait MemRead {
+    /// Reads `width` bytes at `addr` as a zero-extended `u64` (width ∈
+    /// {1,2,4,8}).
+    fn read_uint(&self, addr: Addr, width: u64) -> u64;
+
+    /// Reads an `f64` (IEEE-754 bits, little-endian).
+    fn read_f64(&self, addr: Addr) -> f64 {
+        f64::from_bits(self.read_uint(addr, 8))
+    }
+}
+
+impl MemRead for Memory {
+    fn read_uint(&self, addr: Addr, width: u64) -> u64 {
+        Memory::read_uint(self, addr, width)
+    }
+
+    fn read_f64(&self, addr: Addr) -> f64 {
+        Memory::read_f64(self, addr)
+    }
+}
+
 /// Sparse paged byte-addressable memory.
 ///
 /// # Examples

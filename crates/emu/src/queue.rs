@@ -10,63 +10,30 @@
 //!   path — the convergence-exploitation technique scans upcoming
 //!   correct-path instructions for a convergence point and their memory
 //!   addresses (§III-C);
-//! * **wrong-path bundles**: a [`FrontendPolicy`] observes every
+//! * **wrong-path checkpoints**: a [`FrontendPolicy`] observes every
 //!   correct-path instruction in program order (mirroring the paper's
 //!   "copy of the branch predictor model" inside the functional simulator)
-//!   and can request full wrong-path emulation at a branch it predicts
-//!   mispredicted (§III-B). The resulting [`WrongPathBundle`] travels with
-//!   the branch's queue entry.
+//!   and can request a wrong path at a branch it predicts mispredicted
+//!   (§III-B). The queue attaches a [`WrongPathCheckpoint`] to the
+//!   branch's entry; the wrong path is emulated from it later, as far as
+//!   the timing model fetches it ([`Emulator::wrong_path_stream`]). The
+//!   queue bounds the emulator's store log to the entries not yet
+//!   delivered.
 
 use crate::cancel::CancelCause;
-use crate::dyninst::{DynInst, WrongPathBundle, WrongPathStop};
-use crate::emulator::{BranchOracle, Emulator, StepError};
+use crate::dyninst::{DynInst, WrongPathCheckpoint, WrongPathFaultStats};
+use crate::emulator::{Emulator, StepError};
 use crate::exec::Fault;
 use ffsim_isa::Addr;
-use ffsim_obs::{EventRing, Phase, ProfHandle, TraceEvent, TraceEventKind, TraceSource};
+use ffsim_obs::{Phase, ProfHandle, TraceEvent};
 use std::collections::VecDeque;
 
-/// What to do when a fault (or watchdog trip) occurs during *wrong-path*
-/// emulation.
-///
-/// Correct-path faults always terminate the stream and surface as a typed
-/// error — they indicate a workload bug. Wrong-path faults are a normal
-/// consequence of speculation; the default mirrors hardware, which squashes
-/// the speculative work and carries on.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum FaultPolicy {
-    /// Restore the checkpoint, keep the already-emulated wrong-path prefix
-    /// (the timing model plays it and squashes it, as hardware would), count
-    /// the event, and resume the correct path. The default.
-    #[default]
-    SquashWrongPath,
-    /// Treat any wrong-path fault as fatal: end the stream and report the
-    /// fault. Useful for debugging workloads and frontend policies.
-    AbortRun,
-}
-
-/// Counters for wrong-path fault handling under
-/// [`FaultPolicy::SquashWrongPath`].
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub struct WrongPathFaultStats {
-    /// Wrong paths that ended in a fault and were squashed.
-    pub squashed_faults: u64,
-    /// Wrong paths cut off by the watchdog.
-    pub watchdog_trips: u64,
-    /// Wrong paths that ran off the program text (wild fetch address).
-    /// Counted under either policy: leaving the text is normal speculative
-    /// behaviour, not a fault.
-    pub illegal_pc_stops: u64,
-}
-
-/// A request to emulate the wrong path of a (predicted-mispredicted)
+/// A request to checkpoint the wrong path of a (predicted-mispredicted)
 /// branch, produced by a [`FrontendPolicy`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct WrongPathRequest {
     /// First wrong-path pc (the mispredicted direction's target).
     pub start: Addr,
-    /// Maximum wrong-path instructions to emulate — the paper uses one
-    /// reorder-buffer's worth plus frontend buffers.
-    pub max_insts: usize,
 }
 
 /// Frontend-side policy observing the correct-path stream.
@@ -74,11 +41,9 @@ pub struct WrongPathRequest {
 /// Implementations typically hold a replica of the timing model's branch
 /// predictor: they predict every branch *before* updating with its actual
 /// outcome, and return a [`WrongPathRequest`] when the prediction differs.
-/// The policy also serves as the [`BranchOracle`] steering wrong-path
-/// branch directions during emulation.
-pub trait FrontendPolicy: BranchOracle {
+pub trait FrontendPolicy {
     /// Observes one correct-path instruction in program order, returning a
-    /// wrong-path emulation request if this branch is predicted wrongly.
+    /// wrong-path request if this branch is predicted wrongly.
     fn on_instruction(&mut self, inst: &DynInst) -> Option<WrongPathRequest>;
 }
 
@@ -88,31 +53,21 @@ pub trait FrontendPolicy: BranchOracle {
 #[derive(Clone, Copy, Default, Debug)]
 pub struct NoFrontendWrongPath;
 
-impl BranchOracle for NoFrontendWrongPath {
-    fn next_fetch_pc(
-        &mut self,
-        _pc: Addr,
-        _instr: &ffsim_isa::Instr,
-        _computed: crate::dyninst::BranchOutcome,
-    ) -> Option<Addr> {
-        None
-    }
-}
-
 impl FrontendPolicy for NoFrontendWrongPath {
     fn on_instruction(&mut self, _inst: &DynInst) -> Option<WrongPathRequest> {
         None
     }
 }
 
-/// One queue slot: a correct-path instruction, plus the emulated wrong
-/// path hanging off it when the frontend policy predicted a misprediction.
+/// One queue slot: a correct-path instruction, plus the wrong-path
+/// checkpoint hanging off it when the frontend policy predicted a
+/// misprediction.
 #[derive(Clone, PartialEq, Debug)]
 pub struct StreamEntry {
     /// The correct-path instruction.
     pub inst: DynInst,
-    /// The emulated wrong path, in `WrongPathEmulation` configurations.
-    pub wrong_path: Option<WrongPathBundle>,
+    /// The wrong-path checkpoint, in `WrongPathEmulation` configurations.
+    pub wrong_path: Option<WrongPathCheckpoint>,
 }
 
 /// A reusable, caller-owned batch of [`StreamEntry`]s filled by
@@ -170,8 +125,8 @@ impl StreamBuf {
 
 /// The functional frontend as the performance simulator consumes it: a
 /// program-order stream of [`StreamEntry`]s with lookahead peeking, plus
-/// the end-of-stream diagnostics (fault, cancellation, trace) the
-/// simulator reads after the run.
+/// the end-of-stream diagnostics (fault, cancellation) the simulator reads
+/// after the run.
 ///
 /// This is the seam between the emu-side view (an [`InstrQueue`] carrying
 /// some [`FrontendPolicy`]) and the core-side wrong-path techniques: a
@@ -202,20 +157,32 @@ pub trait FetchSource: Send + std::fmt::Debug {
     }
     /// Peeks `index` entries ahead (0 = next to pop) without consuming.
     fn peek(&mut self, index: usize) -> Option<&StreamEntry>;
-    /// The fault that ended the stream, if any.
+    /// The correct-path fault that ended the stream, if any.
     fn fault(&self) -> Option<Fault>;
-    /// Whether the stream-ending fault occurred on a wrong path.
-    fn fault_was_wrong_path(&self) -> bool;
-    /// Wrong-path squash counters.
-    fn fault_stats(&self) -> WrongPathFaultStats;
+    /// Unused: the frontend no longer emulates wrong paths, so its stream
+    /// never ends on one. Always `false`.
+    fn fault_was_wrong_path(&self) -> bool {
+        false
+    }
+    /// Unused: wrong-path faults are counted where wrong paths are
+    /// emulated, in the technique. Always zero.
+    fn fault_stats(&self) -> WrongPathFaultStats {
+        WrongPathFaultStats::default()
+    }
     /// The cancellation cause that ended the stream, if any.
     fn cancelled(&self) -> Option<CancelCause>;
-    /// The underlying functional emulator (state digests, validation).
+    /// The underlying functional emulator (state digests, validation, and
+    /// lazy wrong-path emulation from a delivered checkpoint).
     fn emulator(&self) -> &Emulator;
-    /// Drains the frontend event ring (oldest first).
-    fn take_trace(&mut self) -> Vec<TraceEvent>;
-    /// Events evicted from the frontend event ring because it was full.
-    fn trace_dropped(&self) -> u64;
+    /// Unused: wrong-path events are traced where wrong paths are
+    /// emulated. Always empty.
+    fn take_trace(&mut self) -> Vec<TraceEvent> {
+        Vec::new()
+    }
+    /// Unused, like [`FetchSource::take_trace`]. Always zero.
+    fn trace_dropped(&self) -> u64 {
+        0
+    }
     /// Installs the simulator's shared phase profiler so functional-side
     /// work (`emu_exec`, `emu_handoff`) is attributed on the same nesting
     /// stack as the timing loop's scopes. The default ignores the handle:
@@ -242,28 +209,12 @@ impl<P: FrontendPolicy + Send + std::fmt::Debug> FetchSource for InstrQueue<P> {
         InstrQueue::fault(self)
     }
 
-    fn fault_was_wrong_path(&self) -> bool {
-        InstrQueue::fault_was_wrong_path(self)
-    }
-
-    fn fault_stats(&self) -> WrongPathFaultStats {
-        InstrQueue::fault_stats(self)
-    }
-
     fn cancelled(&self) -> Option<CancelCause> {
         InstrQueue::cancelled(self)
     }
 
     fn emulator(&self) -> &Emulator {
         InstrQueue::emulator(self)
-    }
-
-    fn take_trace(&mut self) -> Vec<TraceEvent> {
-        InstrQueue::take_trace(self)
-    }
-
-    fn trace_dropped(&self) -> u64 {
-        InstrQueue::trace_dropped(self)
     }
 
     fn install_profiler(&mut self, prof: ProfHandle) {
@@ -297,12 +248,10 @@ pub struct InstrQueue<P> {
     depth: usize,
     ended: bool,
     fault: Option<Fault>,
-    fault_on_wrong_path: bool,
-    fault_policy: FaultPolicy,
-    watchdog: Option<u64>,
-    wp_stats: WrongPathFaultStats,
     cancelled: Option<CancelCause>,
-    trace: EventRing,
+    /// Sequence number of the last delivered entry: the consumer is done
+    /// with it by the next delivery, so the store log can forget it.
+    delivered: Option<u64>,
     prof: ProfHandle,
 }
 
@@ -323,62 +272,21 @@ impl<P: FrontendPolicy> InstrQueue<P> {
             depth,
             ended: false,
             fault: None,
-            fault_on_wrong_path: false,
-            fault_policy: FaultPolicy::default(),
-            watchdog: None,
-            wp_stats: WrongPathFaultStats::default(),
             cancelled: None,
-            trace: EventRing::disabled(),
+            delivered: None,
             prof: ProfHandle::disabled(),
         }
     }
 
-    /// Selects the wrong-path [`FaultPolicy`] (default: squash).
-    #[must_use]
-    pub fn with_fault_policy(mut self, policy: FaultPolicy) -> InstrQueue<P> {
-        self.fault_policy = policy;
-        self
-    }
-
-    /// Bounds every wrong path to at most `watchdog` instructions, on top
-    /// of the per-request budget. A trip is handled per the fault policy.
-    #[must_use]
-    pub fn with_watchdog(mut self, watchdog: Option<u64>) -> InstrQueue<P> {
-        self.watchdog = watchdog;
-        self
-    }
-
-    /// Installs an event ring recording frontend wrong-path events
-    /// (entry/exit, watchdog trips, fault squashes). Timestamps are
-    /// emulated-instruction sequence numbers. A disabled ring (the
-    /// default) costs one branch per potential event.
-    #[must_use]
-    pub fn with_trace(mut self, trace: EventRing) -> InstrQueue<P> {
-        self.trace = trace;
-        self
-    }
-
     /// Installs a shared phase profiler attributing functional-side work:
-    /// raw emulator stepping (correct and wrong path) as
-    /// [`Phase::EmuExec`], the surrounding refill/handoff bookkeeping as
-    /// [`Phase::EmuHandoff`]. A disabled handle (the default) costs one
-    /// branch per refill. The handle is shared with the emulator so block
-    /// decodes show up as [`Phase::BlockDecode`](ffsim_obs::Phase) nested
-    /// under the emu scopes.
+    /// raw emulator stepping as [`Phase::EmuExec`], the surrounding
+    /// refill/handoff bookkeeping as [`Phase::EmuHandoff`]. A disabled
+    /// handle (the default) costs one branch per refill. The handle is
+    /// shared with the emulator so wrong-path block decodes show up as
+    /// [`Phase::BlockDecode`](ffsim_obs::Phase) under the caller's scope.
     pub fn set_profiler(&mut self, prof: ProfHandle) {
         self.emu.set_profiler(prof.clone());
         self.prof = prof;
-    }
-
-    /// Drains the frontend event ring (oldest first).
-    pub fn take_trace(&mut self) -> Vec<TraceEvent> {
-        self.trace.take()
-    }
-
-    /// Events evicted from the frontend event ring because it was full.
-    #[must_use]
-    pub fn trace_dropped(&self) -> u64 {
-        self.trace.dropped()
     }
 
     fn refill_to(&mut self, want: usize) {
@@ -392,84 +300,10 @@ impl<P: FrontendPolicy> InstrQueue<P> {
             self.prof.exit();
             match stepped {
                 Ok(inst) => {
-                    let req = self.policy.on_instruction(&inst);
-                    let mut wrong_path = req.map(|req| {
-                        self.prof.enter(Phase::EmuExec);
-                        let bundle = self.emu.emulate_wrong_path_bounded(
-                            req.start,
-                            req.max_insts,
-                            self.watchdog,
-                            &mut self.policy,
-                        );
-                        self.prof.exit();
-                        bundle
-                    });
-                    if let Some(bundle) = &wrong_path {
-                        if let WrongPathStop::Cancelled(cause) = bundle.stop {
-                            // Cooperative cancellation mid-wrong-path: drop
-                            // the partial bundle, deliver the already-
-                            // retired correct path, and end the stream.
-                            self.cancelled = Some(cause);
-                            self.ended = true;
-                            self.buf.push_back(StreamEntry {
-                                inst,
-                                wrong_path: None,
-                            });
-                            continue;
-                        }
-                        if matches!(bundle.stop, WrongPathStop::IllegalPc(_)) {
-                            self.wp_stats.illegal_pc_stops += 1;
-                        }
-                        if let Some(fault) = Self::bundle_fault(bundle) {
-                            match self.fault_policy {
-                                FaultPolicy::SquashWrongPath => match bundle.stop {
-                                    WrongPathStop::WatchdogExceeded { .. } => {
-                                        self.wp_stats.watchdog_trips += 1;
-                                    }
-                                    _ => self.wp_stats.squashed_faults += 1,
-                                },
-                                FaultPolicy::AbortRun => {
-                                    self.fault = Some(fault);
-                                    self.fault_on_wrong_path = true;
-                                    self.ended = true;
-                                    // The aborted bundle is not handed to the
-                                    // timing model.
-                                    wrong_path = None;
-                                }
-                            }
-                        }
-                    }
-                    if self.trace.is_enabled() {
-                        if let (Some(req), Some(bundle)) = (req, &wrong_path) {
-                            let ts = inst.seq;
-                            let frontend = |kind| TraceEvent {
-                                ts,
-                                source: TraceSource::Frontend,
-                                kind,
-                            };
-                            let n = bundle.insts.len() as u64;
-                            let stop = bundle.stop;
-                            self.trace.record(|| {
-                                frontend(TraceEventKind::WrongPathEnter { pc: req.start })
-                            });
-                            match stop {
-                                WrongPathStop::WatchdogExceeded { pc, limit } => {
-                                    self.trace.record(|| {
-                                        frontend(TraceEventKind::WatchdogTrip { pc, limit })
-                                    });
-                                }
-                                WrongPathStop::Fault(_) => {
-                                    self.trace.record(|| {
-                                        frontend(TraceEventKind::Squash { instructions: n })
-                                    });
-                                }
-                                _ => {}
-                            }
-                            self.trace.record(|| {
-                                frontend(TraceEventKind::WrongPathExit { instructions: n })
-                            });
-                        }
-                    }
+                    let wrong_path = self
+                        .policy
+                        .on_instruction(&inst)
+                        .map(|req| WrongPathCheckpoint::new(req.start, self.emu.state()));
                     self.buf.push_back(StreamEntry { inst, wrong_path });
                 }
                 Err(StepError::Halted) => self.ended = true,
@@ -486,21 +320,23 @@ impl<P: FrontendPolicy> InstrQueue<P> {
         self.prof.exit();
     }
 
-    /// The fault a bundle's stop reason corresponds to, if any.
-    fn bundle_fault(bundle: &WrongPathBundle) -> Option<Fault> {
-        match bundle.stop {
-            WrongPathStop::Fault(f) => Some(f),
-            WrongPathStop::WatchdogExceeded { pc, limit } => {
-                Some(Fault::WatchdogExceeded { pc, limit })
-            }
-            _ => None,
+    /// Forgets the logged stores of entries already delivered: the
+    /// consumer has finished with them (and with their wrong paths) by the
+    /// time it asks for more.
+    fn prune_delivered(&mut self) {
+        if let Some(seq) = self.delivered {
+            self.emu.prune_store_log(seq);
         }
     }
 
     /// Pops the next correct-path entry, or `None` at end of stream.
     pub fn pop(&mut self) -> Option<StreamEntry> {
+        self.prune_delivered();
         self.refill_to(1);
         let entry = self.buf.pop_front();
+        if let Some(e) = &entry {
+            self.delivered = Some(e.inst.seq);
+        }
         // Keep the runahead window full so peeks after pops see far ahead.
         self.refill_to(self.depth);
         entry
@@ -512,12 +348,16 @@ impl<P: FrontendPolicy> InstrQueue<P> {
     /// one entry, so after `max` pops the emulator has produced
     /// `delivered + depth` entries total; this method reaches the same
     /// point with a single `refill_to(max + depth)`, preserving the exact
-    /// production order (and thus replica-predictor state, wrong-path
-    /// checkpoints and trace events).
+    /// production order (and thus replica-predictor state and wrong-path
+    /// checkpoints).
     pub fn fill(&mut self, out: &mut StreamBuf, max: usize) -> usize {
+        self.prune_delivered();
         self.refill_to(max.saturating_add(self.depth));
         let take = max.min(self.buf.len());
         out.entries.extend(self.buf.drain(..take));
+        if take > 0 {
+            self.delivered = out.entries.last().map(|e| e.inst.seq);
+        }
         take
     }
 
@@ -546,26 +386,10 @@ impl<P: FrontendPolicy> InstrQueue<P> {
         self.buf.is_empty()
     }
 
-    /// The fault that ended the stream, if any. With
-    /// [`FaultPolicy::SquashWrongPath`] (the default) this is always a
-    /// correct-path fault; under [`FaultPolicy::AbortRun`] it may also be a
-    /// wrong-path fault (see [`InstrQueue::fault_was_wrong_path`]).
+    /// The correct-path fault that ended the stream, if any.
     #[must_use]
     pub fn fault(&self) -> Option<Fault> {
         self.fault
-    }
-
-    /// Whether the stream-ending fault occurred during wrong-path emulation
-    /// (only possible under [`FaultPolicy::AbortRun`]).
-    #[must_use]
-    pub fn fault_was_wrong_path(&self) -> bool {
-        self.fault_on_wrong_path
-    }
-
-    /// Wrong-path squash counters (see [`WrongPathFaultStats`]).
-    #[must_use]
-    pub fn fault_stats(&self) -> WrongPathFaultStats {
-        self.wp_stats
     }
 
     /// The cancellation cause that ended the stream, if the emulator's
@@ -591,18 +415,13 @@ impl<P: FrontendPolicy> InstrQueue<P> {
     pub fn emulator(&self) -> &Emulator {
         &self.emu
     }
-
-    /// Mutable access to the underlying emulator (e.g. to configure the
-    /// fault model before streaming).
-    pub fn emulator_mut(&mut self) -> &mut Emulator {
-        &mut self.emu
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dyninst::BranchOutcome;
+    use crate::dyninst::WrongPathStop;
+    use crate::emulator::FollowComputed;
     use ffsim_isa::{Asm, Instr, Program, Reg};
 
     fn counted_program(n: i64) -> Program {
@@ -670,29 +489,16 @@ mod tests {
         assert!(q.peek(4).is_none());
     }
 
-    /// Policy that requests wrong-path emulation at every not-taken
-    /// conditional branch (pretending it predicted taken).
+    /// Policy that requests a wrong path at every not-taken conditional
+    /// branch (pretending it predicted taken).
     struct AlwaysWrong;
-    impl BranchOracle for AlwaysWrong {
-        fn next_fetch_pc(
-            &mut self,
-            _pc: ffsim_isa::Addr,
-            _instr: &Instr,
-            computed: BranchOutcome,
-        ) -> Option<ffsim_isa::Addr> {
-            Some(computed.next_pc)
-        }
-    }
     impl FrontendPolicy for AlwaysWrong {
         fn on_instruction(&mut self, inst: &DynInst) -> Option<WrongPathRequest> {
             let b = inst.branch?;
             if matches!(inst.instr, Instr::Branch { .. }) && !b.taken {
                 // Predicted taken, was not taken → wrong path is the target.
-                let target = inst.instr.direct_target().unwrap();
-                Some(WrongPathRequest {
-                    start: target,
-                    max_insts: 16,
-                })
+                let start = inst.instr.direct_target().unwrap();
+                Some(WrongPathRequest { start })
             } else {
                 None
             }
@@ -700,28 +506,38 @@ mod tests {
     }
 
     #[test]
-    fn wrong_path_bundles_attach_to_branches() {
-        let mut q = InstrQueue::new(Emulator::new(counted_program(3)).unwrap(), AlwaysWrong, 16);
-        let mut bundles = 0;
-        let mut bundle_len = 0;
+    fn checkpoints_attach_to_branches() {
+        let mut emu = Emulator::new(counted_program(3)).unwrap();
+        emu.set_store_log(true);
+        let mut q = InstrQueue::new(emu, AlwaysWrong, 16);
+        let mut checkpoints = Vec::new();
         while let Some(e) = q.pop() {
-            if let Some(wp) = e.wrong_path {
-                bundles += 1;
-                bundle_len = wp.insts.len();
+            if let Some(cp) = e.wrong_path {
                 assert!(e.inst.instr.is_branch());
+                checkpoints.push((e.inst, cp));
             }
         }
-        // Only the final (not-taken) bnez gets a bundle.
-        assert_eq!(bundles, 1);
+        // Only the final (not-taken) bnez gets a checkpoint, of the state
+        // right after it: x1 counted down to zero.
+        assert_eq!(checkpoints.len(), 1);
+        let (branch, cp) = &checkpoints[0];
+        assert_eq!(cp.start, branch.instr.direct_target().unwrap());
+        assert_eq!(cp.state.reg(Reg::new(1)), 0);
+        assert_eq!(cp.state.pc, branch.next_pc);
         // Wrong path re-enters the loop: addi, bnez, addi, bnez, ... with
-        // x1 = 0 decremented to negative values, bnez stays taken until the
+        // x1 decremented to negative values, so bnez stays taken until the
         // 16-instruction budget runs out.
-        assert_eq!(bundle_len, 16);
+        let mut cache = crate::block::BlockCache::new(8);
+        let mut stream =
+            q.emulator()
+                .wrong_path_stream(branch.seq, cp, 16, None, &mut cache, FollowComputed);
+        assert_eq!(stream.by_ref().count(), 16);
+        assert_eq!(stream.stop(), Some(WrongPathStop::BudgetExhausted));
     }
 
     #[test]
     fn fill_matches_pop_sequence() {
-        // Use the wrong-path-requesting policy so bundles and runahead
+        // Use the wrong-path-requesting policy so checkpoints and runahead
         // production both participate in the equivalence.
         let stream = |batch: Option<usize>| {
             let mut q =
@@ -788,77 +604,6 @@ mod tests {
         assert!(!q.fault_was_wrong_path());
     }
 
-    /// Correct path: two li's, a not-taken bnez, halt. The wrong path at
-    /// the branch target immediately performs a misaligned load.
-    fn faulting_wrong_path_program() -> Program {
-        let (x1, x2, x3) = (Reg::new(1), Reg::new(2), Reg::new(3));
-        let mut a = Asm::new();
-        a.li(x1, 0x33); // misaligned base for an 8-byte load
-        a.li(x2, 0);
-        a.bnez(x2, "wrong"); // never taken on the correct path
-        a.halt();
-        a.label("wrong");
-        a.ld(x3, 0, x1);
-        a.halt();
-        a.assemble().unwrap()
-    }
-
-    #[test]
-    fn wrong_path_fault_squashes_by_default() {
-        let mut q = InstrQueue::new(
-            Emulator::new(faulting_wrong_path_program()).unwrap(),
-            AlwaysWrong,
-            16,
-        );
-        let mut n = 0;
-        while q.pop().is_some() {
-            n += 1;
-        }
-        assert_eq!(
-            n, 4,
-            "full correct path retires despite the wrong-path fault"
-        );
-        assert!(q.fault().is_none());
-        assert_eq!(q.fault_stats().squashed_faults, 1);
-        assert_eq!(q.fault_stats().watchdog_trips, 0);
-    }
-
-    #[test]
-    fn wrong_path_fault_aborts_under_abort_policy() {
-        let mut q = InstrQueue::new(
-            Emulator::new(faulting_wrong_path_program()).unwrap(),
-            AlwaysWrong,
-            16,
-        )
-        .with_fault_policy(FaultPolicy::AbortRun);
-        let mut popped = Vec::new();
-        while let Some(e) = q.pop() {
-            popped.push(e);
-        }
-        assert_eq!(popped.len(), 3, "stream ends at the branch");
-        assert!(popped[2].wrong_path.is_none(), "aborted bundle is dropped");
-        assert!(matches!(q.fault(), Some(Fault::Misaligned { .. })));
-        assert!(q.fault_was_wrong_path());
-    }
-
-    #[test]
-    fn watchdog_trips_are_counted_and_squash() {
-        let mut q = InstrQueue::new(Emulator::new(counted_program(3)).unwrap(), AlwaysWrong, 16)
-            .with_watchdog(Some(4));
-        let mut n = 0;
-        let mut wp_len = 0;
-        while let Some(e) = q.pop() {
-            n += 1;
-            if let Some(wp) = e.wrong_path {
-                wp_len = wp.insts.len();
-            }
-        }
-        assert_eq!(n, 8, "correct path unaffected");
-        assert_eq!(wp_len, 4, "wrong path cut off at the watchdog");
-        assert_eq!(q.fault_stats().watchdog_trips, 1);
-        assert!(q.fault().is_none());
-    }
-
     #[test]
     fn cancellation_ends_stream_cooperatively() {
         use crate::cancel::CancelToken;
@@ -879,103 +624,99 @@ mod tests {
         assert!(q.fault().is_none(), "cancellation is not a fault");
     }
 
-    /// Oracle/policy that requests wrong paths like [`AlwaysWrong`] but
-    /// fires a cancel token mid-wrong-path, from inside the oracle.
-    struct CancelMidWrongPath {
-        token: crate::cancel::CancelToken,
-        oracle_calls: u32,
+    /// Stores to one word before and after a mispredicted branch; the
+    /// wrong path loads the word and branches on it, so reading memory as
+    /// it is after runahead rather than as of the branch changes the
+    /// records.
+    fn overwritten_after_branch_program() -> Program {
+        let (x1, x2, x3, x4) = (Reg::new(1), Reg::new(2), Reg::new(3), Reg::new(4));
+        let mut a = Asm::new();
+        a.li(x1, 0x2000);
+        a.li(x2, 1);
+        a.sd(x2, 0, x1); // [0x2000] = 1 before the branch
+        a.li(x3, 0);
+        a.bnez(x3, "wrong"); // never taken: AlwaysWrong checkpoints here
+        a.li(x2, 0);
+        a.sb(x2, 0, x1); // the correct path then clears its low byte
+        a.sd(x1, 8, x1);
+        a.halt();
+        a.label("wrong");
+        a.ld(x4, 0, x1);
+        a.bnez(x4, "far");
+        a.nop();
+        a.halt();
+        a.label("far");
+        a.ld(x4, 8, x1);
+        a.halt();
+        a.assemble().unwrap()
     }
-    impl BranchOracle for CancelMidWrongPath {
-        fn next_fetch_pc(
-            &mut self,
-            _pc: ffsim_isa::Addr,
-            _instr: &Instr,
-            computed: BranchOutcome,
-        ) -> Option<ffsim_isa::Addr> {
-            self.oracle_calls += 1;
-            if self.oracle_calls == 2 {
-                self.token.expire();
-            }
-            Some(computed.next_pc)
+
+    #[test]
+    fn lazy_wrong_path_reads_memory_as_of_the_branch() {
+        let p = overwritten_after_branch_program();
+        let mut emu = Emulator::new(p.clone()).unwrap();
+        emu.set_store_log(true);
+        let mut q = InstrQueue::new(emu, AlwaysWrong, 64);
+        // The eager reference: a second emulator stopped at the branch.
+        let mut reference = Emulator::new(p).unwrap();
+        let mut buf = StreamBuf::new();
+        assert_eq!(q.fill(&mut buf, 64), 9, "whole program in one batch");
+        let mut checked = 0;
+        for e in buf.entries() {
+            assert_eq!(reference.step().unwrap(), e.inst);
+            let Some(cp) = &e.wrong_path else { continue };
+            let eager =
+                reference.emulate_wrong_path_bounded(cp.start, 64, None, &mut FollowComputed);
+            let mut cache = crate::block::BlockCache::new(8);
+            let mut stream = q.emulator().wrong_path_stream(
+                e.inst.seq,
+                cp,
+                64,
+                None,
+                &mut cache,
+                FollowComputed,
+            );
+            let lazy: Vec<_> = stream.by_ref().collect();
+            assert_eq!(lazy, eager.insts);
+            assert_eq!(stream.stop(), Some(eager.stop));
+            // ld, bnez (taken on the pre-branch value), ld 8(x1), halt.
+            assert_eq!(lazy.len(), 3);
+            assert!(lazy[1].redirected());
+            checked += 1;
         }
+        assert_eq!(checked, 1);
+        assert_eq!(q.emulator().store_log_len(), 3, "nothing delivered yet");
+        assert_eq!(q.fill(&mut buf, 64), 0);
+        assert_eq!(q.emulator().store_log_len(), 0, "delivered stores pruned");
     }
-    impl FrontendPolicy for CancelMidWrongPath {
-        fn on_instruction(&mut self, inst: &DynInst) -> Option<WrongPathRequest> {
-            let b = inst.branch?;
-            if matches!(inst.instr, Instr::Branch { .. }) && !b.taken {
-                Some(WrongPathRequest {
-                    start: inst.instr.direct_target().unwrap(),
-                    max_insts: 64,
-                })
-            } else {
-                None
+
+    #[test]
+    fn store_log_keeps_the_stores_past_the_last_delivery() {
+        let (x1, x2) = (Reg::new(1), Reg::new(2));
+        let mut a = Asm::new();
+        a.li(x1, 40);
+        a.li(x2, 0x3000);
+        a.label("loop");
+        a.sd(x1, 0, x2);
+        a.addi(x1, x1, -1);
+        a.bnez(x1, "loop");
+        a.halt();
+        let mut emu = Emulator::new(a.assemble().unwrap()).unwrap();
+        emu.set_store_log(true);
+        let mut q = InstrQueue::new(emu, NoFrontendWrongPath, 8);
+        let mut buf = StreamBuf::new();
+        loop {
+            buf.clear();
+            if q.fill(&mut buf, 5) == 0 {
+                break;
             }
+            // The stores of this batch and of the buffered runahead.
+            let is_store = |e: &StreamEntry| e.inst.mem.is_some_and(|m| m.is_store);
+            let mut pending = buf.entries().iter().filter(|e| is_store(e)).count();
+            for i in 0..q.buffered() {
+                pending += usize::from(q.peek(i).is_some_and(is_store));
+            }
+            assert_eq!(q.emulator().store_log_len(), pending);
         }
-    }
-
-    #[test]
-    fn cancellation_mid_wrong_path_drops_partial_bundle() {
-        let token = crate::cancel::CancelToken::new();
-        let mut emu = Emulator::new(counted_program(3)).unwrap();
-        emu.set_cancel_token(Some(token.clone()));
-        let policy = CancelMidWrongPath {
-            token,
-            oracle_calls: 0,
-        };
-        let mut q = InstrQueue::new(emu, policy, 16);
-        let mut bundles = 0;
-        while let Some(e) = q.pop() {
-            bundles += u32::from(e.wrong_path.is_some());
-        }
-        assert_eq!(bundles, 0, "partial bundle must be dropped");
-        assert_eq!(q.cancelled(), Some(CancelCause::DeadlineExceeded));
-    }
-
-    #[test]
-    fn frontend_trace_records_wrong_path_episodes() {
-        let mut q = InstrQueue::new(Emulator::new(counted_program(3)).unwrap(), AlwaysWrong, 16)
-            .with_watchdog(Some(4))
-            .with_trace(EventRing::enabled(64));
-        while q.pop().is_some() {}
-        let events = q.take_trace();
-        // One wrong-path episode, watchdog-limited: enter, trip, exit.
-        let kinds: Vec<&str> = events.iter().map(|e| e.kind.name()).collect();
-        assert_eq!(kinds, vec!["wrong-path", "watchdog-trip", "wrong-path"]);
-        assert!(events.iter().all(|e| e.source == TraceSource::Frontend));
-        assert!(matches!(
-            events[2].kind,
-            TraceEventKind::WrongPathExit { instructions: 4 }
-        ));
-        assert_eq!(q.trace_dropped(), 0);
-    }
-
-    #[test]
-    fn disabled_trace_changes_nothing() {
-        let run = |trace: bool| {
-            let mut q =
-                InstrQueue::new(Emulator::new(counted_program(5)).unwrap(), AlwaysWrong, 16);
-            if trace {
-                q = q.with_trace(EventRing::enabled(64));
-            }
-            let mut seqs = Vec::new();
-            while let Some(e) = q.pop() {
-                seqs.push(e.inst.seq);
-            }
-            (seqs, q.emulator().digest())
-        };
-        assert_eq!(run(false), run(true), "tracing must not perturb the stream");
-    }
-
-    #[test]
-    fn watchdog_aborts_under_abort_policy() {
-        let mut q = InstrQueue::new(Emulator::new(counted_program(3)).unwrap(), AlwaysWrong, 16)
-            .with_watchdog(Some(4))
-            .with_fault_policy(FaultPolicy::AbortRun);
-        while q.pop().is_some() {}
-        assert!(matches!(
-            q.fault(),
-            Some(Fault::WatchdogExceeded { limit: 4, .. })
-        ));
-        assert!(q.fault_was_wrong_path());
     }
 }

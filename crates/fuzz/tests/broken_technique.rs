@@ -5,9 +5,8 @@
 
 use ffsim_core::technique::{passive_frontend, MispredictContext, WrongPathTechnique};
 use ffsim_core::{FetchSource, SimConfig, TechniqueRegistry, WrongPathMode};
-use ffsim_emu::{CancelCause, Emulator, Fault, StreamEntry, WrongPathFaultStats};
+use ffsim_emu::{CancelCause, Emulator, Fault, StreamEntry};
 use ffsim_fuzz::{artifact, gen, shrink, Oracle, Variant};
-use ffsim_obs::TraceEvent;
 
 /// A frontend wrapper that silently drops one correct-path entry — the
 /// kind of off-by-one a real technique could introduce while splicing
@@ -38,28 +37,12 @@ impl FetchSource for DroppingSource {
         self.inner.fault()
     }
 
-    fn fault_was_wrong_path(&self) -> bool {
-        self.inner.fault_was_wrong_path()
-    }
-
-    fn fault_stats(&self) -> WrongPathFaultStats {
-        self.inner.fault_stats()
-    }
-
     fn cancelled(&self) -> Option<CancelCause> {
         self.inner.cancelled()
     }
 
     fn emulator(&self) -> &Emulator {
         self.inner.emulator()
-    }
-
-    fn take_trace(&mut self) -> Vec<TraceEvent> {
-        self.inner.take_trace()
-    }
-
-    fn trace_dropped(&self) -> u64 {
-        self.inner.trace_dropped()
     }
 }
 
