@@ -1,12 +1,11 @@
 //! Criterion benchmark of the batched frontend→timing handoff (see
 //! DESIGN.md §"Batched handoff and the block cache"): how fast the
 //! functional frontend can stream instructions into a consumer as a
-//! function of the batch size requested per [`FetchSource::fill`] call,
-//! with the emulator's pre-decoded basic-block cache enabled and
-//! disabled. Batch size 1 approximates the old per-instruction `pop`
+//! function of the batch size requested per [`FetchSource::fill`] call.
+//! Batch size 1 approximates the old per-instruction `pop`
 //! handoff (one virtual call and one `VecDeque` pop per instruction);
-//! larger batches amortize that boundary until raw emulation speed —
-//! where the block cache is the lever — dominates.
+//! larger batches amortize that boundary until raw emulation speed
+//! dominates.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use ffsim_emu::{Emulator, InstrQueue, NoFrontendWrongPath, StreamBuf};
@@ -34,11 +33,8 @@ fn loop_program(n: i64) -> Program {
 
 /// Drains the whole program through the batched handoff in `batch`-sized
 /// fills, returning the delivered instruction count.
-fn drain(program: &Program, batch: usize, block_cache: bool) -> usize {
-    let mut emu = Emulator::new(program.clone()).unwrap();
-    if !block_cache {
-        emu.set_block_cache(None);
-    }
+fn drain(program: &Program, batch: usize) -> usize {
+    let emu = Emulator::new(program.clone()).unwrap();
     let mut q = InstrQueue::new(emu, NoFrontendWrongPath, 64);
     let mut buf = StreamBuf::new();
     let mut delivered = 0usize;
@@ -58,18 +54,13 @@ fn drain(program: &Program, batch: usize, block_cache: bool) -> usize {
 
 fn handoff_rate(c: &mut Criterion) {
     let program = loop_program(10_000);
-    let total = drain(&program, 256, true) as u64;
+    let total = drain(&program, 256) as u64;
     let mut group = c.benchmark_group("handoff");
     group.throughput(Throughput::Elements(total));
     for &batch in &[1usize, 16, 64, 256] {
-        for &cache in &[true, false] {
-            let label = if cache { "blockcache" } else { "nocache" };
-            group.bench_with_input(
-                BenchmarkId::new(format!("fill_{label}"), batch),
-                &batch,
-                |b, &batch| b.iter(|| drain(&program, batch, cache)),
-            );
-        }
+        group.bench_with_input(BenchmarkId::new("fill", batch), &batch, |b, &batch| {
+            b.iter(|| drain(&program, batch));
+        });
     }
     group.finish();
 }
