@@ -4,10 +4,13 @@
 //! budget component by component.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use ffsim_core::technique::wrongpath::{
+    ConvergenceStream, FutureCache, FutureWindow, Walk, WalkBuf,
+};
 use ffsim_core::{
     reconstruct, recover_addresses, CodeCache, ConvergenceConfig, ConvergenceStats, Pipeline,
 };
-use ffsim_emu::{Emulator, FollowComputed, InstrQueue, NoFrontendWrongPath};
+use ffsim_emu::{Emulator, FollowComputed, InstrQueue, NoFrontendWrongPath, StreamEntry};
 use ffsim_isa::{Asm, BranchCond, Instr, Reg};
 use ffsim_obs::{MetricsRegistry, ObsConfig, Phase, TraceEvent, TraceEventKind, TraceSource};
 use ffsim_uarch::{BranchPredictor, Cache, CoreConfig, PathKind, Tlb};
@@ -159,6 +162,58 @@ fn wrongpath_rate(c: &mut Criterion) {
     group.finish();
 }
 
+/// The lazy convergence stream conv injects from: one episode against a
+/// 512-entry future with a 572-instruction budget, pulling the 96
+/// instructions a pipeline typically takes before the branch resolves.
+/// The converging episode matches in lock-step from a shallow
+/// convergence point; in the non-converging one no pc of the future lies
+/// on the wrong path, so the first detection scans the whole window and
+/// walks the whole budget.
+fn convergence_stream_rate(c: &mut Criterion) {
+    const PULLED: usize = 96;
+    let mut group = c.benchmark_group("convergence_stream");
+    let program = loop_program(1000);
+    let mut code_cache = CodeCache::unbounded();
+    let mut predictor = BranchPredictor::new(CoreConfig::golden_cove_like().branch);
+    let mut future = Vec::new();
+    let mut emu = Emulator::new(program.clone()).unwrap();
+    while let Ok(inst) = emu.step() {
+        code_cache.insert(inst.pc, inst.instr);
+        if let Some(outcome) = inst.branch {
+            let _ = predictor.observe(inst.pc, &inst.instr, outcome.taken, inst.next_pc);
+        }
+        if future.len() < 512 {
+            future.push(StreamEntry {
+                inst,
+                wrong_path: None,
+            });
+        }
+    }
+    let elsewhere: Vec<StreamEntry> = future
+        .iter()
+        .map(|e| {
+            let mut e = e.clone();
+            e.inst.pc += 0x100_0000;
+            e
+        })
+        .collect();
+    let start = program.base() + 8;
+    group.throughput(Throughput::Elements(PULLED as u64));
+    for (id, batch) in [("converging", &future), ("non_converging", &elsewhere)] {
+        let (mut walk_buf, mut cache) = (WalkBuf::default(), FutureCache::default());
+        let first_seq = batch[0].inst.seq;
+        group.bench_function(id, |b| {
+            b.iter(|| {
+                let walk = Walk::new(&mut code_cache, &predictor, start, 572, &mut walk_buf);
+                let window = FutureWindow::new(first_seq, batch, None, 512, &mut cache);
+                let stream = ConvergenceStream::new(walk, window, ConvergenceConfig::default());
+                stream.take(PULLED).filter(|w| w.mem.is_some()).count()
+            });
+        });
+    }
+    group.finish();
+}
+
 /// Observability timing guard: a *disabled* trace ring in the pipeline hot
 /// loop must cost at most ~2% (one predictable branch per instruction —
 /// the `EventRing::record` fast path). The guard replays an emulated
@@ -287,6 +342,7 @@ criterion_group!(
     emulator_step_rate,
     cache_rate,
     wrongpath_rate,
+    convergence_stream_rate,
     tracing_overhead_guard,
     profiler_overhead_guard
 );

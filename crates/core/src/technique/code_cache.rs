@@ -11,7 +11,7 @@
 //! fetch.
 
 use ffsim_emu::FxBuildHasher;
-use ffsim_isa::{Addr, Instr};
+use ffsim_isa::{Addr, ArchReg, Instr, RegSet};
 use std::collections::{HashMap, VecDeque};
 
 /// Lookup/insert statistics of the code cache.
@@ -36,6 +36,33 @@ pub(crate) enum RunEnd {
     Halt,
     /// Split at [`RUN_CAP`]; the walk continues at the pc after the run.
     Cap,
+}
+
+/// A remembered instruction with the registers convergence matching
+/// reads, decoded once when its run is recorded rather than on every
+/// lock-step comparison.
+#[derive(Clone, Copy, PartialEq, Debug)]
+pub(crate) struct Decoded {
+    pub(crate) instr: Instr,
+    /// Source registers (x0 excluded).
+    pub(crate) srcs: RegSet,
+    /// Destination register (x0 excluded).
+    pub(crate) dst: Option<ArchReg>,
+}
+
+impl From<Instr> for Decoded {
+    fn from(instr: Instr) -> Decoded {
+        let ops = instr.operands();
+        let mut srcs = RegSet::new();
+        for r in ops.src_iter() {
+            srcs.insert(r);
+        }
+        Decoded {
+            instr,
+            srcs,
+            dst: ops.dst,
+        }
+    }
 }
 
 /// Maximum instructions per memoized run, mirroring the emulator-side
@@ -78,7 +105,7 @@ pub struct CodeCache {
     /// eviction queue. The front is always the oldest live key.
     order: VecDeque<Addr>,
     /// Memoized straight-line runs by entry pc (unbounded caches only).
-    runs: HashMap<Addr, (Box<[Instr]>, RunEnd), FxBuildHasher>,
+    runs: HashMap<Addr, (Box<[Decoded]>, RunEnd), FxBuildHasher>,
     capacity: Option<usize>,
     stats: CodeCacheStats,
 }
@@ -190,16 +217,16 @@ impl CodeCache {
     /// by an earlier reconstruction walk. Statistics are untouched — the
     /// caller counts one hit per instruction it actually consumes, which
     /// keeps the counters identical to a per-instruction walk.
-    pub(crate) fn run_at(&self, pc: Addr) -> Option<(&[Instr], RunEnd)> {
+    pub(crate) fn run_at(&self, pc: Addr) -> Option<(&[Decoded], RunEnd)> {
         self.runs.get(&pc).map(|(run, end)| (&run[..], *end))
     }
 
     /// Memoizes the straight-line run entered at `pc`. No-op for bounded
     /// caches: eviction could remove a member instruction, and the run
     /// memo has no per-member back-pointers to notice.
-    pub(crate) fn memoize_run(&mut self, pc: Addr, run: Vec<Instr>, end: RunEnd) {
+    pub(crate) fn memoize_run(&mut self, pc: Addr, run: &[Decoded], end: RunEnd) {
         if self.capacity.is_none() {
-            self.runs.insert(pc, (run.into_boxed_slice(), end));
+            self.runs.insert(pc, (run.into(), end));
         }
     }
 

@@ -4,7 +4,8 @@ use crate::sim::SimConfig;
 use crate::technique::code_cache::CodeCache;
 use crate::technique::mode::WrongPathMode;
 use crate::technique::wrongpath::{
-    ConvergenceConfig, ConvergenceStats, ConvergenceStream, FutureCache, FutureWindow, Walk, WpInst,
+    ConvergenceConfig, ConvergenceStats, ConvergenceStream, FutureCache, FutureWindow, Walk,
+    WalkBuf,
 };
 use crate::technique::{
     inject_wrong_path, passive_frontend, MispredictContext, TechniqueStats, WrongPathTechnique,
@@ -27,8 +28,8 @@ pub struct ConvergenceTechnique {
     dist_hist: Log2Hist,
     /// Future correct-path instructions kept across episodes.
     future: FutureCache,
-    /// Reusable buffer for the reconstructed wrong path.
-    wp_buf: Vec<WpInst>,
+    /// Reusable buffers for the reconstructed wrong path.
+    walk_buf: WalkBuf,
 }
 
 impl ConvergenceTechnique {
@@ -47,7 +48,7 @@ impl ConvergenceTechnique {
             stats: ConvergenceStats::default(),
             dist_hist: Log2Hist::new(),
             future: FutureCache::default(),
-            wp_buf: Vec::new(),
+            walk_buf: WalkBuf::default(),
         }
     }
 }
@@ -74,7 +75,7 @@ impl WrongPathTechnique for ConvergenceTechnique {
             cx.predictor,
             start,
             self.budget,
-            &mut self.wp_buf,
+            &mut self.walk_buf,
         );
         // The future correct path comes out of the runahead queue (§III-C:
         // "take a peek in the future correct-path instructions"): the batch

@@ -17,7 +17,7 @@
 //! simulator runs it lazily as a [`ConvergenceStream`], which walks,
 //! peeks and matches only as far as the pipeline takes the wrong path.
 
-use crate::technique::code_cache::{CodeCache, RunEnd, RUN_CAP};
+use crate::technique::code_cache::{CodeCache, Decoded, RunEnd, RUN_CAP};
 use ffsim_emu::{DynInst, FetchSource, MemAccess, StreamEntry};
 use ffsim_isa::{Addr, ArchReg, Instr, RegSet, INSTR_BYTES};
 use ffsim_uarch::{BranchPredictor, SpeculativeState};
@@ -56,8 +56,8 @@ pub fn reconstruct(
     out
 }
 
-/// [`reconstruct`] into a caller-owned buffer, so techniques can reuse one
-/// allocation across mispredictions: a [`Walk`] taken to its end.
+/// [`reconstruct`] into a caller-owned buffer (cleared first): a [`Walk`]
+/// taken to its end and flattened.
 pub fn reconstruct_into(
     code_cache: &mut CodeCache,
     predictor: &BranchPredictor,
@@ -65,66 +65,171 @@ pub fn reconstruct_into(
     budget: usize,
     out: &mut Vec<WpInst>,
 ) {
-    Walk::new(code_cache, predictor, start, budget, out).finish();
+    let mut buf = WalkBuf::default();
+    let mut walk = Walk::new(code_cache, predictor, start, budget, &mut buf);
+    walk.finish();
+    out.clear();
+    out.extend((0..walk.len()).map(|i| walk.view(i).inst()));
+}
+
+/// A straight-line stretch of a walk: instructions `start..end` sit at
+/// consecutive pcs from `pc`. Stretches that fall through to each other
+/// share one segment.
+#[derive(Clone, Copy, Debug)]
+struct Segment {
+    pc: Addr,
+    start: usize,
+    end: usize,
+}
+
+impl Segment {
+    /// The pc of walk instruction `i`, which lies in this segment (or,
+    /// for `i == end`, the pc that falls through from it).
+    fn pc_of(&self, i: usize) -> Addr {
+        self.pc + (i - self.start) as Addr * INSTR_BYTES
+    }
+}
+
+/// The buffers a [`Walk`] fills, owned by the caller so that one
+/// allocation serves every episode.
+#[derive(Clone, Default, Debug)]
+pub struct WalkBuf {
+    /// Every walked instruction, in path order.
+    instrs: Vec<Decoded>,
+    /// The pc of each walked instruction.
+    pcs: Vec<Addr>,
+    /// The segments covering the walk, in order and without gaps.
+    segs: Vec<Segment>,
+}
+
+/// A wrong-path instruction as lock-step matching reads it.
+struct WpView<'d> {
+    pc: Addr,
+    next_pc: Addr,
+    decoded: &'d Decoded,
+}
+
+impl WpView<'_> {
+    /// The instruction, with no memory access.
+    fn inst(&self) -> WpInst {
+        WpInst {
+            pc: self.pc,
+            instr: self.decoded.instr,
+            mem: None,
+            next_pc: self.next_pc,
+        }
+    }
 }
 
 /// A resumable wrong-path reconstruction walk over the code cache: the
 /// body of [`reconstruct`], extended on demand so a consumer that stops
 /// early never walks the tail of the budget.
 ///
-/// The walk appends to a caller-owned buffer (cleared by [`Walk::new`])
-/// one straight-line stretch at a time. Stretches are served from the
-/// code cache's memoized runs when available (see [`CodeCache`]);
-/// stretches walked per instruction are memoized for the next episode.
-/// The produced stream and the hit/miss statistics are identical either
-/// way: a run hit counts one cache hit per instruction consumed, exactly
-/// as the per-instruction walk would have. The statistics therefore count
-/// only the stretches actually walked.
+/// The walk appends one straight-line stretch at a time: the decoded
+/// instructions and their pcs go to flat buffers, and the stretch to a
+/// list of segments, so a pc search is one range test per segment. A
+/// [`WpInst`] is built only when a consumer asks for instruction `i`.
+/// Stretches are served from the code cache's memoized runs when
+/// available (see [`CodeCache`]); stretches walked per instruction are
+/// memoized for the next episode. The walked path and the hit/miss
+/// statistics are identical either way: a run hit counts one cache hit
+/// per instruction consumed, exactly as the per-instruction walk would
+/// have. The statistics therefore count only the stretches actually
+/// walked.
 #[derive(Debug)]
 pub struct Walk<'a> {
     code_cache: &'a mut CodeCache,
     predictor: &'a BranchPredictor,
     spec: SpeculativeState,
+    /// Where the walk goes next: the successor of its last instruction.
     pc: Addr,
     budget: usize,
-    out: &'a mut Vec<WpInst>,
+    buf: &'a mut WalkBuf,
     ended: bool,
 }
 
 impl<'a> Walk<'a> {
-    /// Starts a walk at `start` into `out`, which is cleared first.
+    /// Starts a walk at `start` into `buf`, which is cleared first.
     pub fn new(
         code_cache: &'a mut CodeCache,
         predictor: &'a BranchPredictor,
         start: Addr,
         budget: usize,
-        out: &'a mut Vec<WpInst>,
+        buf: &'a mut WalkBuf,
     ) -> Walk<'a> {
-        out.clear();
+        buf.instrs.clear();
+        buf.pcs.clear();
+        buf.segs.clear();
         Walk {
             code_cache,
             predictor,
             spec: predictor.speculative_state(),
             pc: start,
             budget,
-            out,
+            buf,
             ended: false,
         }
+    }
+
+    /// Instructions walked so far.
+    fn len(&self) -> usize {
+        self.buf.instrs.len()
     }
 
     /// Walks until instruction `i` exists; returns whether it does (it
     /// does not when the walk ends first).
     fn reach(&mut self, i: usize) -> bool {
-        while self.out.len() <= i && !self.ended {
+        while self.len() <= i && !self.ended {
             self.extend();
         }
-        i < self.out.len()
+        i < self.len()
     }
 
     /// The pc of instruction `i`, walking until it exists; `None` when the
     /// walk ends first.
     fn pc(&mut self, i: usize) -> Option<Addr> {
-        self.reach(i).then(|| self.out[i].pc)
+        self.reach(i).then(|| self.buf.pcs[i])
+    }
+
+    /// Walked instruction `i` as lock-step matching reads it. The walk
+    /// goes on at each instruction's successor, so that is the next
+    /// instruction's pc, or for the last one the walk's next pc.
+    fn view(&self, i: usize) -> WpView<'_> {
+        let pcs = &self.buf.pcs;
+        WpView {
+            pc: pcs[i],
+            next_pc: pcs.get(i + 1).copied().unwrap_or(self.pc),
+            decoded: &self.buf.instrs[i],
+        }
+    }
+
+    /// The first offset `j < depth` at which instruction `from + j` has
+    /// pc `pc`, walking no further than that instruction: each segment is
+    /// one range test.
+    fn find(&mut self, from: usize, pc: Addr, depth: usize) -> Option<usize> {
+        let end = from.saturating_add(depth);
+        // Walking on may grow the last segment rather than add one, so
+        // the scan starts a segment early and moves to the one holding
+        // `i` each time.
+        let mut s = self.buf.segs.partition_point(|g| g.end <= from);
+        s = s.saturating_sub(1);
+        let mut i = from;
+        while i < end && self.reach(i) {
+            while self.buf.segs[s].end <= i {
+                s += 1;
+            }
+            let g = self.buf.segs[s];
+            let hi = g.end.min(end);
+            let lo_pc = g.pc_of(i);
+            if pc >= lo_pc && (pc - lo_pc).is_multiple_of(INSTR_BYTES) {
+                let n = ((pc - lo_pc) / INSTR_BYTES) as usize;
+                if n < hi - i {
+                    return Some(i + n - from);
+                }
+            }
+            i = hi;
+        }
+        None
     }
 
     /// Walks to the end: the budget or a §III-A stopping rule.
@@ -136,64 +241,38 @@ impl<'a> Walk<'a> {
 
     /// Appends one memoized run or one probed stretch.
     fn extend(&mut self) {
-        let (predictor, out) = (self.predictor, &mut *self.out);
-        if out.len() >= self.budget {
+        let start = self.len();
+        if start >= self.budget {
             self.ended = true;
             return;
         }
-        let remaining = self.budget - out.len();
-        let pc = self.pc;
-        // Fast path: replay a memoized run entered at `pc`.
-        if let Some((run, end)) = self.code_cache.run_at(pc) {
+        let remaining = self.budget - start;
+        let entry = self.pc;
+        // Fast path: replay a memoized run entered at `entry`.
+        if let Some((run, end)) = self.code_cache.run_at(entry) {
             let m = run.len().min(remaining);
             let full = m == run.len();
-            // A fully consumed branch-terminated run needs its last
-            // instruction steered through the predictor; everything before
-            // it (and every truncated prefix) falls through sequentially.
-            let last_is_branch = full && end == RunEnd::Branch;
-            let straight = if last_is_branch { m - 1 } else { m };
-            for (i, &instr) in run[..straight].iter().enumerate() {
-                let ipc = pc + i as Addr * INSTR_BYTES;
-                out.push(WpInst {
-                    pc: ipc,
-                    instr,
-                    mem: None,
-                    next_pc: ipc + INSTR_BYTES,
-                });
-            }
+            self.buf.instrs.extend_from_slice(&run[..m]);
             // One hit per consumed instruction; the per-instruction walk
             // additionally probes the terminating `halt` — but only when
             // still under budget.
             let mut hits = m as u64;
-            let mut next = pc + straight as Addr * INSTR_BYTES;
+            let mut next = entry + m as Addr * INSTR_BYTES;
             let mut stop = !full;
-            if last_is_branch {
-                let bpc = pc + (m - 1) as Addr * INSTR_BYTES;
-                let instr = run[m - 1];
-                match predictor
-                    .predict_speculative(bpc, &instr, &mut self.spec)
+            if full && end == RunEnd::Branch {
+                // A fully consumed branch-terminated run has its last
+                // instruction steered through the predictor; everything
+                // before it (and every truncated prefix) falls through.
+                let bpc = next - INSTR_BYTES;
+                match self
+                    .predictor
+                    .predict_speculative(bpc, &run[m - 1].instr, &mut self.spec)
                     .next_pc
                 {
-                    Some(t) => {
-                        out.push(WpInst {
-                            pc: bpc,
-                            instr,
-                            mem: None,
-                            next_pc: t,
-                        });
-                        next = t;
-                    }
-                    None => {
-                        // The branch itself was fetched; reconstruction
-                        // cannot continue past it.
-                        out.push(WpInst {
-                            pc: bpc,
-                            instr,
-                            mem: None,
-                            next_pc: bpc + INSTR_BYTES,
-                        });
-                        stop = true;
-                    }
+                    Some(t) => next = t,
+                    // The branch itself was fetched; reconstruction cannot
+                    // continue past it.
+                    None => stop = true,
                 }
             } else if full && end == RunEnd::Halt {
                 if m < remaining {
@@ -204,61 +283,72 @@ impl<'a> Walk<'a> {
             self.code_cache.add_run_hits(hits);
             self.ended = stop;
             self.pc = next;
+        } else {
+            self.pc = self.probe(entry, start);
+        }
+        let end = self.len();
+        if end == start {
             return;
         }
-        // Slow path: probe per instruction, exactly like the original walk,
-        // recording the stretch so the next episode through this entry pc
-        // replays it. Only complete runs (branch / remembered halt / cap)
-        // are memoized — a budget- or unknown-pc-ended prefix could grow
-        // longer in a later episode.
-        let code_cache = &mut *self.code_cache;
-        let mut pc = pc;
-        let mut recorded: Vec<Instr> = Vec::new();
+        let pcs = (0..(end - start) as Addr).map(|j| entry + j * INSTR_BYTES);
+        self.buf.pcs.extend(pcs);
+        match self.buf.segs.last_mut() {
+            // A stretch the previous one falls through to (a run split at
+            // the cap, or a not-taken branch) continues its pcs.
+            Some(g) if g.pc_of(g.end) == entry => g.end = end,
+            _ => self.buf.segs.push(Segment {
+                pc: entry,
+                start,
+                end,
+            }),
+        }
+    }
+
+    /// Slow path of [`Walk::extend`]: probes the code cache per
+    /// instruction from `entry`, exactly like the original walk, and
+    /// returns the successor of the last instruction walked. The stretch
+    /// is memoized so the next episode through `entry` replays it. Only
+    /// complete runs (branch / remembered halt / cap) are memoized — a
+    /// budget- or unknown-pc-ended prefix could grow longer in a later
+    /// episode.
+    fn probe(&mut self, entry: Addr, start: usize) -> Addr {
+        let (code_cache, instrs) = (&mut *self.code_cache, &mut self.buf.instrs);
+        let mut pc = entry;
         loop {
-            if out.len() >= self.budget {
+            if instrs.len() >= self.budget {
                 self.ended = true;
-                return;
+                return pc;
             }
             let Some(instr) = code_cache.lookup(pc) else {
                 self.ended = true;
-                return;
+                return pc;
             };
             if matches!(instr, Instr::Halt) {
-                code_cache.memoize_run(self.pc, recorded, RunEnd::Halt);
+                code_cache.memoize_run(entry, &instrs[start..], RunEnd::Halt);
                 self.ended = true;
-                return;
+                return pc;
             }
-            recorded.push(instr);
+            instrs.push(Decoded::from(instr));
             if instr.is_branch() {
-                let next_pc = predictor
+                code_cache.memoize_run(entry, &instrs[start..], RunEnd::Branch);
+                return match self
+                    .predictor
                     .predict_speculative(pc, &instr, &mut self.spec)
-                    .next_pc;
-                out.push(WpInst {
-                    pc,
-                    instr,
-                    mem: None,
+                    .next_pc
+                {
+                    Some(t) => t,
                     // Unpredictable: the branch itself was fetched, but
                     // reconstruction cannot continue past it.
-                    next_pc: next_pc.unwrap_or(pc + INSTR_BYTES),
-                });
-                code_cache.memoize_run(self.pc, recorded, RunEnd::Branch);
-                match next_pc {
-                    Some(t) => self.pc = t,
-                    None => self.ended = true,
-                }
-                return;
+                    None => {
+                        self.ended = true;
+                        pc + INSTR_BYTES
+                    }
+                };
             }
-            out.push(WpInst {
-                pc,
-                instr,
-                mem: None,
-                next_pc: pc + INSTR_BYTES,
-            });
             pc += INSTR_BYTES;
-            if recorded.len() >= RUN_CAP {
-                code_cache.memoize_run(self.pc, recorded, RunEnd::Cap);
-                self.pc = pc;
-                return;
+            if instrs.len() - start >= RUN_CAP {
+                code_cache.memoize_run(entry, &instrs[start..], RunEnd::Cap);
+                return pc;
             }
         }
     }
@@ -406,18 +496,39 @@ fn written_regs<'a>(instrs: impl Iterator<Item = &'a Instr>) -> RegSet {
     dirty
 }
 
+/// One side of a convergence search: the pcs of a path from the current
+/// scan position on.
+trait PcPath {
+    /// The pc `i` instructions on, or `None` past the path's end.
+    fn pc(&mut self, i: usize) -> Option<Addr>;
+
+    /// The first offset below `depth` holding `pc`, reading the path no
+    /// deeper than that offset.
+    fn find(&mut self, pc: Addr, depth: usize) -> Option<usize> {
+        (0..depth).map_while(|i| self.pc(i)).position(|p| p == pc)
+    }
+}
+
+/// A path read one pc at a time through a closure (the eager reference).
+struct Probe<F>(F);
+
+impl<F: FnMut(usize) -> Option<Addr>> PcPath for Probe<F> {
+    fn pc(&mut self, i: usize) -> Option<Addr> {
+        (self.0)(i)
+    }
+}
+
 /// Finds the next convergence point under the configured detection rule.
-/// `wp(j)` and `fut(k)` give the pc `j` (`k`) instructions past the
-/// current scan position of the wrong path (the future correct path), or
-/// `None` past its end; the result is the offsets `(j, k)` of the
+/// `wp` and `fut` are the wrong path and the future correct path from
+/// the current scan position; the result is the offsets `(j, k)` of the
 /// matching pair.
 fn detect_convergence(
-    mut wp: impl FnMut(usize) -> Option<Addr>,
-    mut fut: impl FnMut(usize) -> Option<Addr>,
+    wp: &mut impl PcPath,
+    fut: &mut impl PcPath,
     cfg: &ConvergenceConfig,
 ) -> Option<(usize, usize)> {
-    let wp_head = wp(0)?;
-    let fut_head = fut(0)?;
+    let wp_head = wp.pc(0)?;
+    let fut_head = fut.pc(0)?;
     // One-sided detection (§III-C.1): the convergence point is the first
     // instruction of one of the two paths — the shallowest of the future
     // reaching the wrong path's head (depth `a`, case A) and the wrong
@@ -428,9 +539,8 @@ fn detect_convergence(
     // convergent code (the common case — Table III distances are tens of
     // instructions against ROB-sized windows) both searches end after a
     // handful of comparisons.
-    let a = (0..).map_while(&mut fut).position(|pc| pc == wp_head);
-    let depth = a.unwrap_or(usize::MAX);
-    if let Some(j) = (0..depth).map_while(&mut wp).position(|pc| pc == fut_head) {
+    let a = fut.find(wp_head, usize::MAX);
+    if let Some(j) = wp.find(fut_head, a.unwrap_or(usize::MAX)) {
         return Some((j, 0));
     }
     if let Some(k) = a {
@@ -441,11 +551,11 @@ fn detect_convergence(
     }
     // Two-sided ablation: earliest matching pair by summed depth.
     let mut first_at = std::collections::HashMap::new();
-    for (k, pc) in (0..).map_while(&mut fut).enumerate() {
+    for (k, pc) in (0..).map_while(|k| fut.pc(k)).enumerate() {
         first_at.entry(pc).or_insert(k);
     }
     let mut best: Option<(usize, usize)> = None;
-    for (j, pc) in (0..).map_while(&mut wp).enumerate() {
+    for (j, pc) in (0..).map_while(|j| wp.pc(j)).enumerate() {
         if let Some(&k) = first_at.get(&pc) {
             if best.is_none_or(|(bj, bk)| j + k < bj + bk) {
                 best = Some((j, k));
@@ -469,10 +579,11 @@ enum Lockstep {
 /// Compares wrong-path instruction `w` with future correct-path
 /// instruction `f` at the same scan depth (the paper's Fig. 3). On a pc
 /// match, a memory operation whose sources are independent of
-/// non-converged code takes `f`'s address, and `dirty` follows the
-/// destination register.
+/// non-converged code takes `f`'s address into `mem`, and `dirty` follows
+/// the destination register.
 fn lockstep(
-    w: &mut WpInst,
+    w: WpView<'_>,
+    mem: &mut Option<MemAccess>,
     f: &FutureInst,
     dirty: &mut RegSet,
     cfg: &ConvergenceConfig,
@@ -483,16 +594,16 @@ fn lockstep(
         return Lockstep::PcMismatch;
     }
     stats.scan_length_sum += 1;
-    let ops = w.instr.operands();
-    let src_dirty = cfg.track_dirty_regs && ops.src_iter().any(|r| dirty.contains(r));
-    if w.instr.is_mem() {
+    let d = w.decoded;
+    let src_dirty = cfg.track_dirty_regs && d.srcs.intersects(*dirty);
+    if d.instr.is_mem() {
         if src_dirty {
             stats.skipped_dirty += 1;
         } else if let Some(m) = f.mem {
-            w.mem = Some(m);
+            *mem = Some(m);
         }
     }
-    if let Some(dst) = ops.dst {
+    if let Some(dst) = d.dst {
         if src_dirty {
             dirty.insert(dst);
         } else {
@@ -523,8 +634,8 @@ fn lockstep(
 /// wrong path), the scan re-detects convergence further down both paths;
 /// instructions skipped on either side dirty their destination registers.
 ///
-/// This is the eager form over whole buffers, and the reference the lazy
-/// [`ConvergenceStream`] is checked against.
+/// This is the eager form over whole buffers, probing one pc at a time,
+/// and the reference the lazy [`ConvergenceStream`] is checked against.
 pub fn recover_addresses(
     wp: &mut [WpInst],
     future: &[DynInst],
@@ -534,8 +645,8 @@ pub fn recover_addresses(
     stats.branch_misses_checked += 1;
 
     let (wj, fk) = detect_convergence(
-        |j| wp.get(j).map(|w| w.pc),
-        |k| future.get(k).map(|d| d.pc),
+        &mut Probe(|j: usize| wp.get(j).map(|w| w.pc)),
+        &mut Probe(|k: usize| future.get(k).map(|d| d.pc)),
         cfg,
     )?;
     let distance = wj + fk;
@@ -562,7 +673,13 @@ pub fn recover_addresses(
             let (Some(w), Some(f)) = (wp.get_mut(wi), future.get(fi)) else {
                 break false;
             };
-            match lockstep(w, &f.into(), &mut dirty, cfg, stats) {
+            let decoded = Decoded::from(w.instr);
+            let view = WpView {
+                pc: w.pc,
+                next_pc: w.next_pc,
+                decoded: &decoded,
+            };
+            match lockstep(view, &mut w.mem, &f.into(), &mut dirty, cfg, stats) {
                 Lockstep::PcMismatch => break true,
                 Lockstep::Matched => (wi, fi) = (wi + 1, fi + 1),
                 Lockstep::ControlDiverged => {
@@ -576,8 +693,8 @@ pub fn recover_addresses(
         }
         // Re-detect convergence past the divergence.
         match detect_convergence(
-            |j| wp.get(wi + j).map(|w| w.pc),
-            |k| future.get(fi + k).map(|d| d.pc),
+            &mut Probe(|j: usize| wp.get(wi + j).map(|w| w.pc)),
+            &mut Probe(|k: usize| future.get(fi + k).map(|d| d.pc)),
             cfg,
         ) {
             Some((dj, dk)) => {
@@ -624,7 +741,27 @@ pub struct FutureCache {
     /// Consecutive correct-path instructions by sequence number; those
     /// before `start` are already in the past.
     insts: Vec<FutureInst>,
+    /// The pcs of `insts`, contiguous so that a search is a slice scan.
+    pcs: Vec<Addr>,
     start: usize,
+}
+
+impl FutureCache {
+    fn clear(&mut self) {
+        self.insts.clear();
+        self.pcs.clear();
+        self.start = 0;
+    }
+
+    fn push(&mut self, d: &DynInst) {
+        self.insts.push(d.into());
+        self.pcs.push(d.pc);
+    }
+
+    /// Entries from `start` on.
+    fn kept(&self) -> usize {
+        self.insts.len() - self.start
+    }
 }
 
 /// The future correct-path window past a mispredicted branch (§III-C:
@@ -664,10 +801,10 @@ impl<'a> FutureWindow<'a> {
             .get(cache.start)
             .is_none_or(|f| f.seq != first_seq)
         {
-            cache.insts.clear();
-            cache.start = 0;
+            cache.clear();
         } else if cache.start >= cache.insts.len() / 2 {
             cache.insts.drain(..cache.start);
+            cache.pcs.drain(..cache.start);
             cache.start = 0;
         }
         FutureWindow {
@@ -679,28 +816,100 @@ impl<'a> FutureWindow<'a> {
         }
     }
 
+    /// Reads the next future instruction past the cache's end into the
+    /// cache; `false` when the stream has ended.
+    fn fill_next(&mut self) -> bool {
+        if self.exhausted {
+            return false;
+        }
+        let j = self.cache.kept();
+        let entry = match self.batch.get(j) {
+            Some(e) => Some(e),
+            None => self
+                .frontend
+                .as_mut()
+                .and_then(|f| f.peek(j - self.batch.len())),
+        };
+        match entry {
+            Some(e) => self.cache.push(&e.inst),
+            None => self.exhausted = true,
+        }
+        !self.exhausted
+    }
+
     /// The `i`th future correct-path instruction (0 = the architecturally
     /// next one), if the window reaches that deep.
     fn at(&mut self, i: usize) -> Option<&FutureInst> {
         if i >= self.cap {
             return None;
         }
-        let start = self.cache.start;
-        while self.cache.insts.len() - start <= i && !self.exhausted {
-            let j = self.cache.insts.len() - start;
-            let entry = match self.batch.get(j) {
-                Some(e) => Some(e),
-                None => self
-                    .frontend
-                    .as_mut()
-                    .and_then(|f| f.peek(j - self.batch.len())),
-            };
-            match entry {
-                Some(e) => self.cache.insts.push(FutureInst::from(&e.inst)),
-                None => self.exhausted = true,
+        while self.cache.kept() <= i && self.fill_next() {}
+        self.cache.insts.get(self.cache.start + i)
+    }
+
+    /// Future instructions `range`, which detection has already read.
+    fn read(&self, range: std::ops::Range<usize>) -> &[FutureInst] {
+        &self.cache.insts[self.cache.start..][range]
+    }
+
+    /// The first offset `k` at which future instruction `from + k` has pc
+    /// `pc`: a slice scan over the entries already read, then one read at
+    /// a time past them, so the window is read no deeper than the match.
+    fn find(&mut self, from: usize, pc: Addr) -> Option<usize> {
+        let mut i = from;
+        loop {
+            let filled = self.cache.kept().min(self.cap);
+            if i < filled {
+                let start = self.cache.start;
+                if let Some(n) = position(&self.cache.pcs[start + i..start + filled], pc) {
+                    return Some(i + n - from);
+                }
+                i = filled;
+            }
+            if i >= self.cap || !self.fill_next() {
+                return None;
             }
         }
-        self.cache.insts.get(start + i)
+    }
+}
+
+/// The first index of `pc` in `pcs`. Each block of pcs is compared
+/// without an exit per element, so the scan vectorizes.
+fn position(pcs: &[Addr], pc: Addr) -> Option<usize> {
+    const BLOCK: usize = 8;
+    let mut base = 0;
+    for block in pcs.chunks_exact(BLOCK) {
+        if block.iter().fold(false, |hit, &p| hit | (p == pc)) {
+            break;
+        }
+        base += BLOCK;
+    }
+    pcs[base..].iter().position(|&p| p == pc).map(|n| base + n)
+}
+
+/// The wrong path from walk instruction `.1` on, as a [`PcPath`].
+struct WalkFrom<'w, 'a>(&'w mut Walk<'a>, usize);
+
+impl PcPath for WalkFrom<'_, '_> {
+    fn pc(&mut self, i: usize) -> Option<Addr> {
+        self.0.pc(self.1 + i)
+    }
+
+    fn find(&mut self, pc: Addr, depth: usize) -> Option<usize> {
+        self.0.find(self.1, pc, depth)
+    }
+}
+
+/// The future from window entry `.1` on, as a [`PcPath`].
+struct WindowFrom<'w, 'a>(&'w mut FutureWindow<'a>, usize);
+
+impl PcPath for WindowFrom<'_, '_> {
+    fn pc(&mut self, i: usize) -> Option<Addr> {
+        self.0.at(self.1 + i).map(|f| f.pc)
+    }
+
+    fn find(&mut self, pc: Addr, depth: usize) -> Option<usize> {
+        self.0.find(self.1, pc).filter(|&k| k < depth)
     }
 }
 
@@ -790,11 +999,9 @@ impl<'a> ConvergenceStream<'a> {
 
     /// Detects the next convergence point past the lock-step position.
     fn detect(&mut self) -> Option<(usize, usize)> {
-        let (wi, fi) = (self.wi, self.fi);
-        let (walk, future) = (&mut self.walk, &mut self.future);
         detect_convergence(
-            |j| walk.pc(wi + j),
-            |k| future.at(fi + k).map(|f| f.pc),
+            &mut WalkFrom(&mut self.walk, self.wi),
+            &mut WindowFrom(&mut self.future, self.fi),
             &self.cfg,
         )
     }
@@ -805,12 +1012,13 @@ impl<'a> ConvergenceStream<'a> {
     fn converge_at(&mut self, dj: usize, dk: usize) {
         let (wi, fi) = (self.wi + dj, self.fi + dk);
         if self.cfg.track_dirty_regs {
-            let skipped = &self.walk.out[self.wi..wi];
-            self.dirty = self
-                .dirty
-                .union(written_regs(skipped.iter().map(|w| &w.instr)));
-            for i in self.fi..fi {
-                if let Some(dst) = self.future.at(i).and_then(|f| f.dst) {
+            for d in &self.walk.buf.instrs[self.wi..wi] {
+                if let Some(dst) = d.dst {
+                    self.dirty.insert(dst);
+                }
+            }
+            for f in self.future.read(self.fi..fi) {
+                if let Some(dst) = f.dst {
                     self.dirty.insert(dst);
                 }
             }
@@ -819,8 +1027,10 @@ impl<'a> ConvergenceStream<'a> {
     }
 
     /// Advances the matcher by one lock-step comparison or one
-    /// re-detection.
-    fn step(&mut self) {
+    /// re-detection. A comparison returns the address it recovered for
+    /// the wrong-path instruction it read, if any.
+    #[inline]
+    fn step(&mut self) -> Option<Option<MemAccess>> {
         if self.diverged {
             self.diverged = false;
             match self.detect() {
@@ -830,18 +1040,19 @@ impl<'a> ConvergenceStream<'a> {
                 }
                 None => self.done = true,
             }
-            return;
+            return None;
         }
         if !self.walk.reach(self.wi) {
             self.done = true;
-            return;
+            return None;
         }
         let Some(f) = self.future.at(self.fi) else {
             self.done = true;
-            return;
+            return None;
         };
-        let w = &mut self.walk.out[self.wi];
-        match lockstep(w, f, &mut self.dirty, &self.cfg, &mut self.stats) {
+        let mut mem = None;
+        let w = self.walk.view(self.wi);
+        match lockstep(w, &mut mem, f, &mut self.dirty, &self.cfg, &mut self.stats) {
             Lockstep::PcMismatch => self.diverged = true,
             Lockstep::Matched => (self.wi, self.fi) = (self.wi + 1, self.fi + 1),
             Lockstep::ControlDiverged => {
@@ -849,23 +1060,33 @@ impl<'a> ConvergenceStream<'a> {
                 self.diverged = true;
             }
         }
+        Some(mem)
     }
 }
 
 impl Iterator for ConvergenceStream<'_> {
     type Item = WpInst;
 
+    #[inline]
     fn next(&mut self) -> Option<WpInst> {
         let k = self.next;
         if !self.walk.reach(k) {
             return None;
         }
-        // Instruction `k` is final once matching has moved past it.
-        while !self.done && self.wi <= k {
-            self.step();
-        }
         self.next += 1;
-        Some(self.walk.out[k])
+        // Instruction `k` is final once matching has moved past it. The
+        // previous pull left matching at `k` or beyond, so every
+        // comparison made here reads `k`, and the last one decides its
+        // address.
+        let mut mem = None;
+        while !self.done && self.wi <= k {
+            if let Some(m) = self.step() {
+                mem = m;
+            }
+        }
+        let mut w = self.walk.view(k).inst();
+        w.mem = mem;
+        Some(w)
     }
 }
 
@@ -1001,7 +1222,9 @@ mod tests {
     #[test]
     fn detection_takes_the_shallower_case_and_case_a_on_ties() {
         let cfg = ConvergenceConfig::default();
-        let detect = |wp: &[Addr], fut: &[Addr]| detect_convergence(pcs(wp), pcs(fut), &cfg);
+        let detect = |wp: &[Addr], fut: &[Addr]| {
+            detect_convergence(&mut Probe(pcs(wp)), &mut Probe(pcs(fut)), &cfg)
+        };
         assert_eq!(detect(&[0xa, 0xb, 0xc], &[0xc, 0xd, 0xa]), Some((0, 2)));
         assert_eq!(detect(&[0xa, 0xc, 0xb], &[0xc, 0xd, 0xa]), Some((1, 0)));
         assert_eq!(detect(&[0xa, 0xb, 0xe, 0xc], &[0xc, 0xa]), Some((0, 1)));
@@ -1009,6 +1232,147 @@ mod tests {
         assert_eq!(detect(&[0xa, 0xb, 0xe, 0xc], &[0xc, 0xd]), Some((3, 0)));
         assert_eq!(detect(&[0xa, 0xb], &[0xc, 0xd]), None);
         assert_eq!(detect(&[], &[0xc]), None);
+    }
+
+    /// Future correct-path entries at `pcs`, numbered from 0.
+    fn entries(pcs: &[Addr]) -> Vec<StreamEntry> {
+        pcs.iter()
+            .enumerate()
+            .map(|(i, &pc)| StreamEntry {
+                inst: DynInst {
+                    seq: i as u64,
+                    ..dyn_at(pc, Instr::Nop, None)
+                },
+                wrong_path: None,
+            })
+            .collect()
+    }
+
+    /// The first convergence distance of a stream walking `cc` from
+    /// `start` against the future `pcs`, checked against the eager scan.
+    /// The stream runs twice: first from a cold future cache (and, for
+    /// an unwalked region, cold code-cache runs), then over the entries
+    /// and runs the first run left behind.
+    fn first_distance(
+        cc: &mut CodeCache,
+        start: Addr,
+        budget: usize,
+        pcs: &[Addr],
+        cap: usize,
+    ) -> Option<usize> {
+        let p = predictor();
+        let batch = entries(pcs);
+        let cfg = ConvergenceConfig::default();
+        let mut eager = reconstruct(&mut cc.clone(), &p, start, budget);
+        let window: Vec<DynInst> = batch.iter().take(cap).map(|e| e.inst).collect();
+        let mut stats = ConvergenceStats::default();
+        let expected = recover_addresses(&mut eager, &window, &cfg, &mut stats);
+        let (mut buf, mut cache) = (WalkBuf::default(), FutureCache::default());
+        for _ in 0..2 {
+            let walk = Walk::new(cc, &p, start, budget, &mut buf);
+            let future = FutureWindow::new(0, &batch, None, cap, &mut cache);
+            let stream = ConvergenceStream::new(walk, future, cfg);
+            assert_eq!(stream.convergence_distance(), expected);
+            assert!(cache.kept() <= cap, "read past the window");
+        }
+        expected
+    }
+
+    /// Straight-line code of `n` instructions at `base`.
+    fn straight_line(cc: &mut CodeCache, base: Addr, n: usize) {
+        for i in 0..n {
+            cc.insert(base + i as Addr * 4, alu((i % 8) as u8 + 1, 2, 3));
+        }
+    }
+
+    /// Case A at the window's edge: the wrong path's head found as the
+    /// window's last entry, and missed one entry past it.
+    #[test]
+    fn future_search_ends_at_the_window_cap() {
+        let mut cc = CodeCache::unbounded();
+        straight_line(&mut cc, 0x3000, 4);
+        let cap = 16;
+        let at = |i: usize| -> Vec<Addr> {
+            let mut pcs: Vec<Addr> = (0..=i as Addr).map(|k| 0x8000 + k * 4).collect();
+            pcs[i] = 0x3000;
+            pcs
+        };
+        assert_eq!(
+            first_distance(&mut cc, 0x3000, 4, &at(cap - 1), cap),
+            Some(cap - 1)
+        );
+        assert_eq!(first_distance(&mut cc, 0x3000, 4, &at(cap), cap), None);
+        // An entry a deeper window read and kept stays out of a shallower
+        // one.
+        let (p, batch) = (predictor(), entries(&at(cap)));
+        let (mut buf, mut cache) = (WalkBuf::default(), FutureCache::default());
+        for (window, expected) in [(cap + 1, Some(cap)), (cap, None)] {
+            let walk = Walk::new(&mut cc, &p, 0x3000, 4, &mut buf);
+            let future = FutureWindow::new(0, &batch, None, window, &mut cache);
+            let stream = ConvergenceStream::new(walk, future, ConvergenceConfig::default());
+            assert_eq!(stream.convergence_distance(), expected);
+        }
+    }
+
+    /// Case B at segment boundaries: the future's head is the branch that
+    /// ends one segment, or the target that starts the next.
+    #[test]
+    fn wrong_path_search_spans_segments() {
+        let mut cc = CodeCache::unbounded();
+        straight_line(&mut cc, 0x3000, 2);
+        cc.insert(
+            0x3008,
+            Instr::Jal {
+                rd: Reg::ZERO,
+                target: 0x5000,
+            },
+        );
+        straight_line(&mut cc, 0x5000, 4);
+        assert_eq!(first_distance(&mut cc, 0x3000, 16, &[0x3008], 8), Some(2));
+        assert_eq!(first_distance(&mut cc, 0x3000, 16, &[0x5000], 8), Some(3));
+        assert_eq!(first_distance(&mut cc, 0x3000, 16, &[0x300c], 8), None);
+    }
+
+    /// Case B across a run split at `RUN_CAP`: the future's head is the
+    /// last instruction before the split or the first after it.
+    #[test]
+    fn wrong_path_search_crosses_a_run_cap_split() {
+        let mut cc = CodeCache::unbounded();
+        straight_line(&mut cc, 0x3000, RUN_CAP + 8);
+        let pc = |i: usize| 0x3000 + i as Addr * 4;
+        for i in [RUN_CAP - 1, RUN_CAP] {
+            assert_eq!(
+                first_distance(&mut cc, 0x3000, 2 * RUN_CAP, &[pc(i)], 8),
+                Some(i)
+            );
+        }
+        // A search from the walk's end, where walking on grows the last
+        // segment instead of adding one.
+        let (p, mut buf) = (predictor(), WalkBuf::default());
+        let mut cold = CodeCache::unbounded();
+        straight_line(&mut cold, 0x3000, RUN_CAP + 8);
+        let mut walk = Walk::new(&mut cold, &p, 0x3000, 2 * RUN_CAP, &mut buf);
+        assert!(walk.reach(0));
+        assert_eq!(walk.len(), RUN_CAP);
+        assert_eq!(walk.find(RUN_CAP, pc(RUN_CAP + 3), 8), Some(3));
+    }
+
+    /// Case B at the walk budget: the future's head found as the last
+    /// instruction within the budget, and missed one past it.
+    #[test]
+    fn wrong_path_search_ends_at_the_budget() {
+        let mut cc = CodeCache::unbounded();
+        straight_line(&mut cc, 0x3000, 40);
+        let pc = |i: usize| 0x3000 + i as Addr * 4;
+        let budget = 16;
+        assert_eq!(
+            first_distance(&mut cc, 0x3000, budget, &[pc(budget - 1)], 8),
+            Some(budget - 1)
+        );
+        assert_eq!(
+            first_distance(&mut cc, 0x3000, budget, &[pc(budget)], 8),
+            None
+        );
     }
 
     /// Case A convergence: the correct path falls through W X and then

@@ -2,7 +2,9 @@
 //! techniques: timestamp ordering, window invariants, reconstruction
 //! chain integrity, recovery soundness, and simulator determinism.
 
-use ffsim_core::technique::wrongpath::{ConvergenceStream, FutureCache, FutureWindow, Walk};
+use ffsim_core::technique::wrongpath::{
+    ConvergenceStream, FutureCache, FutureWindow, Walk, WalkBuf,
+};
 use ffsim_core::{
     reconstruct, recover_addresses, CodeCache, ConvergenceConfig, ConvergenceStats, ObsConfig,
     Pipeline, SimConfig, Simulator, WpInst, WrongPathMode,
@@ -365,7 +367,9 @@ proptest! {
     /// `reconstruct` + `recover_addresses` element-wise, its detection
     /// counters equal the eager scan's, its lock-step counters never
     /// decrease as `k` grows, and a drained stream reproduces every eager
-    /// counter.
+    /// counter, code-cache hits and misses included. Later episodes on the
+    /// same future cache, starting further down the future, match the
+    /// eager scan over their own window.
     #[test]
     fn convergence_stream_is_the_eager_scan_cut_short(seed in any::<u64>()) {
         let ep = random_episode(seed);
@@ -374,18 +378,26 @@ proptest! {
             ConvergenceConfig { one_sided_only: false, track_dirty_regs: true },
             ConvergenceConfig { one_sided_only: true, track_dirty_regs: false },
         ];
-        for cfg in configs {
-            let mut eager = reconstruct(&mut ep.code_cache.clone(), &ep.predictor, ep.start, ep.budget);
+        // The eager scan over the future from entry `s` on, with the
+        // code-cache hits and misses its walk counted.
+        let eager_from = |s: usize, cfg: &ConvergenceConfig| {
+            let mut fresh = ep.code_cache.clone();
+            let mut wp = reconstruct(&mut fresh, &ep.predictor, ep.start, ep.budget);
+            let walked = (fresh.stats().hits, fresh.stats().misses);
             let window: Vec<DynInst> =
-                ep.future.iter().take(ep.cap).map(|e| e.inst).collect();
-            let mut eager_stats = ConvergenceStats::default();
-            let distance = recover_addresses(&mut eager, &window, &cfg, &mut eager_stats);
-
+                ep.future[s..].iter().take(ep.cap).map(|e| e.inst).collect();
+            let mut stats = ConvergenceStats::default();
+            let distance = recover_addresses(&mut wp, &window, cfg, &mut stats);
+            (wp, stats, distance, walked)
+        };
+        for cfg in configs {
+            let (eager, eager_stats, distance, eager_walked) = eager_from(0, &cfg);
             let mut code_cache = ep.code_cache.clone();
-            let (mut wp_buf, mut cache) = (Vec::new(), FutureCache::default());
+            let (mut walk_buf, mut cache) = (WalkBuf::default(), FutureCache::default());
             let mut last = ConvergenceStats::default();
             for k in 0..=eager.len() + 1 {
-                let walk = Walk::new(&mut code_cache, &ep.predictor, ep.start, ep.budget, &mut wp_buf);
+                let before = code_cache.stats();
+                let walk = Walk::new(&mut code_cache, &ep.predictor, ep.start, ep.budget, &mut walk_buf);
                 let future = FutureWindow::new(0, &ep.future, None, ep.cap, &mut cache);
                 let mut stream = ConvergenceStream::new(walk, future, cfg);
                 prop_assert_eq!(stream.convergence_distance(), distance);
@@ -403,7 +415,24 @@ proptest! {
                 if k >= eager.len() {
                     prop_assert_eq!(s, eager_stats, "drained at {}", k);
                 }
+                if k > eager.len() {
+                    // The last pull found the walk's end.
+                    let after = code_cache.stats();
+                    let walked = (after.hits - before.hits, after.misses - before.misses);
+                    prop_assert_eq!(walked, eager_walked, "code-cache counts, drained at {}", k);
+                }
                 last = s;
+            }
+            let n = ep.future.len();
+            for first in [1, 2, 3, n / 2, n].into_iter().filter(|&s| s <= n) {
+                let (eager, eager_stats, distance, _) = eager_from(first, &cfg);
+                let walk = Walk::new(&mut code_cache, &ep.predictor, ep.start, ep.budget, &mut walk_buf);
+                let future = FutureWindow::new(first as u64, &ep.future[first..], None, ep.cap, &mut cache);
+                let mut stream = ConvergenceStream::new(walk, future, cfg);
+                prop_assert_eq!(stream.convergence_distance(), distance, "from {}", first);
+                let drained: Vec<WpInst> = stream.by_ref().collect();
+                prop_assert_eq!(&drained, &eager, "from {}", first);
+                prop_assert_eq!(stream.stats(), eager_stats, "from {}", first);
             }
         }
     }
