@@ -9,13 +9,13 @@
 //!
 //! ```text
 //! campaign_smoke --manifest /tmp/m.json --report /tmp/report.txt \
-//!     [--workers N] [--shards N] [--cache-dir PATH]
+//!     [--workers N] [--cache-dir PATH]
 //! ```
 //!
-//! With `--shards N` the manifest splits into `N` crash-consistent shard
-//! files; with `--cache-dir` results are served from (and committed to) a
-//! content-addressed cache. Neither flag changes the report bytes on a
-//! clean run.
+//! With `--cache-dir` results are served from (and committed to) a
+//! content-addressed cache; the flag does not change the report bytes on
+//! a clean run. A damaged manifest is quarantined to a `.corrupt` sibling
+//! and reported in a banner appended after the report.
 
 use ffsim_core::WrongPathMode;
 use ffsim_driver::{report, Campaign, CampaignConfig, Job, WorkloadFn};
@@ -113,7 +113,6 @@ fn jobs() -> Vec<Job> {
 
 struct Args {
     workers: usize,
-    shards: Option<usize>,
     cache_dir: Option<PathBuf>,
     manifest: PathBuf,
     report: Option<PathBuf>,
@@ -121,7 +120,6 @@ struct Args {
 
 fn parse_args() -> Result<Args, String> {
     let mut workers = 0;
-    let mut shards = None;
     let mut cache_dir = None;
     let mut manifest = None;
     let mut report = None;
@@ -134,13 +132,6 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|e| format!("--workers: {e}"))?;
             }
-            "--shards" => {
-                shards = Some(
-                    value("--shards")?
-                        .parse()
-                        .map_err(|e| format!("--shards: {e}"))?,
-                );
-            }
             "--cache-dir" => cache_dir = Some(PathBuf::from(value("--cache-dir")?)),
             "--manifest" => manifest = Some(PathBuf::from(value("--manifest")?)),
             "--report" => report = Some(PathBuf::from(value("--report")?)),
@@ -149,7 +140,6 @@ fn parse_args() -> Result<Args, String> {
     }
     Ok(Args {
         workers,
-        shards,
         cache_dir,
         manifest: manifest.ok_or("--manifest is required")?,
         report,
@@ -163,7 +153,7 @@ fn main() -> ExitCode {
             eprintln!("campaign_smoke: {e}");
             eprintln!(
                 "usage: campaign_smoke --manifest PATH [--report PATH] \
-                 [--workers N] [--shards N] [--cache-dir PATH]"
+                 [--workers N] [--cache-dir PATH]"
             );
             return ExitCode::FAILURE;
         }
@@ -174,7 +164,6 @@ fn main() -> ExitCode {
         workers: args.workers,
         default_timeout: Some(Duration::from_secs(120)),
         manifest_path: Some(args.manifest),
-        shards: args.shards,
         cache_dir: args.cache_dir,
         ..CampaignConfig::default()
     });
@@ -215,7 +204,7 @@ fn main() -> ExitCode {
         eprint!("{cached}");
     }
     // Host-phase attribution for the driver's own work (cache verify,
-    // shard commits) — stderr only, like every wall-clock appendix.
+    // manifest commits) — stderr only, like every wall-clock appendix.
     if let Some((_, prof)) = ffsim_driver::hostobs::snapshot() {
         let profile = report::render_profile(&prof);
         if !profile.is_empty() {

@@ -4,12 +4,11 @@
 //! diff the report against an uninterrupted run.
 //!
 //! The report is byte-deterministic: independent of worker count,
-//! scheduling, preemption, kill timing, and how many times the queue was
-//! resumed. The committed copy lives at `results_queue_smoke.txt` and is
+//! scheduling, kill timing, and how many times the queue was resumed. The committed copy lives at `results_queue_smoke.txt` and is
 //! verified by `results_check`.
 //!
 //! ```text
-//! queue_smoke [--dir PATH] [--report PATH] [--workers N] [--shards N]
+//! queue_smoke [--dir PATH] [--report PATH] [--workers N]
 //!     [--cache-dir PATH] [--kill-after N] [--resume]
 //! ```
 //!
@@ -24,8 +23,7 @@
 
 use ffsim_core::{CancelToken, WrongPathMode};
 use ffsim_driver::{
-    report, CampaignSpec, Enqueued, Job, JobQueue, JobRecord, JobRunner, QueueConfig, RunContext,
-    WorkloadFn,
+    report, Enqueued, Job, JobQueue, JobRecord, JobRunner, QueueConfig, RunContext, WorkloadFn,
 };
 use ffsim_emu::{FaultPolicy, Memory};
 use ffsim_isa::{Asm, Program, Reg};
@@ -79,11 +77,10 @@ fn workload(program: fn() -> Result<Program, ffsim_core::SimError>) -> WorkloadF
     Arc::new(move || Ok((program()?, Memory::new())))
 }
 
-/// Two campaigns with different weights and priorities, so a drain
-/// exercises the deficit-round-robin scheduler and the priority order,
-/// not just FIFO. Eight jobs total, including one that degrades down the
-/// wrong-path ladder so the report shows a non-trivial final mode.
-fn campaigns() -> Vec<(CampaignSpec, Vec<Job>)> {
+/// Two campaigns sharing the one FIFO. Eight jobs total, including one
+/// that degrades down the wrong-path ladder so the report shows a
+/// non-trivial final mode.
+fn campaigns() -> Vec<(&'static str, Vec<Job>)> {
     let core = CoreConfig::tiny_for_tests();
     let baseline = WrongPathMode::ALL
         .into_iter()
@@ -103,15 +100,8 @@ fn campaigns() -> Vec<(CampaignSpec, Vec<Job>)> {
     ]
     .into_iter()
     .map(|mode| {
-        let job = Job::new(format!("countup-load/{mode}"), mode, workload(countup_load))
-            .with_core(core.clone());
-        // One job outranks its campaign siblings, so the scheduler's
-        // priority tier (not just DRR weight) is on the smoke path.
-        if mode == WrongPathMode::WrongPathEmulation {
-            job.with_priority(2)
-        } else {
-            job
-        }
+        Job::new(format!("countup-load/{mode}"), mode, workload(countup_load))
+            .with_core(core.clone())
     })
     .collect();
     // Divide-by-zero trapping under the abort policy faults the wrong
@@ -129,13 +119,7 @@ fn campaigns() -> Vec<(CampaignSpec, Vec<Job>)> {
             cfg.fault_policy = FaultPolicy::AbortRun;
         })),
     );
-    vec![
-        (CampaignSpec::new("baseline").with_weight(2), baseline),
-        (
-            CampaignSpec::new("sweep").with_weight(1).with_priority(1),
-            sweep,
-        ),
-    ]
+    vec![("baseline", baseline), ("sweep", sweep)]
 }
 
 /// Cancels the service stop token when the `N`-th execution starts and
@@ -159,7 +143,6 @@ impl JobRunner for KillAfter<'_> {
 struct Args {
     dir: Option<PathBuf>,
     workers: usize,
-    shards: Option<usize>,
     cache_dir: Option<PathBuf>,
     report: Option<PathBuf>,
     kill_after: Option<u64>,
@@ -170,7 +153,6 @@ fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         dir: None,
         workers: 0,
-        shards: None,
         cache_dir: None,
         report: None,
         kill_after: None,
@@ -185,13 +167,6 @@ fn parse_args() -> Result<Args, String> {
                 args.workers = value("--workers")?
                     .parse()
                     .map_err(|e| format!("--workers: {e}"))?;
-            }
-            "--shards" => {
-                args.shards = Some(
-                    value("--shards")?
-                        .parse()
-                        .map_err(|e| format!("--shards: {e}"))?,
-                );
             }
             "--cache-dir" => args.cache_dir = Some(PathBuf::from(value("--cache-dir")?)),
             "--report" => args.report = Some(PathBuf::from(value("--report")?)),
@@ -218,11 +193,11 @@ fn parse_args() -> Result<Args, String> {
 /// Registers both campaigns and enqueues every job; idempotent across
 /// resumes (already-durable jobs come back `AlreadyComplete`).
 fn fill(queue: &JobQueue) -> Result<(), String> {
-    for (spec, jobs) in campaigns() {
-        queue.register(&spec).map_err(|e| e.to_string())?;
+    for (campaign, jobs) in campaigns() {
+        queue.register(campaign);
         for job in jobs {
             let id = job.id.clone();
-            match queue.enqueue(&spec.id, job).map_err(|e| e.to_string())? {
+            match queue.enqueue(campaign, job).map_err(|e| e.to_string())? {
                 Enqueued::Accepted | Enqueued::AlreadyComplete => {}
                 Enqueued::Poisoned => {
                     return Err(format!(
@@ -242,7 +217,7 @@ fn main() -> ExitCode {
             eprintln!("queue_smoke: {e}");
             eprintln!(
                 "usage: queue_smoke [--dir PATH] [--report PATH] [--workers N] \
-                 [--shards N] [--cache-dir PATH] [--kill-after N] [--resume]"
+                 [--cache-dir PATH] [--kill-after N] [--resume]"
             );
             return ExitCode::FAILURE;
         }
@@ -271,7 +246,6 @@ fn main() -> ExitCode {
     let cache_enabled = args.cache_dir.is_some();
     let queue = match JobQueue::open(QueueConfig {
         workers: args.workers,
-        shards: args.shards,
         cache_dir: args.cache_dir,
         default_timeout: Some(Duration::from_secs(120)),
         // Small enough that CI kills interleave with compaction, so the
@@ -326,10 +300,7 @@ fn main() -> ExitCode {
         "queue_smoke: {} resumed, {} executed, {} re-leased, cancelled: {}",
         outcome.resumed, outcome.executed, outcome.re_leased, outcome.cancelled
     );
-    eprintln!(
-        "queue_smoke: {} preempted, {} lease expiries",
-        outcome.preempted, outcome.lease_expiries
-    );
+    eprintln!("queue_smoke: {} lease expiries", outcome.lease_expiries);
     if cache_enabled {
         eprintln!(
             "queue_smoke: cache: {} hits, {} misses",
@@ -345,7 +316,7 @@ fn main() -> ExitCode {
         eprint!("{timing}");
     }
     // Host-phase attribution for the queue's own machinery (journal
-    // appends, compactions, cache io, shard commits) plus the metric
+    // appends, compactions, cache io, manifest commits) plus the metric
     // counters behind it — stderr only, like every wall-clock appendix.
     if let Some((metrics, prof)) = ffsim_driver::hostobs::snapshot() {
         let profile = report::render_profile(&prof);

@@ -20,7 +20,7 @@
 //!
 //! Each entry is its own checksum-sealed file (the same
 //! [`seal`](crate::manifest::seal)/[`unseal`](crate::manifest::unseal)
-//! trailer as manifest shards), written atomically through the
+//! trailer as the manifest), written atomically through the
 //! [`ManifestIo`] seam. A corrupt entry is **evicted and recomputed,
 //! never trusted**: [`CacheStore::lookup`] deletes it and reports the
 //! eviction so the job falls through to a real simulation. Only records
@@ -181,7 +181,7 @@ impl CacheStore {
     /// [`ManifestError::Io`] for directory creation, write, or rename
     /// failures. Callers treat a failed cache write as a lost
     /// optimization, not a lost result: the record is still committed to
-    /// its manifest shard.
+    /// the manifest.
     pub fn store_with(
         &self,
         io: &mut dyn ManifestIo,

@@ -16,11 +16,10 @@
 //!   walk down the fidelity ladder (`wpemul → conv → instrec → nowp`),
 //!   recording every rung, instead of failing the campaign.
 //!
-//! Completed jobs are persisted after each finish — to a single JSON
-//! manifest, or (with [`CampaignConfig::shards`]) to one crash-consistent
-//! shard file per worker with its own lock, merged deterministically at
-//! report time — so a killed campaign resumes by re-running only the jobs
-//! without a record. With a [`CampaignConfig::cache_dir`], results are
+//! Completed jobs are persisted after each finish to a single
+//! checksum-sealed JSON manifest ([`ManifestStore`]), so a killed campaign
+//! resumes by re-running only the jobs without a record. With a
+//! [`CampaignConfig::cache_dir`], results are
 //! additionally committed to a content-addressed cache keyed by
 //! (workload digest, config digest): a later campaign that schedules the
 //! same point serves it from the cache without simulating.
@@ -29,9 +28,8 @@ use crate::cache::{self, CacheKey, CacheStore, Lookup};
 use crate::job::{
     ladder_next, AttemptOutcome, AttemptRecord, Job, JobRecord, JobStatus, JobSummary, JobTiming,
 };
-use crate::manifest::{ManifestIo, Quarantine, RealIo};
+use crate::manifest::{ManifestIo, ManifestStore, Quarantine, RealIo};
 use crate::retry::RetryPolicy;
-use crate::shard::{validate_worker_count, ManifestStore, ShardLayout};
 use crate::telemetry::{Heartbeat, QueueGauges, Telemetry, TelemetryConfig};
 use crate::watchdog::Watchdog;
 use ffsim_core::{CancelToken, SimConfig, SimError, Simulator};
@@ -42,7 +40,7 @@ use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// A cloneable, campaign-wide [`ManifestIo`]: every shard save and cache
+/// A cloneable, campaign-wide [`ManifestIo`]: every manifest save and cache
 /// write goes through it, so tests inject faults ([`FaultyIo`]
 /// (crate::FaultyIo), scripted failures) into a *running* campaign and
 /// prove no committed result is ever lost. Defaults to the real
@@ -79,11 +77,29 @@ impl Default for SharedIo {
     }
 }
 
+/// Upper bound on the worker count (`0` still means one per CPU).
+pub const MAX_WORKERS: usize = 4096;
+
+/// Validates a campaign or queue worker count at configuration time (`0`
+/// is the documented "one per CPU" default and stays valid).
+///
+/// # Errors
+///
+/// [`SimError::InvalidConfig`] for counts above [`MAX_WORKERS`].
+pub fn validate_worker_count(workers: usize) -> Result<(), SimError> {
+    if workers > MAX_WORKERS {
+        return Err(SimError::InvalidConfig(format!(
+            "worker count {workers} exceeds the maximum of {MAX_WORKERS}"
+        )));
+    }
+    Ok(())
+}
+
 /// Campaign-wide supervision settings.
 #[derive(Clone, Debug)]
 pub struct CampaignConfig {
     /// Worker threads (`0` = one per available CPU; at most
-    /// [`MAX_WORKERS`](crate::shard::MAX_WORKERS)).
+    /// [`MAX_WORKERS`]).
     pub workers: usize,
     /// Retry policy applied to every job that does not override it.
     pub retry: RetryPolicy,
@@ -92,14 +108,13 @@ pub struct CampaignConfig {
     pub default_timeout: Option<Duration>,
     /// Manifest location (`None` = in-memory campaign, no resume).
     pub manifest_path: Option<PathBuf>,
-    /// Manifest sharding: `None` keeps the legacy single file at
-    /// [`manifest_path`](CampaignConfig::manifest_path); `Some(n)` splits
-    /// it into `n` independently crash-consistent shard files (requires a
-    /// manifest path; `1..=MAX_SHARDS`, validated at run start).
-    pub shards: Option<usize>,
+    /// Always `None`: campaigns keep one manifest file. The field remains
+    /// only because the benchmark harness builds this struct with
+    /// `shards: None`; it goes away in the next change to the benchmark.
+    pub shards: Option<std::convert::Infallible>,
     /// Content-addressed result cache directory (`None` = no cache).
     pub cache_dir: Option<PathBuf>,
-    /// The filesystem seam used for every shard save and cache write.
+    /// The filesystem seam used for every manifest save and cache write.
     /// Production campaigns keep the default real filesystem; tests
     /// inject faults.
     pub io: SharedIo,
@@ -124,24 +139,13 @@ impl Default for CampaignConfig {
 }
 
 impl CampaignConfig {
-    /// Validates the worker and shard counts, and their interaction,
-    /// before any job runs.
+    /// Validates the worker count before any job runs.
     ///
     /// # Errors
     ///
-    /// [`SimError::InvalidConfig`] for a zero or absurd shard count, an
-    /// absurd worker count, or sharding without a manifest path.
+    /// [`SimError::InvalidConfig`] for an absurd worker count.
     pub fn validate(&self) -> Result<(), SimError> {
-        validate_worker_count(self.workers)?;
-        if let Some(shards) = self.shards {
-            crate::shard::validate_shard_count(shards)?;
-            if self.manifest_path.is_none() {
-                return Err(SimError::InvalidConfig(
-                    "manifest sharding requires a manifest path".into(),
-                ));
-            }
-        }
-        Ok(())
+        validate_worker_count(self.workers)
     }
 }
 
@@ -149,9 +153,8 @@ impl CampaignConfig {
 #[derive(Clone, Debug)]
 pub struct CampaignOutcome {
     /// Records for every job with a terminal status — freshly executed
-    /// ones plus any loaded from the manifest, merged deterministically
-    /// across shards (id-sorted, independent of worker count and
-    /// scheduling).
+    /// ones plus any loaded from the manifest (id-sorted, independent of
+    /// worker count and scheduling).
     pub records: BTreeMap<String, JobRecord>,
     /// Jobs skipped because the manifest already had their record.
     pub resumed: usize,
@@ -167,10 +170,9 @@ pub struct CampaignOutcome {
     /// Whether the campaign token fired; unfinished jobs stay absent from
     /// [`CampaignOutcome::records`] and re-run on resume.
     pub cancelled: bool,
-    /// One notice per manifest (or shard) that was damaged and
-    /// quarantined at startup; only the quarantined shard's jobs re-ran.
-    /// Empty on clean runs, so reports stay byte-identical when nothing
-    /// went wrong.
+    /// The notice for a manifest that was damaged and quarantined at
+    /// startup (its jobs re-ran). Empty on clean runs, so reports stay
+    /// byte-identical when nothing went wrong.
     pub quarantines: Vec<Quarantine>,
 }
 
@@ -207,7 +209,7 @@ impl Campaign {
     ///
     /// # Errors
     ///
-    /// An invalid worker/shard configuration, duplicate job ids, an
+    /// An invalid worker count, duplicate job ids, an
     /// unreadable manifest, or a manifest persist failure mid-campaign
     /// (the campaign stops at the first one — continuing would silently
     /// lose resume coverage).
@@ -220,14 +222,12 @@ impl Campaign {
             }
         }
 
-        let mut store = match (&self.cfg.manifest_path, self.cfg.shards) {
-            (None, _) => ManifestStore::in_memory(),
-            (Some(path), None) => ManifestStore::single(path.clone()),
-            (Some(path), Some(shards)) => ManifestStore::sharded(
-                ShardLayout::new(path.clone(), shards).map_err(|e| e.to_string())?,
-            ),
-        };
-        let quarantines = store.load().map_err(|e| e.to_string())?;
+        let mut store = ManifestStore::new(self.cfg.manifest_path.clone());
+        let quarantines: Vec<Quarantine> = store
+            .load()
+            .map_err(|e| e.to_string())?
+            .into_iter()
+            .collect();
         let cache = self.cfg.cache_dir.clone().map(CacheStore::new);
 
         let resumed = jobs.iter().filter(|j| store.contains(&j.id)).count();
@@ -331,9 +331,9 @@ impl Campaign {
                             telemetry.job_finished(&record);
                             held.fetch_sub(1, std::sync::atomic::Ordering::Relaxed);
                             refresh_gauges();
-                            // The store serializes committers per shard and
-                            // snapshots under that shard's lock, so an older
-                            // shard generation never overwrites a newer one.
+                            // The store serializes committers and snapshots
+                            // under its lock, so an older manifest
+                            // generation never overwrites a newer one.
                             let committed = self.cfg.io.with(|io| store.commit(io, record));
                             *lock(&executed) += 1;
                             if let Err(e) = committed {
@@ -361,7 +361,7 @@ impl Campaign {
             return Err(e);
         }
         Ok(CampaignOutcome {
-            records: store.merged(),
+            records: store.records(),
             resumed,
             executed: into_count(executed),
             cache_hits: into_count(cache_hits),
@@ -455,12 +455,12 @@ pub(crate) fn probe_cache(cache: Option<&CacheStore>, job: &Job, retry: &RetryPo
     }
 }
 
-/// Commits a deterministic result to the cache *before* the shard commit:
-/// once a record is durable in its shard, an identical campaign must find
-/// it in the cache (a crash between the two writes re-runs the job and
-/// re-caches it; the reverse order would leave committed-but-uncached jobs
-/// that silently miss). A failed cache write loses an optimization, never
-/// a result.
+/// Commits a deterministic result to the cache *before* the manifest
+/// commit: once a record is durable in the manifest, an identical campaign
+/// must find it in the cache (a crash between the two writes re-runs the
+/// job and re-caches it; the reverse order would leave
+/// committed-but-uncached jobs that silently miss). A failed cache write
+/// loses an optimization, never a result.
 pub(crate) fn store_cache(
     io: &SharedIo,
     cache: Option<&CacheStore>,
@@ -497,8 +497,8 @@ pub(crate) struct Executor<'a> {
 impl Executor<'_> {
     /// Runs one job's attempts (no cache involvement). Returns `None`
     /// when the stop token fired (job abandoned, re-run on resume) or
-    /// when `job_token` fired mid-attempt (queue preemption or lease
-    /// takeback: the job is re-enqueued by the caller, and the
+    /// when `job_token` fired mid-attempt (lease take-back: the job is
+    /// re-enqueued by the caller, and the
     /// interrupted attempt burns no retry budget).
     pub(crate) fn execute_job(
         &self,

@@ -1,14 +1,13 @@
 //! FNV-1a: the one stable hash every driver subsystem shares.
 //!
-//! Shard assignment (`fnv1a(job_id) % shards`), manifest/journal checksum
-//! trailers, cache content digests, and retry jitter all need the same
-//! thing: a dependency-free hash that is stable across platforms, Rust
-//! versions, and releases, because its outputs are persisted (shard file
-//! names, `#checksum` trailers, cache keys) or recorded (jittered backoff
-//! in manifests). This module is the single implementation; the known-
-//! answer test below pins the function to the published FNV-1a vectors so
-//! an accidental change breaks loudly instead of silently invalidating
-//! every on-disk artifact.
+//! Manifest/journal checksum trailers, cache content digests, the wire
+//! protocol's request ids, and retry jitter all need the same thing: a
+//! dependency-free hash that is stable across platforms, Rust versions,
+//! and releases, because its outputs are persisted (`#checksum` trailers,
+//! cache keys) or recorded (jittered backoff in manifests). This module
+//! is the single implementation; the known-answer test below pins the
+//! function to the published FNV-1a vectors so an accidental change
+//! breaks loudly instead of silently invalidating every on-disk artifact.
 //!
 //! This is a tripwire, not cryptography: it catches truncation, bit flips,
 //! and schema drift, and makes no adversarial claims.
@@ -70,8 +69,8 @@ mod tests {
     fn known_answer_vectors() {
         // Published FNV-1a 64-bit test vectors (Fowler/Noll/Vo reference
         // implementation). If any of these change, every persisted
-        // artifact — shard names, checksum trailers, cache keys, recorded
-        // backoffs — silently invalidates; this test makes it loud.
+        // artifact — checksum trailers, cache keys, recorded backoffs —
+        // silently invalidates; this test makes it loud.
         assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);

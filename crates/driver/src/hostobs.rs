@@ -2,7 +2,7 @@
 //!
 //! The simulator's [`PhaseProfiler`](ffsim_obs::PhaseProfiler) rides the
 //! per-run [`ObsReport`](ffsim_core) — but the driver's own work (journal
-//! appends, compactions, cache verification, shard commits) happens
+//! appends, compactions, cache verification, manifest commits) happens
 //! outside any single simulation. This module gives that work one global,
 //! lazily created sink:
 //!

@@ -48,12 +48,6 @@ pub struct Job {
     pub workload: WorkloadFn,
     /// Optional per-attempt configuration adjustment.
     pub tweak: Option<ConfigTweak>,
-    /// Scheduling priority used by the durable job queue (higher runs
-    /// first and may preempt running lower-priority jobs; `0` by
-    /// default). Plain campaigns ignore it, and it is deliberately not
-    /// part of the job record: priority shapes *when* a job runs, never
-    /// what it produces.
-    pub priority: i32,
 }
 
 impl fmt::Debug for Job {
@@ -65,7 +59,6 @@ impl fmt::Debug for Job {
             .field("timeout", &self.timeout)
             .field("max_attempts", &self.max_attempts)
             .field("degrade", &self.degrade)
-            .field("priority", &self.priority)
             .finish_non_exhaustive()
     }
 }
@@ -85,7 +78,6 @@ impl Job {
             degrade: true,
             workload,
             tweak: None,
-            priority: 0,
         }
     }
 
@@ -129,13 +121,6 @@ impl Job {
     #[must_use]
     pub fn with_tweak(mut self, tweak: ConfigTweak) -> Job {
         self.tweak = Some(tweak);
-        self
-    }
-
-    /// Sets the queue scheduling priority (higher runs first).
-    #[must_use]
-    pub fn with_priority(mut self, priority: i32) -> Job {
-        self.priority = priority;
         self
     }
 }

@@ -19,14 +19,15 @@
 //!   persistently fail under full wrong-path emulation retry under
 //!   progressively simpler techniques (`wpemul → conv → instrec → nowp`),
 //!   with every rung recorded,
-//! - an incrementally persisted JSON **manifest** for crash-safe resume —
-//!   optionally **sharded** into one crash-consistent file per worker
-//!   ([`ManifestStore`]), merged deterministically at report time, where
-//!   losing one shard quarantines and re-runs only that shard's jobs,
+//! - an incrementally persisted, checksum-sealed JSON **manifest**
+//!   ([`ManifestStore`]) for crash-safe resume: a damaged manifest is
+//!   quarantined and its jobs re-run,
 //! - a **content-addressed result cache** ([`CacheStore`]) keyed by
 //!   (workload digest, config digest): identical campaign points are
 //!   served from the cache without simulating, and corrupt entries are
 //!   evicted and recomputed, never served,
+//! - a durable multi-campaign **job queue** ([`JobQueue`]): a journal,
+//!   one FIFO of pending jobs, leases, and poison-job quarantine,
 //! - byte-**deterministic** reports and manifests, independent of worker
 //!   count and scheduling.
 //!
@@ -76,27 +77,24 @@ pub mod manifest;
 pub mod queue;
 pub mod report;
 mod retry;
-pub mod shard;
 mod telemetry;
 mod watchdog;
 
 pub use cache::{CacheKey, CacheStore, Lookup};
-pub use campaign::{Campaign, CampaignConfig, CampaignOutcome, SharedIo};
+pub use campaign::{
+    validate_worker_count, Campaign, CampaignConfig, CampaignOutcome, SharedIo, MAX_WORKERS,
+};
 pub use ffsim_core::{CancelCause, CancelToken};
 pub use ffsim_obs::json;
 pub use job::{
     ladder_next, mode_from_label, AttemptOutcome, AttemptRecord, ConfigTweak, Job, JobRecord,
     JobStatus, JobSummary, JobTiming, WorkloadFn,
 };
-pub use manifest::{FaultyIo, ManifestError, ManifestIo, Quarantine, RealIo};
+pub use manifest::{FaultyIo, ManifestError, ManifestIo, ManifestStore, Quarantine, RealIo};
 pub use queue::{
-    CampaignSpec, DefaultRunner, DrainOutcome, Enqueued, JobQueue, JobRunner, PoisonJob,
-    QueueConfig, QueueError, QueueStats, Recovery, RunContext, QUEUE_VERSION,
+    DefaultRunner, DrainOutcome, Enqueued, JobQueue, JobRunner, PoisonJob, QueueConfig, QueueError,
+    QueueStats, Recovery, RunContext, QUEUE_VERSION,
 };
 pub use retry::RetryPolicy;
-pub use shard::{
-    validate_shard_count, validate_worker_count, ManifestStore, ShardLayout, MAX_SHARDS,
-    MAX_WORKERS,
-};
 pub use telemetry::{Heartbeat, QueueGauges, Telemetry, TelemetryConfig};
 pub use watchdog::{WatchGuard, Watchdog};

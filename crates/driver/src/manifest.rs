@@ -23,13 +23,17 @@
 //! [`ManifestError::ChecksumMismatch`]; intact-but-bogus JSON as
 //! [`ManifestError::Malformed`]. [`load_or_quarantine`] turns any of
 //! those into a fresh start: the damaged file is renamed to
-//! `<name>.corrupt` (evidence preserved), the campaign re-runs from an
-//! empty manifest, and the [`Quarantine`] notice is reported instead of
-//! a panic or a silent loss.
+//! `<name>.corrupt` (evidence preserved; an earlier quarantine of the
+//! same file is never replaced, the next one goes to `<name>.corrupt.1`
+//! and so on), the campaign re-runs from an empty manifest, and the
+//! [`Quarantine`] notice is reported instead of a panic or a silent loss.
 //!
 //! Writes go through the [`ManifestIo`] seam so tests can inject short
 //! writes, failed renames, and out-of-space errors ([`FaultyIo`]) and
 //! prove the previous manifest generation survives each of them.
+//!
+//! [`ManifestStore`] is the one record store built on these primitives:
+//! the campaign runner and the job queue both commit through it.
 
 use crate::fnv::fnv1a;
 use crate::job::JobRecord;
@@ -37,6 +41,7 @@ use crate::json::{parse, Value};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Current manifest format version; bumped on incompatible layout changes.
 pub const MANIFEST_VERSION: i64 = 1;
@@ -88,7 +93,8 @@ impl std::error::Error for ManifestError {}
 pub struct Quarantine {
     /// The typed diagnosis of the damage.
     pub error: ManifestError,
-    /// Where the damaged file was moved (sibling `.corrupt` path).
+    /// Where the damaged file was moved (a sibling `<name>.corrupt`
+    /// path, numbered when an earlier quarantine already holds it).
     pub quarantined_to: PathBuf,
 }
 
@@ -106,8 +112,8 @@ impl fmt::Display for Quarantine {
 /// Appends the checksum trailer to a serialized document body. The body
 /// must end with a newline (every serializer here emits one); [`unseal`]
 /// verifies and strips the trailer again. This is the crash-consistency
-/// primitive shared by the campaign manifest, its shards, and the result
-/// cache: any file that does not round-trip through `seal`/`unseal` is
+/// primitive shared by the campaign manifest, the queue journal and
+/// snapshot, and the result cache: any file that does not round-trip through `seal`/`unseal` is
 /// treated as damaged, never trusted.
 #[must_use]
 pub fn seal(body: &str) -> String {
@@ -251,7 +257,7 @@ impl ManifestError {
 /// Loads a manifest, quarantining a damaged file instead of failing.
 ///
 /// A corrupt manifest (truncated, checksum mismatch, malformed) is
-/// renamed to a sibling `<name>.corrupt` file and the campaign starts
+/// moved aside by [`quarantine_file`] and the campaign starts
 /// from an empty manifest, with the diagnosis returned as a
 /// [`Quarantine`] notice for the report.
 ///
@@ -271,10 +277,15 @@ pub fn load_or_quarantine(
     }
 }
 
-/// Moves a damaged file to its sibling `<name>.corrupt` path, preserving
-/// the evidence, and returns the [`Quarantine`] notice. Shared by the
-/// campaign manifest, its shards, and the queue journal/snapshot — every
-/// durable artifact quarantines the same way.
+/// Moves a damaged file to a sibling quarantine path, preserving the
+/// evidence, and returns the [`Quarantine`] notice. Shared by the
+/// campaign manifest and the queue journal/snapshot — every durable
+/// artifact quarantines the same way.
+///
+/// The quarantine path keeps the whole file name, so `queue.journal` and
+/// `queue.snapshot` never share one: `<name>.corrupt`, or
+/// `<name>.corrupt.<n>` with the first free `n` when earlier evidence
+/// already sits there. Existing evidence is never replaced.
 ///
 /// # Errors
 ///
@@ -284,7 +295,16 @@ pub(crate) fn quarantine_file(
     path: &Path,
     error: ManifestError,
 ) -> Result<Quarantine, ManifestError> {
-    let quarantined_to = path.with_extension("corrupt");
+    let name = path
+        .file_name()
+        .map_or_else(|| "manifest".into(), |n| n.to_string_lossy().into_owned());
+    let quarantined_to = (0u64..)
+        .map(|n| match n {
+            0 => path.with_file_name(format!("{name}.corrupt")),
+            n => path.with_file_name(format!("{name}.corrupt.{n}")),
+        })
+        .find(|candidate| !candidate.exists())
+        .expect("an unbounded sequence of names has a free one");
     std::fs::rename(path, &quarantined_to).map_err(|e| {
         ManifestError::Io(format!(
             "quarantining {} to {}: {e}",
@@ -467,6 +487,90 @@ pub fn save(path: &Path, records: &BTreeMap<String, JobRecord>) -> Result<(), Ma
     save_with(&mut RealIo, path, records)
 }
 
+/// The record store behind campaigns and the job queue: the committed
+/// records in memory, backed by one sealed manifest file (or by nothing,
+/// for campaigns without a manifest).
+#[derive(Debug)]
+pub struct ManifestStore {
+    path: Option<PathBuf>,
+    records: Mutex<BTreeMap<String, JobRecord>>,
+}
+
+impl ManifestStore {
+    /// A store over the manifest at `path`, or an in-memory store that
+    /// never touches disk when `path` is `None`. Call
+    /// [`ManifestStore::load`] to read what an earlier run committed.
+    #[must_use]
+    pub fn new(path: Option<PathBuf>) -> ManifestStore {
+        ManifestStore {
+            path,
+            records: Mutex::new(BTreeMap::new()),
+        }
+    }
+
+    /// Loads the manifest from disk through [`load_or_quarantine`]: a
+    /// missing file is empty, a damaged one is quarantined and reported.
+    ///
+    /// # Errors
+    ///
+    /// Filesystem-level failures only (unreadable file, failed
+    /// quarantine rename); damaged *contents* degrade instead of
+    /// failing.
+    pub fn load(&mut self) -> Result<Option<Quarantine>, ManifestError> {
+        let Some(path) = &self.path else {
+            return Ok(None);
+        };
+        let (records, quarantine) = load_or_quarantine(path)?;
+        *lock(&self.records) = records;
+        Ok(quarantine)
+    }
+
+    /// Whether a record for `job_id` is already committed.
+    #[must_use]
+    pub fn contains(&self, job_id: &str) -> bool {
+        lock(&self.records).contains_key(job_id)
+    }
+
+    /// Commits one record: inserts it and atomically rewrites the
+    /// manifest through `io`, under the store's lock, so an older
+    /// generation never overwrites a newer one.
+    ///
+    /// # Errors
+    ///
+    /// [`ManifestError::Io`] from the save; the in-memory insert is
+    /// rolled back so a failed commit leaves memory and disk agreed.
+    pub fn commit(&self, io: &mut dyn ManifestIo, record: JobRecord) -> Result<(), ManifestError> {
+        crate::hostobs::inc("manifest_commits_total");
+        crate::hostobs::scope(ffsim_obs::Phase::ManifestIo, || {
+            let id = record.id.clone();
+            let mut records = lock(&self.records);
+            let previous = records.insert(id.clone(), record);
+            if let Some(path) = &self.path {
+                if let Err(e) = save_with(io, path, &records) {
+                    // Roll back: the record is not durable, so a resumed
+                    // campaign must re-run it; memory must agree.
+                    match previous {
+                        Some(old) => records.insert(id, old),
+                        None => records.remove(&id),
+                    };
+                    return Err(e);
+                }
+            }
+            Ok(())
+        })
+    }
+
+    /// Every committed record, id-sorted.
+    #[must_use]
+    pub fn records(&self) -> BTreeMap<String, JobRecord> {
+        lock(&self.records).clone()
+    }
+}
+
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -506,6 +610,7 @@ mod tests {
 
     fn temp_dir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("ffsim-driver-manifest-{name}"));
+        std::fs::remove_dir_all(&dir).ok();
         std::fs::create_dir_all(&dir).unwrap();
         dir
     }
@@ -602,11 +707,25 @@ mod tests {
         assert!(records.is_empty());
         let notice = notice.expect("corruption must be reported");
         assert!(matches!(notice.error, ManifestError::Truncated(_)));
-        assert!(notice.quarantined_to.ends_with("manifest.corrupt"));
+        assert!(notice.quarantined_to.ends_with("manifest.json.corrupt"));
         assert!(!path.exists(), "damaged file must be moved away");
         assert!(notice.quarantined_to.exists(), "evidence must be preserved");
         // A subsequent load starts clean — the campaign can resume.
         assert!(load(&path).unwrap().is_empty());
+
+        // A second quarantine of the same file keeps the first evidence.
+        std::fs::write(&path, "damaged again").unwrap();
+        let (_, second) = load_or_quarantine(&path).unwrap();
+        let second = second.expect("corruption must be reported");
+        assert!(second.quarantined_to.ends_with("manifest.json.corrupt.1"));
+        assert_eq!(
+            std::fs::read_to_string(&notice.quarantined_to).unwrap(),
+            "not a manifest at all"
+        );
+        assert_eq!(
+            std::fs::read_to_string(&second.quarantined_to).unwrap(),
+            "damaged again"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -653,6 +772,49 @@ mod tests {
         // And once the faults clear, the save goes through.
         save(&path, &bigger).unwrap();
         assert_eq!(load(&path).unwrap().len(), 2);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn failed_store_commit_rolls_back_and_previous_generation_survives() {
+        let dir = temp_dir("store-faulty-commit");
+        let path = dir.join("manifest.json");
+        let store = ManifestStore::new(Some(path.clone()));
+        store.commit(&mut RealIo, record("a")).unwrap();
+        store.commit(&mut RealIo, record("b")).unwrap();
+
+        let faults = [
+            FaultyIo {
+                short_write: Some(9),
+                ..FaultyIo::default()
+            },
+            FaultyIo {
+                enospc: true,
+                ..FaultyIo::default()
+            },
+            FaultyIo {
+                fail_rename: true,
+                ..FaultyIo::default()
+            },
+        ];
+        for mut io in faults {
+            let err = store
+                .commit(&mut io, record("late"))
+                .expect_err("fault must surface");
+            assert!(matches!(err, ManifestError::Io(_)), "{err:?}");
+            // Memory rolled back: the record is not durable.
+            assert!(!store.contains("late"), "{io:?}: phantom commit");
+            // And the file on disk still loads its previous generation.
+            let mut reloaded = ManifestStore::new(Some(path.clone()));
+            assert!(reloaded.load().unwrap().is_none(), "{io:?} tore the file");
+            assert!(reloaded.contains("a") && reloaded.contains("b"));
+            assert!(!reloaded.contains("late"));
+        }
+        // Once the fault clears, the commit goes through and resumes.
+        store.commit(&mut RealIo, record("late")).unwrap();
+        let mut reloaded = ManifestStore::new(Some(path));
+        assert!(reloaded.load().unwrap().is_none());
+        assert_eq!(to_text(&reloaded.records()), to_text(&store.records()));
         std::fs::remove_dir_all(&dir).ok();
     }
 }

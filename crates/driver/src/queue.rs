@@ -1,18 +1,17 @@
-//! The durable campaign job queue: journaled ingest, lease-based
-//! ownership, weighted fair scheduling, preemption, and poison-job
-//! quarantine.
+//! The durable campaign job queue: journaled ingest, one FIFO of pending
+//! jobs, lease-based ownership, and poison-job quarantine.
 //!
-//! PR 6 made the *storage* side of campaigns crash-consistent (sharded
-//! manifests, content-addressed cache). This module is the matching
-//! *ingest* side: a long-running service enqueues jobs from several
-//! campaigns into one on-disk queue that survives kill -9 the same way
-//! the shards do, and a worker pool drains it.
+//! The campaign manifest and the content-addressed cache make the
+//! *storage* side of campaigns crash-consistent. This module is the
+//! matching *ingest* side: a long-running service enqueues jobs from
+//! several campaigns into one on-disk queue that survives kill -9 the same
+//! way the manifest does, and a worker pool drains it.
 //!
 //! # The journal
 //!
 //! Every queue state transition appends one typed record to
-//! `<dir>/queue.journal`: `Enqueued`, `Leased`, `Committed`, `Failed`,
-//! `Preempted`, or `Quarantined`. Each record is an individually sealed
+//! `<dir>/queue.journal`: `Enqueued`, `Leased`, `Committed`, `Failed`, or
+//! `Quarantined`. Each record is an individually sealed
 //! document — JSON body plus the same FNV-1a `#checksum` trailer line the
 //! manifests use ([`manifest::seal`]) — so replay can verify records
 //! one at a time. Startup replay folds the journal over the last
@@ -22,10 +21,12 @@
 //!   crash) is dropped and the journal truncated back to the last sealed
 //!   record — never an error;
 //! - damage **before** the tail is real corruption: the whole journal is
-//!   quarantined to `queue.corrupt` (evidence preserved) and the state
-//!   restarts from the snapshot — committed work is still safe, because
-//!   result records live in the manifest shards, and jobs whose terminal
-//!   record was lost simply re-run;
+//!   quarantined to `queue.journal.corrupt` (evidence preserved; a damaged
+//!   snapshot goes to `queue.snapshot.corrupt`, and no quarantine ever
+//!   replaces earlier evidence) and the state restarts from the snapshot —
+//!   committed work is still safe, because result records live in
+//!   `results.json`, and jobs whose terminal record was lost simply
+//!   re-run;
 //! - every [`QueueConfig::compact_every`] records the state is compacted
 //!   into a sealed `queue.snapshot` (atomic temp + rename) and the
 //!   journal truncated. Records carry the snapshot *generation* so a
@@ -47,17 +48,12 @@
 //!
 //! # Scheduling
 //!
-//! Campaigns are registered with a weight and a base priority; each job
-//! adds its own priority offset. Strictly higher effective priority runs
-//! first — and an enqueue that outranks every idle slot *preempts* the
-//! lowest-priority running job via its token: the victim is re-enqueued
-//! at the front of its FIFO, is never failed, and burns no retry
-//! attempt. Within a priority level, campaigns share the workers by
-//! deficit round-robin over per-campaign FIFOs, with deterministic
-//! tie-breaks (campaign id, then enqueue order). Scheduling shapes only
+//! Pending jobs wait in one FIFO in enqueue order, whatever campaign they
+//! belong to; a job taken back from its lease goes back to the front, so
+//! it re-runs before anything enqueued after it. Scheduling shapes only
 //! *latency*: the merged report is byte-identical for an identical
-//! enqueue sequence whatever the preemption, crash, and resume
-//! interleaving, because records are content-deterministic and id-sorted.
+//! enqueue sequence whatever the crash and resume interleaving, because
+//! records are content-deterministic and id-sorted.
 //!
 //! # Backpressure
 //!
@@ -66,19 +62,18 @@
 //! [`QueueError::Saturated`] instead of growing without bound.
 
 use crate::cache::{self, CacheStore};
-use crate::campaign::{self, Executor, Probe, SharedIo};
+use crate::campaign::{self, validate_worker_count, Executor, Probe, SharedIo};
 use crate::hostobs;
 use crate::job::{AttemptOutcome, Job, JobRecord, JobStatus};
 use crate::json::{parse, Value};
-use crate::manifest::{self, ManifestError, Quarantine};
+use crate::manifest::{self, ManifestError, ManifestStore, Quarantine};
 use crate::retry::RetryPolicy;
-use crate::shard::{validate_worker_count, ManifestStore, ShardLayout};
 use crate::telemetry::{Heartbeat, QueueGauges, Telemetry, TelemetryConfig};
 use crate::watchdog::Watchdog;
 use ffsim_core::{CancelToken, SimError};
 use ffsim_obs::hist::Log2Hist;
 use ffsim_obs::Phase;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -87,7 +82,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Queue journal/snapshot format version; bumped on incompatible changes.
-pub const QUEUE_VERSION: i64 = 1;
+pub const QUEUE_VERSION: i64 = 2;
 
 /// Journal file name inside the queue directory.
 const JOURNAL_FILE: &str = "queue.journal";
@@ -151,7 +146,7 @@ impl From<ManifestError> for QueueError {
 /// Durable queue settings.
 #[derive(Clone, Debug)]
 pub struct QueueConfig {
-    /// The queue directory: journal, snapshot, result shards, and
+    /// The queue directory: journal, snapshot, result manifest, and
     /// quarantined evidence all live here.
     pub dir: PathBuf,
     /// Maximum live (pending + leased) jobs before
@@ -174,12 +169,10 @@ pub struct QueueConfig {
     pub retry: RetryPolicy,
     /// Per-attempt deadline for jobs without their own.
     pub default_timeout: Option<Duration>,
-    /// Result manifest sharding (`None` = single `results.json`).
-    pub shards: Option<usize>,
     /// Content-addressed result cache directory (`None` = no cache).
     pub cache_dir: Option<PathBuf>,
-    /// The filesystem seam for journal appends, snapshot installs, shard
-    /// saves, and cache writes.
+    /// The filesystem seam for journal appends, snapshot installs,
+    /// manifest saves, and cache writes.
     pub io: SharedIo,
     /// Heartbeat telemetry (includes queue gauges when enabled).
     pub telemetry: TelemetryConfig,
@@ -199,7 +192,6 @@ impl QueueConfig {
             workers: 0,
             retry: RetryPolicy::default(),
             default_timeout: Some(Duration::from_secs(300)),
-            shards: None,
             cache_dir: None,
             io: SharedIo::default(),
             telemetry: TelemetryConfig::from_env(),
@@ -217,53 +209,7 @@ impl QueueConfig {
         if self.compact_every == 0 {
             return invalid("compact_every must be at least 1".into());
         }
-        validate_worker_count(self.workers)
-            .map_err(|e| QueueError::InvalidConfig(e.to_string()))?;
-        if let Some(shards) = self.shards {
-            crate::shard::validate_shard_count(shards)
-                .map_err(|e| QueueError::InvalidConfig(e.to_string()))?;
-        }
-        Ok(())
-    }
-}
-
-/// A campaign registered with the queue: its share of the workers and the
-/// base priority of its jobs.
-#[derive(Clone, Debug)]
-pub struct CampaignSpec {
-    /// Campaign id; enqueued job ids are conventionally prefixed with it.
-    pub id: String,
-    /// Deficit-round-robin weight against sibling campaigns at the same
-    /// priority (must be ≥ 1).
-    pub weight: u32,
-    /// Base priority added to each job's own
-    /// [`priority`](Job::priority); higher runs first.
-    pub priority: i32,
-}
-
-impl CampaignSpec {
-    /// A campaign with weight 1 and base priority 0.
-    #[must_use]
-    pub fn new(id: impl Into<String>) -> CampaignSpec {
-        CampaignSpec {
-            id: id.into(),
-            weight: 1,
-            priority: 0,
-        }
-    }
-
-    /// Sets the fair-share weight.
-    #[must_use]
-    pub fn with_weight(mut self, weight: u32) -> CampaignSpec {
-        self.weight = weight;
-        self
-    }
-
-    /// Sets the base priority.
-    #[must_use]
-    pub fn with_priority(mut self, priority: i32) -> CampaignSpec {
-        self.priority = priority;
-        self
+        validate_worker_count(self.workers).map_err(|e| QueueError::InvalidConfig(e.to_string()))
     }
 }
 
@@ -298,7 +244,7 @@ pub struct PoisonJob {
 #[derive(Clone, Debug, Default)]
 pub struct Recovery {
     /// Quarantine notices for damaged files (journal, snapshot, result
-    /// shards). Empty on clean startups.
+    /// manifest). Empty on clean startups.
     pub quarantines: Vec<Quarantine>,
     /// Jobs whose dangling lease (worker died mid-job) was reclaimed and
     /// re-enqueued with their budget intact.
@@ -325,9 +271,6 @@ pub struct DrainOutcome {
     pub cache_hits: usize,
     /// Jobs that probed the cache and missed.
     pub cache_misses: usize,
-    /// Running jobs preempted by a higher-priority enqueue (re-enqueued,
-    /// never failed).
-    pub preempted: usize,
     /// Leases taken back after expiring (commit-wins races excluded).
     pub lease_expiries: usize,
     /// Dangling leases reclaimed at startup (see [`Recovery`]).
@@ -447,7 +390,6 @@ impl State {
 struct Entry {
     state: State,
     campaign: String,
-    priority: i32,
     /// Consecutive identical lease-level failures (reset when the error
     /// changes).
     failures: u32,
@@ -457,11 +399,10 @@ struct Entry {
 }
 
 impl Entry {
-    fn new(campaign: String, priority: i32) -> Entry {
+    fn new(campaign: String) -> Entry {
         Entry {
             state: State::Pending,
             campaign,
-            priority,
             failures: 0,
             error: None,
             payload: None,
@@ -483,46 +424,32 @@ impl Entry {
 }
 
 #[derive(Debug)]
-struct CampaignState {
-    weight: u32,
-    priority: i32,
-    deficit: u32,
-    /// Per-priority FIFOs of pending job ids.
-    fifos: BTreeMap<i32, VecDeque<String>>,
-}
-
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Takeback {
-    Preempted,
-    Expired,
-}
-
-#[derive(Debug)]
 struct Running {
     token: CancelToken,
     campaign: String,
-    priority: i32,
     leased_at: Instant,
     deadline: Instant,
-    takeback: Option<Takeback>,
+    /// Whether the lease passed its deadline and its token was fired.
+    expired: bool,
 }
 
 #[derive(Debug, Default)]
 struct Stats {
     resumed: usize,
     executed: usize,
-    preempted: usize,
     lease_expiries: usize,
     re_leased: usize,
 }
 
 #[derive(Debug)]
 struct Inner {
-    campaigns: BTreeMap<String, CampaignState>,
+    /// Registered campaign ids.
+    campaigns: BTreeSet<String>,
     jobs: BTreeMap<String, Entry>,
+    /// Pending job ids in enqueue order; taken-back jobs re-enter at the
+    /// front.
+    pending: VecDeque<String>,
     running: BTreeMap<String, Running>,
-    /// The campaign the deficit-round-robin scan starts from.
-    rr_cursor: Option<String>,
     /// Snapshot generation; journal records stamped with an older
     /// generation are already folded into the snapshot and skipped.
     gen: u64,
@@ -530,7 +457,6 @@ struct Inner {
     /// Live (pending-with-payload + leased) jobs, for capacity checks.
     live: usize,
     drain_active: bool,
-    idle_workers: usize,
     stats: Stats,
     waits: BTreeMap<String, Log2Hist>,
     /// Per-campaign lease-to-commit run times (milliseconds), the basis
@@ -589,7 +515,7 @@ impl JobQueue {
 
         // 1. The snapshot: the folded base state. A damaged snapshot is
         // quarantined and replay proceeds from empty — terminal results
-        // still live in the manifest shards, so nothing durable is lost.
+        // still live in the result manifest, so nothing durable is lost.
         let (gen, mut jobs) = match manifest::read_sealed(&snapshot_path) {
             Ok(Some(body)) => match parse_snapshot(&body) {
                 Ok(state) => state,
@@ -679,27 +605,19 @@ impl JobQueue {
         recovery.re_leased = re_leased;
 
         // 4. The durable results and the cache.
-        let results = cfg.dir.join(RESULTS_FILE);
-        let mut store = match cfg.shards {
-            None => ManifestStore::single(results),
-            Some(n) => ManifestStore::sharded(
-                ShardLayout::new(results, n)
-                    .map_err(|e| QueueError::InvalidConfig(e.to_string()))?,
-            ),
-        };
+        let mut store = ManifestStore::new(Some(cfg.dir.join(RESULTS_FILE)));
         recovery.quarantines.extend(store.load()?);
         let cache = cfg.cache_dir.clone().map(CacheStore::new);
 
         let inner = Inner {
-            campaigns: BTreeMap::new(),
+            campaigns: BTreeSet::new(),
             jobs,
+            pending: VecDeque::new(),
             running: BTreeMap::new(),
-            rr_cursor: None,
             gen,
             records_since_compact: 0,
             live: 0,
             drain_active: false,
-            idle_workers: 0,
             stats: Stats {
                 re_leased,
                 ..Stats::default()
@@ -747,38 +665,10 @@ impl JobQueue {
         Arc::clone(&self.gauges)
     }
 
-    /// Registers (or re-registers) a campaign. Re-registration updates
-    /// the weight and base priority and keeps any queued jobs.
-    ///
-    /// # Errors
-    ///
-    /// [`QueueError::InvalidConfig`] for a zero weight.
-    pub fn register(&self, spec: &CampaignSpec) -> Result<(), QueueError> {
-        if spec.weight == 0 {
-            return Err(QueueError::InvalidConfig(format!(
-                "campaign `{}` weight must be at least 1",
-                spec.id
-            )));
-        }
-        let mut inner = self.lock();
-        match inner.campaigns.get_mut(&spec.id) {
-            Some(state) => {
-                state.weight = spec.weight;
-                state.priority = spec.priority;
-            }
-            None => {
-                inner.campaigns.insert(
-                    spec.id.clone(),
-                    CampaignState {
-                        weight: spec.weight,
-                        priority: spec.priority,
-                        deficit: 0,
-                        fifos: BTreeMap::new(),
-                    },
-                );
-            }
-        }
-        Ok(())
+    /// Registers a campaign id so jobs can be enqueued under it.
+    /// Registering an id again is a no-op that keeps any queued jobs.
+    pub fn register(&self, campaign: &str) {
+        self.lock().campaigns.insert(campaign.to_string());
     }
 
     /// Enqueues `job` under `campaign`.
@@ -787,8 +677,7 @@ impl JobQueue {
     /// ([`Enqueued::AlreadyComplete`]); quarantined poison jobs stay
     /// quarantined ([`Enqueued::Poisoned`]). Jobs recovered from the
     /// journal in a non-terminal state re-attach their payload and keep
-    /// their failure budget. A higher-priority enqueue may preempt a
-    /// running lower-priority job.
+    /// their failure budget. Accepted jobs join the back of the FIFO.
     ///
     /// # Errors
     ///
@@ -797,10 +686,9 @@ impl JobQueue {
     pub fn enqueue(&self, campaign: &str, job: Job) -> Result<Enqueued, QueueError> {
         let mut guard = self.lock();
         let inner = &mut *guard;
-        let Some(spec) = inner.campaigns.get(campaign) else {
+        if !inner.campaigns.contains(campaign) {
             return Err(QueueError::UnknownCampaign(campaign.to_string()));
-        };
-        let priority = spec.priority.saturating_add(job.priority);
+        }
         let id = job.id.clone();
 
         let existing = inner.jobs.get(&id).map(|e| (e.state, e.payload.is_some()));
@@ -812,7 +700,7 @@ impl JobQueue {
                     return Ok(Enqueued::AlreadyComplete);
                 }
                 // Terminal in the journal but the durable record is
-                // gone (e.g. a quarantined shard): deliberate re-run.
+                // gone (e.g. a quarantined manifest): deliberate re-run.
                 true
             }
             Some((State::Pending | State::Leased, has_payload)) => {
@@ -828,7 +716,7 @@ impl JobQueue {
                     // Durable from a prior life whose journal was
                     // compacted or quarantined away; repair the journal.
                     self.append_record(inner, committed_record_body(&id))?;
-                    let mut entry = Entry::new(campaign.to_string(), priority);
+                    let mut entry = Entry::new(campaign.to_string());
                     entry.state = State::Committed;
                     inner.jobs.insert(id, entry);
                     inner.stats.resumed += 1;
@@ -847,13 +735,13 @@ impl JobQueue {
         }
 
         if needs_record {
-            self.append_record(inner, enqueued_record_body(&id, campaign, priority))?;
+            self.append_record(inner, enqueued_record_body(&id, campaign))?;
         }
         let now = Instant::now();
         let entry = inner
             .jobs
             .entry(id.clone())
-            .or_insert_with(|| Entry::new(campaign.to_string(), priority));
+            .or_insert_with(|| Entry::new(campaign.to_string()));
         if entry.state.is_terminal() {
             // Deliberate re-run of a job whose durable record was lost.
             entry.failures = 0;
@@ -861,20 +749,11 @@ impl JobQueue {
         }
         entry.state = State::Pending;
         entry.campaign = campaign.to_string();
-        entry.priority = priority;
         entry.payload = Some(job);
         entry.enqueued_at = Some(now);
         inner.live += 1;
-        inner
-            .campaigns
-            .get_mut(campaign)
-            .expect("campaign checked above")
-            .fifos
-            .entry(priority)
-            .or_default()
-            .push_back(id);
+        inner.pending.push_back(id);
         self.maybe_compact(inner);
-        self.maybe_preempt(inner, priority);
         self.refresh_gauges(inner, now);
         self.work.notify_all();
         Ok(Enqueued::Accepted)
@@ -958,7 +837,7 @@ impl JobQueue {
     /// deterministic campaign report.
     #[must_use]
     pub fn merged_records(&self) -> BTreeMap<String, JobRecord> {
-        self.store.merged()
+        self.store.records()
     }
 
     /// Aggregate queue state.
@@ -1004,7 +883,7 @@ impl JobQueue {
     ///
     /// # Errors
     ///
-    /// The first journal/shard persist failure (the drain stops rather
+    /// The first journal/manifest persist failure (the drain stops rather
     /// than silently losing resume coverage), or
     /// [`QueueError::InvalidConfig`] for a concurrent drain.
     pub fn drain_with(&self, runner: &dyn JobRunner) -> Result<DrainOutcome, QueueError> {
@@ -1051,13 +930,12 @@ impl JobQueue {
             return Err(error.into());
         }
         Ok(DrainOutcome {
-            records: self.store.merged(),
+            records: self.store.records(),
             poison: poison_of(&inner.jobs),
             resumed: inner.stats.resumed,
             executed: inner.stats.executed,
             cache_hits: self.cache_hits.load(Ordering::Relaxed),
             cache_misses: self.cache_misses.load(Ordering::Relaxed),
-            preempted: inner.stats.preempted,
             lease_expiries: inner.stats.lease_expiries,
             re_leased: inner.stats.re_leased,
             cancelled: self.cancel.is_cancelled(),
@@ -1144,97 +1022,25 @@ impl JobQueue {
                 self.work.notify_all();
                 return None;
             }
-            inner.idle_workers += 1;
             let (guard, _) = self
                 .work
                 .wait_timeout(inner, Duration::from_millis(5))
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
             inner = guard;
-            inner.idle_workers -= 1;
         }
     }
 
-    /// Picks the next job under the scheduling policy and leases it.
-    ///
-    /// Strict priority first: only the highest effective priority with a
-    /// runnable job anywhere is eligible. Within it, deficit round-robin
-    /// across campaigns: a campaign spends one deficit unit per job and
-    /// refills by its weight when empty, so throughput over time is
-    /// proportional to weights. Ties break by campaign id (BTreeMap
-    /// order), then enqueue order (FIFO) — fully deterministic for a
-    /// given pick sequence.
+    /// Leases the job at the head of the FIFO. Ids of jobs that left the
+    /// pending state while queued are dropped on the way.
     fn pick_locked(&self, inner: &mut Inner) -> Option<(String, Job, CancelToken)> {
-        // Drop stale FIFO heads (committed elsewhere, re-prioritized)
-        // and find the top runnable priority.
-        let mut top: Option<i32> = None;
-        let campaign_ids: Vec<String> = inner.campaigns.keys().cloned().collect();
-        for cid in &campaign_ids {
-            let state = inner.campaigns.get_mut(cid).expect("iterating known ids");
-            let mut empty_prios = Vec::new();
-            for (&prio, fifo) in state.fifos.iter_mut().rev() {
-                while let Some(head) = fifo.front() {
-                    let runnable = inner.jobs.get(head).is_some_and(|e| {
-                        e.state == State::Pending && e.payload.is_some() && e.priority == prio
-                    });
-                    if runnable {
-                        break;
-                    }
-                    fifo.pop_front();
-                }
-                if fifo.is_empty() {
-                    empty_prios.push(prio);
-                } else {
-                    top = Some(top.map_or(prio, |t: i32| t.max(prio)));
-                    break; // highest non-empty priority of this campaign
-                }
+        while let Some(id) = inner.pending.pop_front() {
+            let runnable = inner
+                .jobs
+                .get(&id)
+                .is_some_and(|e| e.state == State::Pending && e.payload.is_some());
+            if runnable {
+                return self.lease_locked(inner, &id);
             }
-            for prio in empty_prios {
-                state.fifos.remove(&prio);
-            }
-        }
-        let top = top?;
-
-        let cands: Vec<String> = campaign_ids
-            .iter()
-            .filter(|cid| {
-                inner.campaigns[cid.as_str()]
-                    .fifos
-                    .get(&top)
-                    .is_some_and(|f| !f.is_empty())
-            })
-            .cloned()
-            .collect();
-        debug_assert!(!cands.is_empty());
-        let start = match &inner.rr_cursor {
-            Some(cursor) => cands.iter().position(|c| c >= cursor).unwrap_or(0),
-            None => 0,
-        };
-        // Deficit round-robin: visiting a drained campaign grants its
-        // quantum and moves on; at most two passes always serve someone.
-        for k in 0..=(2 * cands.len()) {
-            let cid = &cands[(start + k) % cands.len()];
-            let state = inner.campaigns.get_mut(cid).expect("candidate exists");
-            if state.deficit == 0 {
-                state.deficit = state.weight;
-                hostobs::inc("queue_drr_rounds_total");
-                continue;
-            }
-            state.deficit -= 1;
-            let fifo = state.fifos.get_mut(&top).expect("candidate has jobs");
-            let id = fifo.pop_front().expect("candidate fifo non-empty");
-            if fifo.is_empty() {
-                state.fifos.remove(&top);
-                state.deficit = 0;
-            }
-            inner.rr_cursor = if state.deficit > 0 {
-                Some(cid.clone())
-            } else {
-                cands
-                    .get((start + k + 1) % cands.len())
-                    .cloned()
-                    .or_else(|| Some(cid.clone()))
-            };
-            return self.lease_locked(inner, &id);
         }
         None
     }
@@ -1255,7 +1061,6 @@ impl JobQueue {
         entry.state = State::Leased;
         let job = entry.payload.clone().expect("leasing requires a payload");
         let campaign = entry.campaign.clone();
-        let priority = entry.priority;
         hostobs::inc("queue_leases_total");
         if let Some(enqueued_at) = entry.enqueued_at {
             let wait_ms =
@@ -1273,10 +1078,9 @@ impl JobQueue {
             Running {
                 token: token.clone(),
                 campaign,
-                priority,
                 leased_at: now,
                 deadline: now + lease,
-                takeback: None,
+                expired: false,
             },
         );
         self.maybe_compact(inner);
@@ -1288,36 +1092,14 @@ impl JobQueue {
     fn reap_locked(&self, inner: &mut Inner, now: Instant) -> usize {
         let mut reaped = 0;
         for running in inner.running.values_mut() {
-            if running.takeback.is_none() && now >= running.deadline {
-                running.takeback = Some(Takeback::Expired);
+            if !running.expired && now >= running.deadline {
+                running.expired = true;
                 running.token.cancel();
                 reaped += 1;
             }
         }
         inner.stats.lease_expiries += reaped;
         reaped
-    }
-
-    /// Preempts the lowest-priority running job strictly below
-    /// `priority`, when no worker is idle to pick the new job up.
-    fn maybe_preempt(&self, inner: &mut Inner, priority: i32) {
-        if !inner.drain_active || inner.idle_workers > 0 {
-            return;
-        }
-        let victim = inner
-            .running
-            .iter()
-            .filter(|(_, r)| r.takeback.is_none() && r.priority < priority)
-            .min_by(|(ida, a), (idb, b)| {
-                (a.priority, &a.campaign, *ida).cmp(&(b.priority, &b.campaign, *idb))
-            })
-            .map(|(id, _)| id.clone());
-        if let Some(id) = victim {
-            let running = inner.running.get_mut(&id).expect("victim is running");
-            running.takeback = Some(Takeback::Preempted);
-            running.token.cancel();
-            inner.stats.preempted += 1;
-        }
     }
 
     /// Commits a terminal record: durable result first (cache write
@@ -1329,7 +1111,7 @@ impl JobQueue {
         let committed = self.cfg.io.with(|io| self.store.commit(io, record.clone()));
         let mut inner = self.lock();
         if let Some(running) = inner.running.remove(id) {
-            if running.takeback == Some(Takeback::Expired) {
+            if running.expired {
                 // The commit-wins race: the lease expired but the record
                 // arrived first. The take-back never took effect, so it
                 // is not counted as an expiry.
@@ -1390,43 +1172,25 @@ impl JobQueue {
         true
     }
 
-    /// Resolves a job whose runner returned `None`: preempted, lease
-    /// expired, or service stop.
+    /// Resolves a job whose runner returned `None`: lease expired or
+    /// service stop.
     fn finish_takeback(&self, id: &str) {
         let mut inner = self.lock();
         let Some(running) = inner.running.remove(id) else {
             return;
         };
-        match running.takeback {
-            Some(Takeback::Preempted) => {
-                // Never failed, never a burned attempt: straight back to
-                // the front of its FIFO.
-                if self
-                    .append_record(&mut inner, preempted_record_body(id))
-                    .is_err()
-                {
-                    self.cancel.cancel();
-                }
-                self.requeue_front(&mut inner, id);
-                self.maybe_compact(&mut inner);
-            }
-            Some(Takeback::Expired) => {
-                self.charge_failure(&mut inner, id, "lease expired");
-            }
-            None => {
-                if self.cancel.is_cancelled() {
-                    // Service stop: leave the journaled lease dangling —
-                    // the next open reclaims it exactly like a crash.
-                    // In-memory the job goes back to pending so a
-                    // fresh drain in this process could still run it.
-                    self.requeue_front(&mut inner, id);
-                } else {
-                    // A runner returned None with no take-back: treat as
-                    // a lease failure so a buggy runner cannot livelock
-                    // the queue.
-                    self.charge_failure(&mut inner, id, "runner returned no record");
-                }
-            }
+        if running.expired {
+            self.charge_failure(&mut inner, id, "lease expired");
+        } else if self.cancel.is_cancelled() {
+            // Service stop: leave the journaled lease dangling — the next
+            // open reclaims it exactly like a crash. In-memory the job
+            // goes back to pending so a fresh drain in this process could
+            // still run it.
+            self.requeue_front(&mut inner, id);
+        } else {
+            // A runner returned None with no take-back: treat as a lease
+            // failure so a buggy runner cannot livelock the queue.
+            self.charge_failure(&mut inner, id, "runner returned no record");
         }
         self.refresh_gauges(&mut inner, Instant::now());
         self.work.notify_all();
@@ -1472,20 +1236,12 @@ impl JobQueue {
         }
     }
 
-    /// Puts a taken-back job at the front of its campaign FIFO (it was
-    /// the oldest: FIFO order is preserved across take-backs).
+    /// Puts a taken-back job at the front of the FIFO (it was the
+    /// oldest: FIFO order is preserved across take-backs).
     fn requeue_front(&self, inner: &mut Inner, id: &str) {
         let entry = inner.jobs.get_mut(id).expect("requeueing a known job");
         entry.state = State::Pending;
-        let campaign = entry.campaign.clone();
-        let priority = entry.priority;
-        if let Some(state) = inner.campaigns.get_mut(&campaign) {
-            state
-                .fifos
-                .entry(priority)
-                .or_default()
-                .push_front(id.to_string());
-        }
+        inner.pending.push_front(id.to_string());
     }
 
     /// Appends one sealed record to the journal. Compaction is NOT
@@ -1567,15 +1323,12 @@ impl JobQueue {
             .values()
             .map(|r| now.saturating_duration_since(r.leased_at))
             .max();
-        // The oldest pending job per campaign sits at its FIFO head.
+        // The oldest pending job sits at the FIFO head.
         let longest_wait = inner
-            .campaigns
-            .values()
-            .flat_map(|c| c.fifos.values())
-            .filter_map(|fifo| fifo.front())
-            .filter_map(|id| inner.jobs.get(id).and_then(|e| e.enqueued_at))
-            .map(|at| now.saturating_duration_since(at))
-            .max();
+            .pending
+            .front()
+            .and_then(|id| inner.jobs.get(id).and_then(|e| e.enqueued_at))
+            .map(|at| now.saturating_duration_since(at));
         self.gauges.set(depth, leased, oldest_lease, longest_wait);
         hostobs::set_gauge("queue_depth", i64::try_from(depth).unwrap_or(i64::MAX));
         hostobs::set_gauge("queue_leased", i64::try_from(leased).unwrap_or(i64::MAX));
@@ -1599,7 +1352,6 @@ struct Record {
     kind: Kind,
     job: String,
     campaign: String,
-    priority: i32,
     failures: u32,
     error: Option<String>,
 }
@@ -1610,7 +1362,6 @@ enum Kind {
     Leased,
     Committed,
     Failed,
-    Preempted,
     Quarantined,
 }
 
@@ -1621,7 +1372,6 @@ impl Kind {
             "leased" => Kind::Leased,
             "committed" => Kind::Committed,
             "failed" => Kind::Failed,
-            "preempted" => Kind::Preempted,
             "quarantined" => Kind::Quarantined,
             _ => return None,
         })
@@ -1634,12 +1384,11 @@ fn sealed_record(gen: u64, fields: Vec<(String, Value)>) -> String {
     manifest::seal(&Value::Obj(obj).to_json())
 }
 
-fn enqueued_record_body(id: &str, campaign: &str, priority: i32) -> Vec<(String, Value)> {
+fn enqueued_record_body(id: &str, campaign: &str) -> Vec<(String, Value)> {
     vec![
         ("record".into(), Value::Str("enqueued".into())),
         ("job".into(), Value::Str(id.into())),
         ("campaign".into(), Value::Str(campaign.into())),
-        ("priority".into(), Value::Int(i64::from(priority))),
     ]
 }
 
@@ -1662,13 +1411,6 @@ fn failed_record_body(id: &str, error: &str) -> Vec<(String, Value)> {
         ("record".into(), Value::Str("failed".into())),
         ("job".into(), Value::Str(id.into())),
         ("error".into(), Value::Str(error.into())),
-    ]
-}
-
-fn preempted_record_body(id: &str) -> Vec<(String, Value)> {
-    vec![
-        ("record".into(), Value::Str("preempted".into())),
-        ("job".into(), Value::Str(id.into())),
     ]
 }
 
@@ -1752,11 +1494,6 @@ fn decode_record(chunk: &str) -> Result<Record, ManifestError> {
             .and_then(Value::as_str)
             .unwrap_or("")
             .to_string(),
-        priority: doc
-            .get("priority")
-            .and_then(Value::as_int)
-            .and_then(|p| i32::try_from(p).ok())
-            .unwrap_or(0),
         failures: doc
             .get("failures")
             .and_then(Value::as_int)
@@ -1776,9 +1513,8 @@ fn apply(jobs: &mut BTreeMap<String, Entry>, record: Record) {
         Kind::Enqueued => {
             let entry = jobs
                 .entry(record.job)
-                .or_insert_with(|| Entry::new(record.campaign.clone(), record.priority));
+                .or_insert_with(|| Entry::new(record.campaign.clone()));
             entry.campaign = record.campaign;
-            entry.priority = record.priority;
             if entry.state.is_terminal() {
                 // An enqueue after a terminal state is always a
                 // deliberate re-run (the live path only appends it when
@@ -1799,24 +1535,17 @@ fn apply(jobs: &mut BTreeMap<String, Entry>, record: Record) {
                 }
             }
         }
-        Kind::Preempted => {
-            if let Some(entry) = jobs.get_mut(&record.job) {
-                if entry.state == State::Leased {
-                    entry.state = State::Pending;
-                }
-            }
-        }
         Kind::Committed => {
             let entry = jobs
                 .entry(record.job)
-                .or_insert_with(|| Entry::new(record.campaign.clone(), record.priority));
+                .or_insert_with(|| Entry::new(record.campaign.clone()));
             entry.state = State::Committed;
             entry.payload = None;
         }
         Kind::Failed => {
             let entry = jobs
                 .entry(record.job)
-                .or_insert_with(|| Entry::new(record.campaign.clone(), record.priority));
+                .or_insert_with(|| Entry::new(record.campaign.clone()));
             if entry.state != State::Committed {
                 entry.state = State::Failed;
                 entry.error = record.error;
@@ -1826,7 +1555,7 @@ fn apply(jobs: &mut BTreeMap<String, Entry>, record: Record) {
         Kind::Quarantined => {
             let entry = jobs
                 .entry(record.job)
-                .or_insert_with(|| Entry::new(record.campaign.clone(), record.priority));
+                .or_insert_with(|| Entry::new(record.campaign.clone()));
             if entry.state != State::Committed {
                 entry.state = State::Quarantined;
                 entry.failures = record.failures;
@@ -1849,7 +1578,6 @@ fn snapshot_body(gen: u64, jobs: &BTreeMap<String, Entry>) -> String {
                         Value::Obj(vec![
                             ("job".into(), Value::Str(id.clone())),
                             ("campaign".into(), Value::Str(entry.campaign.clone())),
-                            ("priority".into(), Value::Int(i64::from(entry.priority))),
                             ("state".into(), Value::Str(entry.state.label().into())),
                             ("failures".into(), Value::Int(i64::from(entry.failures))),
                             (
@@ -1900,10 +1628,6 @@ fn parse_snapshot(body: &str) -> Result<(u64, BTreeMap<String, Entry>), Manifest
                 .and_then(Value::as_str)
                 .unwrap_or("")
                 .to_string(),
-            item.get("priority")
-                .and_then(Value::as_int)
-                .and_then(|p| i32::try_from(p).ok())
-                .unwrap_or(0),
         );
         entry.state = state;
         entry.failures = item
@@ -1951,7 +1675,7 @@ mod tests {
     use super::*;
 
     fn entry(campaign: &str, state: State) -> Entry {
-        let mut e = Entry::new(campaign.into(), 0);
+        let mut e = Entry::new(campaign.into());
         e.state = state;
         e
     }
@@ -1960,7 +1684,7 @@ mod tests {
     fn journal_records_round_trip() {
         let text = format!(
             "{}{}{}",
-            sealed_record(0, enqueued_record_body("a/x", "a", 3)),
+            sealed_record(0, enqueued_record_body("a/x", "a")),
             sealed_record(0, leased_record_body("a/x")),
             sealed_record(1, committed_record_body("a/x")),
         );
@@ -1970,7 +1694,6 @@ mod tests {
         assert_eq!(valid_len, text.len());
         assert_eq!(records[0].kind, Kind::Enqueued);
         assert_eq!(records[0].campaign, "a");
-        assert_eq!(records[0].priority, 3);
         assert_eq!(records[2].gen, 1);
     }
 
@@ -1978,10 +1701,10 @@ mod tests {
     fn torn_tail_at_every_byte_offset_is_dropped_not_an_error() {
         let full = format!(
             "{}{}",
-            sealed_record(0, enqueued_record_body("a/x", "a", 0)),
+            sealed_record(0, enqueued_record_body("a/x", "a")),
             sealed_record(0, leased_record_body("a/x")),
         );
-        let first_len = sealed_record(0, enqueued_record_body("a/x", "a", 0)).len();
+        let first_len = sealed_record(0, enqueued_record_body("a/x", "a")).len();
         for cut in 0..full.len() {
             let (records, valid_len, torn) =
                 parse_journal(&full[..cut]).expect("a torn tail must never be an error");
@@ -2001,7 +1724,7 @@ mod tests {
     fn mid_journal_damage_is_corruption() {
         let full = format!(
             "{}{}",
-            sealed_record(0, enqueued_record_body("a/x", "a", 0)),
+            sealed_record(0, enqueued_record_body("a/x", "a")),
             sealed_record(0, leased_record_body("a/x")),
         );
         // Flip a byte inside the *first* record's body.
@@ -2037,16 +1760,6 @@ mod tests {
     }
 
     #[test]
-    fn preemption_replay_restores_pending_without_a_failure_charge() {
-        let mut jobs = BTreeMap::new();
-        apply(&mut jobs, rec(Kind::Enqueued, "j"));
-        apply(&mut jobs, rec(Kind::Leased, "j"));
-        apply(&mut jobs, rec(Kind::Preempted, "j"));
-        assert_eq!(jobs["j"].state, State::Pending);
-        assert_eq!(jobs["j"].failures, 0);
-    }
-
-    #[test]
     fn snapshot_round_trips() {
         let mut jobs = BTreeMap::new();
         jobs.insert("a/x".to_string(), entry("a", State::Committed));
@@ -2069,7 +1782,6 @@ mod tests {
             kind,
             job: job.to_string(),
             campaign: "c".to_string(),
-            priority: 0,
             failures: 3,
             error: Some("x".into()),
         }

@@ -13,9 +13,9 @@ use ffsim_obs::{Phase, PhaseProfiler};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// Renders the manifest-quarantine banner: one line per damaged manifest
-/// or shard. Empty (so clean runs stay byte-identical to their golden
-/// copies) when nothing was quarantined.
+/// Renders the manifest-quarantine banner: one line per damaged file.
+/// Empty (so clean runs stay byte-identical to their golden copies) when
+/// nothing was quarantined.
 #[must_use]
 pub fn render_quarantines(quarantines: &[Quarantine]) -> String {
     if quarantines.is_empty() {

@@ -18,7 +18,7 @@ struct Entry {
     token: CancelToken,
     deadline: Option<Instant>,
     /// An additional cancellation source scoped to this attempt: the
-    /// queue's per-job preemption/lease token. When it fires, the
+    /// queue's per-job lease token. When it fires, the
     /// attempt's token is cancelled just like a campaign-wide stop.
     parent: Option<CancelToken>,
 }
@@ -106,7 +106,7 @@ impl Watchdog {
     }
 
     /// [`Watchdog::guard`] with an extra per-job `parent` token: when the
-    /// parent fires (queue preemption, lease takeback), the attempt's
+    /// parent fires (lease take-back), the attempt's
     /// token is cancelled just as promptly as for a campaign-wide stop.
     #[must_use]
     pub fn guard_linked(

@@ -1,14 +1,13 @@
-//! End-to-end tests for sharded crash-consistent campaigns and the
-//! content-addressed result cache: interrupted campaigns resume to
-//! byte-identical reports, a corrupt or missing shard costs only that
-//! shard's jobs, injected persistence faults never lose a committed
-//! result, and identical campaign re-runs are served entirely from the
-//! cache.
+//! End-to-end tests for crash-consistent campaigns over one manifest
+//! file and the content-addressed result cache: interrupted campaigns
+//! resume to byte-identical reports, injected persistence faults never
+//! lose a committed result, and identical campaign re-runs are served
+//! entirely from the cache.
 
 use ffsim_core::{SimError, WrongPathMode};
 use ffsim_driver::{
-    manifest::ManifestIo, report, Campaign, CampaignConfig, Job, RetryPolicy, ShardLayout,
-    SharedIo, WorkloadFn, MAX_SHARDS, MAX_WORKERS,
+    manifest::ManifestIo, report, Campaign, CampaignConfig, Job, RetryPolicy, SharedIo, WorkloadFn,
+    MAX_WORKERS,
 };
 use ffsim_emu::Memory;
 use ffsim_isa::{Asm, Program, Reg};
@@ -21,8 +20,6 @@ use std::time::Duration;
 /// Long enough that a mid-campaign cancel lands while jobs are in flight,
 /// short enough for fast tests.
 const TRIPS: i64 = 2_000;
-
-const SHARDS: usize = 4;
 
 fn countdown(trips: i64) -> Result<Program, ffsim_core::SimError> {
     let i = Reg::new(1);
@@ -39,8 +36,7 @@ fn workload(trips: i64) -> WorkloadFn {
     Arc::new(move || Ok((countdown(trips)?, Memory::new())))
 }
 
-/// Eight deterministic jobs spread across modes and two workloads, so a
-/// 4-way shard layout gets a meaningful spread of ids.
+/// Eight deterministic jobs spread across modes and two workloads.
 fn jobs() -> Vec<Job> {
     let core = CoreConfig::tiny_for_tests();
     let mut jobs = Vec::new();
@@ -66,7 +62,6 @@ fn fast_config(dir: &Path) -> CampaignConfig {
         },
         default_timeout: Some(Duration::from_secs(60)),
         manifest_path: Some(dir.join("manifest.json")),
-        shards: Some(SHARDS),
         telemetry: ffsim_driver::TelemetryConfig::default(),
         ..CampaignConfig::default()
     }
@@ -77,14 +72,6 @@ fn tmp_dir(name: &str) -> PathBuf {
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).expect("create test dir");
     dir
-}
-
-fn layout(cfg: &CampaignConfig) -> ShardLayout {
-    ShardLayout::new(
-        cfg.manifest_path.clone().expect("manifest path"),
-        cfg.shards.expect("shards"),
-    )
-    .expect("valid layout")
 }
 
 /// Runs the campaign until every job has a record, tolerating
@@ -106,69 +93,34 @@ fn config_validation_boundaries() {
     let base = CampaignConfig::default();
     assert!(base.validate().is_ok());
 
-    let zero_shards = CampaignConfig {
-        shards: Some(0),
-        manifest_path: Some(PathBuf::from("/tmp/m.json")),
+    let max_workers = CampaignConfig {
+        workers: MAX_WORKERS,
         ..base.clone()
     };
-    assert!(matches!(
-        zero_shards.validate(),
-        Err(SimError::InvalidConfig(_))
-    ));
-
-    let absurd_shards = CampaignConfig {
-        shards: Some(MAX_SHARDS + 1),
-        manifest_path: Some(PathBuf::from("/tmp/m.json")),
-        ..base.clone()
-    };
-    assert!(matches!(
-        absurd_shards.validate(),
-        Err(SimError::InvalidConfig(_))
-    ));
-
-    let max_shards = CampaignConfig {
-        shards: Some(MAX_SHARDS),
-        manifest_path: Some(PathBuf::from("/tmp/m.json")),
-        ..base.clone()
-    };
-    assert!(max_shards.validate().is_ok());
+    assert!(max_workers.validate().is_ok());
 
     let absurd_workers = CampaignConfig {
         workers: MAX_WORKERS + 1,
-        ..base.clone()
+        ..base
     };
     assert!(matches!(
         absurd_workers.validate(),
         Err(SimError::InvalidConfig(_))
     ));
 
-    let shards_without_manifest = CampaignConfig {
-        shards: Some(2),
-        manifest_path: None,
-        ..base
-    };
-    assert!(matches!(
-        shards_without_manifest.validate(),
-        Err(SimError::InvalidConfig(_))
-    ));
-
     // run() fails fast on the same validation, before any job executes.
-    let err = Campaign::new(CampaignConfig {
-        shards: Some(0),
-        manifest_path: Some(PathBuf::from("/tmp/m.json")),
-        ..CampaignConfig::default()
-    })
-    .run(jobs())
-    .expect_err("invalid config rejected");
-    assert!(err.contains("shard count"), "{err}");
+    let err = Campaign::new(absurd_workers)
+        .run(jobs())
+        .expect_err("invalid config rejected");
+    assert!(err.contains("worker count"), "{err}");
 }
 
 /// The stress test: whatever the worker count and wherever a cancel
 /// lands mid-campaign, resuming always converges to a merged report
 /// byte-identical to an uninterrupted run's.
 #[test]
-fn interrupted_sharded_campaigns_resume_to_identical_reports() {
-    let clean_dir = tmp_dir("shard-stress-clean");
+fn interrupted_campaigns_resume_to_identical_reports() {
+    let clean_dir = tmp_dir("resume-stress-clean");
     let clean_cfg = fast_config(&clean_dir);
     let clean = run_to_completion(&clean_cfg);
     assert!(clean.quarantines.is_empty());
@@ -176,7 +128,7 @@ fn interrupted_sharded_campaigns_resume_to_identical_reports() {
 
     for workers in [1, 4] {
         for delay_ms in [0u64, 5, 25] {
-            let dir = tmp_dir(&format!("shard-stress-{workers}w-{delay_ms}ms"));
+            let dir = tmp_dir(&format!("resume-stress-{workers}w-{delay_ms}ms"));
             let cfg = CampaignConfig {
                 workers,
                 ..fast_config(&dir)
@@ -205,77 +157,6 @@ fn interrupted_sharded_campaigns_resume_to_identical_reports() {
     }
 }
 
-#[test]
-fn corrupt_shard_quarantines_and_reruns_only_its_jobs() {
-    let dir = tmp_dir("shard-corrupt");
-    let cfg = fast_config(&dir);
-    let clean = run_to_completion(&cfg);
-    let golden = report::render(&clean.records);
-
-    // Cut shard 1 mid-body, as a torn write would.
-    let layout = layout(&cfg);
-    let victims: Vec<String> = jobs()
-        .iter()
-        .filter(|j| layout.shard_of(&j.id) == 1)
-        .map(|j| j.id.clone())
-        .collect();
-    assert!(!victims.is_empty(), "shard 1 must hold at least one job");
-    let shard_path = layout.path(1);
-    let healthy = std::fs::read_to_string(&shard_path).expect("shard written");
-    std::fs::write(&shard_path, &healthy[..healthy.len() / 2]).expect("truncate shard");
-
-    let recovered = Campaign::new(cfg.clone())
-        .run(jobs())
-        .expect("recovery runs");
-    let [quarantine] = &recovered.quarantines[..] else {
-        panic!(
-            "expected exactly one quarantine: {:?}",
-            recovered.quarantines
-        );
-    };
-    assert!(quarantine.quarantined_to.exists(), "evidence preserved");
-    assert_eq!(
-        recovered.executed,
-        victims.len(),
-        "only the damaged shard's jobs re-run"
-    );
-    assert_eq!(recovered.resumed, jobs().len() - victims.len());
-    // The merged report is byte-identical; the banner is a separate,
-    // appended section.
-    assert_eq!(report::render(&recovered.records), golden);
-    assert!(!report::render_quarantines(&recovered.quarantines).is_empty());
-
-    // A further run is clean again: the damaged shard was rewritten.
-    let clean_again = Campaign::new(cfg).run(jobs()).expect("clean run");
-    assert!(clean_again.quarantines.is_empty());
-    assert_eq!(clean_again.resumed, jobs().len());
-    assert_eq!(report::render(&clean_again.records), golden);
-}
-
-#[test]
-fn missing_shard_degrades_to_rerunning_only_its_jobs() {
-    let dir = tmp_dir("shard-missing");
-    let cfg = fast_config(&dir);
-    let clean = run_to_completion(&cfg);
-    let golden = report::render(&clean.records);
-
-    let layout = layout(&cfg);
-    let victims = jobs()
-        .iter()
-        .filter(|j| layout.shard_of(&j.id) == 2)
-        .count();
-    assert!(victims > 0, "shard 2 must hold at least one job");
-    std::fs::remove_file(layout.path(2)).expect("delete shard");
-
-    let recovered = Campaign::new(cfg).run(jobs()).expect("recovery runs");
-    // A missing file is indistinguishable from a shard that never had
-    // committed jobs: no quarantine, its jobs simply re-run.
-    assert!(recovered.quarantines.is_empty());
-    assert_eq!(recovered.executed, victims);
-    assert_eq!(recovered.resumed, jobs().len() - victims);
-    assert_eq!(report::render(&recovered.records), golden);
-}
-
 /// Fails every write after the first `allow` successful ones — a disk
 /// going bad partway through a campaign.
 #[derive(Debug)]
@@ -299,7 +180,7 @@ impl ManifestIo for FailAfter {
 
 #[test]
 fn mid_campaign_persistence_fault_loses_no_committed_result() {
-    let dir = tmp_dir("shard-io-fault");
+    let dir = tmp_dir("manifest-io-fault");
     let faulty_cfg = CampaignConfig {
         workers: 1, // deterministic commit order for the fault schedule
         io: SharedIo::new(FailAfter { allow: 3 }),
@@ -317,11 +198,11 @@ fn mid_campaign_persistence_fault_loses_no_committed_result() {
     // campaign re-runs only the rest and converges to the clean report.
     let cfg = fast_config(&dir);
     let resumed = Campaign::new(cfg.clone()).run(jobs()).expect("resume runs");
-    assert!(resumed.quarantines.is_empty(), "no shard was torn");
+    assert!(resumed.quarantines.is_empty(), "the manifest was not torn");
     assert_eq!(resumed.resumed, 3, "all three committed results survive");
 
     let final_outcome = run_to_completion(&cfg);
-    let clean_dir = tmp_dir("shard-io-fault-clean");
+    let clean_dir = tmp_dir("manifest-io-fault-clean");
     let clean = run_to_completion(&fast_config(&clean_dir));
     assert_eq!(
         report::render(&final_outcome.records),
@@ -424,10 +305,10 @@ fn corrupt_cache_entry_is_evicted_and_recomputed() {
     assert_eq!(third.cache_hits, jobs().len());
 }
 
-/// Sharding and caching compose: an interrupted sharded+cached campaign
+/// The manifest and the cache compose: an interrupted cached campaign
 /// resumes cleanly, and every job committed before the kill is a cache
 /// hit for an identical later campaign (the cache is written *before*
-/// the shard commit).
+/// the manifest commit).
 #[test]
 fn committed_jobs_are_always_cache_hits_after_interruption() {
     let dir = tmp_dir("cache-interrupt");

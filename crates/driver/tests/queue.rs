@@ -1,13 +1,13 @@
 //! End-to-end tests for the durable campaign job queue: journaled
 //! crash-consistent ingest, lease edges (deadline zero, expiry racing
-//! commit, dangling-lease reclaim), poison-job quarantine, weighted fair
-//! scheduling, priority preemption, saturation backpressure, and
-//! byte-identical reports across kill/resume and journal damage.
+//! commit, dangling-lease reclaim), poison-job quarantine, FIFO order,
+//! saturation backpressure, and byte-identical reports across
+//! kill/resume and journal damage.
 
 use ffsim_core::{CancelToken, WrongPathMode};
 use ffsim_driver::{
-    report, CampaignSpec, Enqueued, Job, JobQueue, JobRecord, JobRunner, QueueConfig, QueueError,
-    RetryPolicy, RunContext, TelemetryConfig, WorkloadFn,
+    report, Enqueued, Job, JobQueue, JobRecord, JobRunner, QueueConfig, QueueError, RetryPolicy,
+    RunContext, TelemetryConfig, WorkloadFn,
 };
 use ffsim_emu::Memory;
 use ffsim_isa::{Asm, Program, Reg};
@@ -72,12 +72,8 @@ fn tmp_dir(name: &str) -> PathBuf {
 
 fn open_with_standard_jobs(cfg: QueueConfig) -> JobQueue {
     let queue = JobQueue::open(cfg).expect("queue opens");
-    queue
-        .register(&CampaignSpec::new("alpha"))
-        .expect("register");
-    queue
-        .register(&CampaignSpec::new("beta"))
-        .expect("register");
+    queue.register("alpha");
+    queue.register("beta");
     for (campaign, j) in standard_jobs() {
         assert_eq!(
             queue.enqueue(campaign, j).expect("enqueue"),
@@ -88,7 +84,7 @@ fn open_with_standard_jobs(cfg: QueueConfig) -> JobQueue {
 }
 
 /// The reference report: the same four jobs drained with no
-/// interruptions, crashes, or preemption.
+/// interruptions or crashes.
 fn reference_report(name: &str) -> String {
     let dir = tmp_dir(name);
     let queue = open_with_standard_jobs(qcfg(&dir));
@@ -109,15 +105,11 @@ fn unknown_campaign_and_duplicates_are_typed_errors() {
         queue.enqueue("nope", job("nope/x", 10)),
         Err(QueueError::UnknownCampaign(_))
     ));
-    queue.register(&CampaignSpec::new("a")).expect("register");
+    queue.register("a");
     queue.enqueue("a", job("a/x", 10)).expect("first enqueue");
     assert!(matches!(
         queue.enqueue("a", job("a/x", 10)),
         Err(QueueError::DuplicateJob(_))
-    ));
-    assert!(matches!(
-        queue.register(&CampaignSpec::new("w").with_weight(0)),
-        Err(QueueError::InvalidConfig(_))
     ));
 }
 
@@ -129,7 +121,7 @@ fn saturation_is_backpressure_not_corruption() {
         ..qcfg(&dir)
     };
     let queue = JobQueue::open(cfg).expect("open");
-    queue.register(&CampaignSpec::new("a")).expect("register");
+    queue.register("a");
     queue.enqueue("a", job("a/1", 10)).expect("fits");
     queue.enqueue("a", job("a/2", 10)).expect("fits");
     assert_eq!(
@@ -252,9 +244,7 @@ fn repeated_identical_panics_quarantine_the_job_as_poison() {
         ..qcfg(&dir)
     })
     .expect("reopen");
-    queue
-        .register(&CampaignSpec::new("beta"))
-        .expect("register");
+    queue.register("beta");
     assert_eq!(
         queue
             .enqueue("beta", job("beta/slow", TRIPS))
@@ -306,12 +296,8 @@ fn killed_and_resumed_drain_yields_a_byte_identical_report() {
         1,
         "the dangling lease is reclaimed with its budget intact"
     );
-    queue
-        .register(&CampaignSpec::new("alpha"))
-        .expect("register");
-    queue
-        .register(&CampaignSpec::new("beta"))
-        .expect("register");
+    queue.register("alpha");
+    queue.register("beta");
     let mut accepted = 0;
     for (campaign, j) in standard_jobs() {
         match queue.enqueue(campaign, j).expect("enqueue") {
@@ -345,12 +331,8 @@ fn torn_journal_tail_is_dropped_and_resume_is_byte_identical() {
     let queue = JobQueue::open(qcfg(&dir)).expect("reopen");
     assert!(queue.recovery().torn_tail_dropped);
     assert!(queue.recovery().quarantines.is_empty());
-    queue
-        .register(&CampaignSpec::new("alpha"))
-        .expect("register");
-    queue
-        .register(&CampaignSpec::new("beta"))
-        .expect("register");
+    queue.register("alpha");
+    queue.register("beta");
     for (campaign, j) in standard_jobs() {
         assert_eq!(
             queue.enqueue(campaign, j).expect("enqueue"),
@@ -385,18 +367,14 @@ fn mid_journal_corruption_quarantines_but_results_survive() {
         1,
         "the journal is quarantined as evidence"
     );
-    assert!(dir.join("queue.corrupt").exists());
-    queue
-        .register(&CampaignSpec::new("alpha"))
-        .expect("register");
-    queue
-        .register(&CampaignSpec::new("beta"))
-        .expect("register");
+    assert!(dir.join("queue.journal.corrupt").exists());
+    queue.register("alpha");
+    queue.register("beta");
     for (campaign, j) in standard_jobs() {
         assert_eq!(
             queue.enqueue(campaign, j).expect("enqueue"),
             Enqueued::AlreadyComplete,
-            "results live in the shards, not the journal"
+            "results live in results.json, not the journal"
         );
     }
     let outcome = queue.drain().expect("drain");
@@ -421,12 +399,8 @@ fn compaction_snapshots_fold_the_journal_and_preserve_resume() {
     drop(queue);
 
     let queue = JobQueue::open(cfg).expect("reopen replays snapshot + tail");
-    queue
-        .register(&CampaignSpec::new("alpha"))
-        .expect("register");
-    queue
-        .register(&CampaignSpec::new("beta"))
-        .expect("register");
+    queue.register("alpha");
+    queue.register("beta");
     for (campaign, j) in standard_jobs() {
         assert_eq!(
             queue.enqueue(campaign, j).expect("enqueue"),
@@ -467,109 +441,136 @@ fn identical_points_resume_from_the_cache_across_queue_lives() {
     );
 }
 
-// ---------------------------------------------------------------------
-// Scheduling: fairness and preemption.
-// ---------------------------------------------------------------------
-
-/// Logs the execution order, then delegates to the real engine.
-struct OrderLog {
-    order: Mutex<Vec<String>>,
-}
-
-impl JobRunner for OrderLog {
-    fn run(&self, ctx: &RunContext<'_>, job: &Job, takeback: &CancelToken) -> Option<JobRecord> {
-        self.order.lock().expect("order log").push(job.id.clone());
-        ctx.execute(job, takeback)
-    }
-}
-
+/// Both the journal and the snapshot are damaged: each goes to its own
+/// quarantine path with its bytes intact, and the results still resume.
 #[test]
-fn deficit_round_robin_shares_workers_by_weight_deterministically() {
-    let dir = tmp_dir("queue_drr");
-    let queue = JobQueue::open(qcfg(&dir)).expect("open");
-    queue
-        .register(&CampaignSpec::new("a").with_weight(2))
-        .expect("register");
-    queue
-        .register(&CampaignSpec::new("b").with_weight(1))
-        .expect("register");
-    for i in 1..=4 {
-        queue
-            .enqueue("a", job(&format!("a/{i}"), 10))
-            .expect("enqueue");
-        queue
-            .enqueue("b", job(&format!("b/{i}"), 10))
-            .expect("enqueue");
-    }
-    let runner = OrderLog {
-        order: Mutex::new(Vec::new()),
-    };
-    let outcome = queue.drain_with(&runner).expect("drain");
-    assert_eq!(outcome.records.len(), 8);
-    let order = runner.order.into_inner().expect("order log");
+fn damaged_journal_and_snapshot_keep_separate_evidence() {
+    let reference = reference_report("queue_reference_both_damaged");
+    let dir = tmp_dir("queue_both_damaged");
+    let queue = open_with_standard_jobs(qcfg(&dir));
+    queue.drain().expect("drain");
+    drop(queue);
+
+    let journal = dir.join("queue.journal");
+    let snapshot = dir.join("queue.snapshot");
+    let text = std::fs::read_to_string(&journal).expect("journal exists");
+    let damaged_journal = text.replacen("alpha", "XXXXX", 1);
+    assert_ne!(damaged_journal, text);
+    std::fs::write(&journal, &damaged_journal).expect("damage the journal");
+    let damaged_snapshot = "not a snapshot\n";
+    std::fs::write(&snapshot, damaged_snapshot).expect("damage the snapshot");
+
+    let queue = JobQueue::open(qcfg(&dir)).expect("reopen");
+    let evidence: Vec<PathBuf> = queue
+        .recovery()
+        .quarantines
+        .iter()
+        .map(|q| q.quarantined_to.clone())
+        .collect();
     assert_eq!(
-        order,
-        ["a/1", "a/2", "b/1", "a/3", "a/4", "b/2", "b/3", "b/4"],
-        "weight 2:1 serves two of `a` per one of `b`, ties by campaign id"
+        evidence,
+        [
+            dir.join("queue.snapshot.corrupt"),
+            dir.join("queue.journal.corrupt")
+        ]
+    );
+    assert_eq!(
+        std::fs::read_to_string(&evidence[0]).expect("snapshot evidence"),
+        damaged_snapshot
+    );
+    assert_eq!(
+        std::fs::read_to_string(&evidence[1]).expect("journal evidence"),
+        damaged_journal
+    );
+    queue.register("alpha");
+    queue.register("beta");
+    for (campaign, j) in standard_jobs() {
+        assert_eq!(
+            queue.enqueue(campaign, j).expect("enqueue"),
+            Enqueued::AlreadyComplete,
+            "results live in results.json, not the journal"
+        );
+    }
+    let outcome = queue.drain().expect("drain");
+    assert_eq!(outcome.executed, 0);
+    assert_eq!(report::render(&outcome.records), reference);
+    drop(queue);
+
+    // A second damaged snapshot never replaces the first one's evidence.
+    std::fs::write(&snapshot, "damaged again\n").expect("damage the snapshot");
+    let queue = JobQueue::open(qcfg(&dir)).expect("reopen");
+    assert_eq!(
+        queue.recovery().quarantines[0].quarantined_to,
+        dir.join("queue.snapshot.corrupt.1")
+    );
+    assert_eq!(
+        std::fs::read_to_string(&evidence[0]).expect("first evidence"),
+        damaged_snapshot
     );
 }
 
-/// While the first low-priority job runs, enqueues a high-priority job
-/// and waits for its own take-back: the preemption path end to end.
-struct PreemptProbe<'q> {
+// ---------------------------------------------------------------------
+// Scheduling: one FIFO.
+// ---------------------------------------------------------------------
+
+/// Logs the execution order. The first run of `victim` expires its own
+/// zero-deadline lease and is taken back; every other run delegates to
+/// the real engine.
+struct ExpireOnce<'q> {
     queue: &'q JobQueue,
-    fired: AtomicBool,
+    victim: &'static str,
+    expired: AtomicBool,
     order: Mutex<Vec<String>>,
 }
 
-impl JobRunner for PreemptProbe<'_> {
+impl JobRunner for ExpireOnce<'_> {
     fn run(&self, ctx: &RunContext<'_>, job: &Job, takeback: &CancelToken) -> Option<JobRecord> {
         self.order.lock().expect("order log").push(job.id.clone());
-        if job.id.starts_with("low/") && !self.fired.swap(true, Ordering::SeqCst) {
-            self.queue
-                .enqueue("high", super_job())
-                .expect("priority enqueue");
-            // The enqueue outranks this running job with no idle worker:
-            // the queue must take this lease back via the token.
-            while !takeback.is_cancelled() {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            return None;
+        if job.id == self.victim && !self.expired.swap(true, Ordering::SeqCst) {
+            assert_eq!(self.queue.reap_expired(), 1, "the victim's lease expires");
+            assert!(takeback.is_cancelled());
         }
         ctx.execute(job, takeback)
     }
 }
 
-fn super_job() -> Job {
-    job("high/urgent", 10)
-}
-
 #[test]
-fn a_high_priority_enqueue_preempts_without_failing_the_victim() {
-    let dir = tmp_dir("queue_preempt");
-    let queue = JobQueue::open(qcfg(&dir)).expect("open");
-    queue.register(&CampaignSpec::new("low")).expect("register");
-    queue
-        .register(&CampaignSpec::new("high").with_priority(5))
-        .expect("register");
-    queue.enqueue("low", job("low/1", 10)).expect("enqueue");
-    queue.enqueue("low", job("low/2", 10)).expect("enqueue");
-    let runner = PreemptProbe {
+fn jobs_run_in_enqueue_order_and_an_expired_lease_reruns_first() {
+    let reference = reference_report("queue_reference_fifo");
+    let dir = tmp_dir("queue_fifo");
+    let cfg = QueueConfig {
+        lease: Duration::ZERO,
+        ..qcfg(&dir)
+    };
+    let queue = JobQueue::open(cfg).expect("open");
+    queue.register("alpha");
+    queue.register("beta");
+    // Interleaved across campaigns, and not in campaign-id order.
+    let jobs = standard_jobs();
+    for index in [3, 0, 2, 1] {
+        let (campaign, j) = jobs[index].clone();
+        queue.enqueue(campaign, j).expect("enqueue");
+    }
+    let runner = ExpireOnce {
         queue: &queue,
-        fired: AtomicBool::new(false),
+        victim: "alpha/fast",
+        expired: AtomicBool::new(false),
         order: Mutex::new(Vec::new()),
     };
     let outcome = queue.drain_with(&runner).expect("drain");
-    assert_eq!(outcome.records.len(), 3);
-    assert_eq!(outcome.preempted, 1);
-    assert!(
-        outcome.poison.is_empty(),
-        "preemption never burns the victim's budget"
-    );
     let order = runner.order.into_inner().expect("order log");
     assert_eq!(
         order,
-        ["low/1", "high/urgent", "low/1", "low/2"],
-        "the victim re-runs right after the preemptor, front of its FIFO"
+        [
+            "beta/slow",
+            "alpha/fast",
+            "alpha/fast",
+            "beta/fast",
+            "alpha/slow"
+        ],
+        "enqueue order, and the taken-back job before anything behind it"
     );
+    assert_eq!(outcome.lease_expiries, 1);
+    assert!(outcome.poison.is_empty());
+    assert_eq!(report::render(&outcome.records), reference);
 }

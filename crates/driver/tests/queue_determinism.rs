@@ -1,13 +1,13 @@
 //! Property test for the durable queue's headline invariant: for an
 //! identical enqueue sequence, the merged report is byte-identical
-//! whatever the campaign mix, priorities, weights, and wherever a
-//! kill -9 lands mid-drain — resumed runs re-execute only
-//! leased-but-uncommitted jobs and converge on the same bytes.
+//! whatever the campaign mix, worker count, and wherever a kill -9 lands
+//! mid-drain — resumed runs re-execute only leased-but-uncommitted jobs
+//! and converge on the same bytes.
 
 use ffsim_core::{CancelToken, WrongPathMode};
 use ffsim_driver::{
-    report, CampaignSpec, Enqueued, Job, JobQueue, JobRecord, JobRunner, QueueConfig, RetryPolicy,
-    RunContext, TelemetryConfig, WorkloadFn,
+    report, Enqueued, Job, JobQueue, JobRecord, JobRunner, QueueConfig, RetryPolicy, RunContext,
+    TelemetryConfig, WorkloadFn,
 };
 use ffsim_emu::Memory;
 use ffsim_isa::{Asm, Program, Reg};
@@ -34,15 +34,11 @@ fn workload(trips: i64) -> WorkloadFn {
     Arc::new(move || Ok((countdown(trips)?, Memory::new())))
 }
 
-/// One randomly drawn campaign: (priority, weight, per-job trip counts).
-type CampaignDraw = (i32, u32, Vec<i64>);
+/// One randomly drawn campaign: its per-job trip counts.
+type CampaignDraw = Vec<i64>;
 
-fn campaign_jobs(index: usize, draw: &CampaignDraw) -> (String, CampaignSpec, Vec<Job>) {
+fn campaign_jobs(index: usize, trips: &CampaignDraw) -> (String, Vec<Job>) {
     let id = format!("c{index}");
-    let (priority, weight, trips) = draw;
-    let spec = CampaignSpec::new(&id)
-        .with_priority(*priority)
-        .with_weight(*weight);
     let jobs = trips
         .iter()
         .enumerate()
@@ -53,10 +49,9 @@ fn campaign_jobs(index: usize, draw: &CampaignDraw) -> (String, CampaignSpec, Ve
                 workload(t),
             )
             .with_core(CoreConfig::tiny_for_tests())
-            .with_priority(i32::try_from(j % 2).expect("small"))
         })
         .collect();
-    (id, spec, jobs)
+    (id, jobs)
 }
 
 fn qcfg(dir: &Path, workers: usize) -> QueueConfig {
@@ -84,8 +79,8 @@ fn tmp_dir(name: &str) -> PathBuf {
 fn open_and_fill(dir: &Path, workers: usize, campaigns: &[CampaignDraw]) -> JobQueue {
     let queue = JobQueue::open(qcfg(dir, workers)).expect("queue opens");
     for (index, draw) in campaigns.iter().enumerate() {
-        let (id, spec, jobs) = campaign_jobs(index, draw);
-        queue.register(&spec).expect("register");
+        let (id, jobs) = campaign_jobs(index, draw);
+        queue.register(&id);
         for job in jobs {
             match queue.enqueue(&id, job).expect("enqueue") {
                 Enqueued::Accepted | Enqueued::AlreadyComplete => {}
@@ -117,11 +112,11 @@ impl JobRunner for KillAtNth<'_> {
 proptest! {
     #[test]
     fn killed_resumed_drains_match_uninterrupted_bytes(
-        campaigns in vec((-2i32..3, 1u32..4, vec(10i64..60, 2..4)), 2..5),
+        campaigns in vec(vec(10i64..60, 2..4), 2..5),
         kill_at in 1u64..12,
         workers in 1usize..3,
     ) {
-        let total: usize = campaigns.iter().map(|(_, _, t)| t.len()).sum();
+        let total: usize = campaigns.iter().map(Vec::len).sum();
 
         // Reference: the same enqueue sequence, drained uninterrupted.
         let dir_ref = tmp_dir("qprop_ref");
@@ -156,7 +151,7 @@ proptest! {
 fn property_harness_smoke() {
     // One fixed case outside the proptest loop, so a failure here gives
     // a readable panic rather than a shrunk counterexample.
-    let campaigns = vec![(1, 2, vec![20, 30]), (-1, 1, vec![25, 35, 15])];
+    let campaigns = vec![vec![20, 30], vec![25, 35, 15]];
     let dir_ref = tmp_dir("qprop_smoke_ref");
     let reference = {
         let queue = open_and_fill(&dir_ref, 2, &campaigns);

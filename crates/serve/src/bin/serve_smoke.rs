@@ -108,9 +108,7 @@ fn factory() -> JobFactory {
                 })),
             other => return Err(format!("unknown workload `{other}`")),
         };
-        Ok(job
-            .with_core(CoreConfig::tiny_for_tests())
-            .with_priority(spec.priority))
+        Ok(job.with_core(CoreConfig::tiny_for_tests()))
     })
 }
 
@@ -118,61 +116,42 @@ fn factory() -> JobFactory {
 /// them over the wire.
 struct CampaignPlan {
     id: &'static str,
-    weight: u32,
-    priority: i32,
     quota: Option<u64>,
     jobs: Vec<JobSpec>,
 }
 
-/// Two campaigns with different weights and priorities, mirroring the
-/// queue smoke's fixture shape but with service-distinct job ids, so
-/// the two goldens stay independent artifacts. A quota on `beta` keeps
+/// Two campaigns mirroring the queue smoke's fixture shape but with
+/// service-distinct job ids, so the two goldens stay independent
+/// artifacts. A quota on `beta` keeps
 /// the admission-quota path exercised (sized to never reject here).
 fn plans() -> Vec<CampaignPlan> {
-    let spec = |id: String, mode: &str, workload: &str, priority: i32| JobSpec {
+    let spec = |id: String, mode: &str, workload: &str| JobSpec {
         id,
         mode: mode.to_string(),
         workload: workload.to_string(),
         arg: TRIPS,
-        priority,
     };
     let alpha = ["nowp", "instrec", "conv", "wpemul"]
         .into_iter()
-        .map(|mode| spec(format!("alpha-countdown/{mode}"), mode, "countdown-div", 0))
+        .map(|mode| spec(format!("alpha-countdown/{mode}"), mode, "countdown-div"))
         .collect();
     let mut beta: Vec<JobSpec> = ["nowp", "conv", "wpemul"]
         .into_iter()
-        .map(|mode| {
-            // One job outranks its campaign siblings, putting the
-            // scheduler's priority tier (not just DRR weight) on the
-            // smoke path.
-            let priority = i32::from(mode == "wpemul") * 2;
-            spec(
-                format!("beta-countup/{mode}"),
-                mode,
-                "countup-load",
-                priority,
-            )
-        })
+        .map(|mode| spec(format!("beta-countup/{mode}"), mode, "countup-load"))
         .collect();
     beta.push(spec(
         "beta-divzero/wpemul".to_string(),
         "wpemul",
         "countdown-div-abort",
-        0,
     ));
     vec![
         CampaignPlan {
             id: "alpha",
-            weight: 2,
-            priority: 0,
             quota: None,
             jobs: alpha,
         },
         CampaignPlan {
             id: "beta",
-            weight: 1,
-            priority: 1,
             quota: Some(TOTAL_JOBS),
             jobs: beta,
         },
@@ -231,7 +210,7 @@ fn queue_config(dir: &PathBuf, workers: usize) -> QueueConfig {
 fn submit_all(client: &mut ServeClient) -> Result<(), String> {
     for plan in plans() {
         client
-            .register(plan.id, plan.weight, plan.priority, plan.quota)
+            .register(plan.id, plan.quota)
             .map_err(|e| format!("register {}: {e}", plan.id))?;
         for job in plan.jobs {
             let id = job.id.clone();

@@ -174,17 +174,9 @@ impl ServeClient {
     /// # Errors
     ///
     /// [`ClientError`] on exhaustion or a typed rejection.
-    pub fn register(
-        &mut self,
-        campaign: &str,
-        weight: u32,
-        priority: i32,
-        quota: Option<u64>,
-    ) -> Result<(), ClientError> {
+    pub fn register(&mut self, campaign: &str, quota: Option<u64>) -> Result<(), ClientError> {
         let response = self.call(&Request::Register {
             campaign: campaign.to_string(),
-            weight,
-            priority,
             quota,
         })?;
         match response {
@@ -341,7 +333,6 @@ mod tests {
             mode: "wpemul".into(),
             workload: "countdown".into(),
             arg: 30,
-            priority: 0,
         }
     }
 

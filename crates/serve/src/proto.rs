@@ -35,7 +35,7 @@ use std::io::{ErrorKind, Read, Write};
 /// Frame magic: the first four bytes of every frame.
 pub const MAGIC: [u8; 4] = *b"FFSP";
 /// Protocol version byte; bumped on incompatible changes.
-pub const PROTO_VERSION: u8 = 1;
+pub const PROTO_VERSION: u8 = 2;
 /// Frame header length: magic + version + payload length + checksum.
 const HEADER_LEN: usize = 4 + 1 + 4 + 8;
 /// Maximum payload length a peer will accept (16 MiB): a corrupted
@@ -196,8 +196,6 @@ pub struct JobSpec {
     pub workload: String,
     /// Workload parameter (loop trips or equivalent).
     pub arg: i64,
-    /// Job priority offset over the campaign base.
-    pub priority: i32,
 }
 
 impl JobSpec {
@@ -217,7 +215,6 @@ impl JobSpec {
             .update(self.workload.as_bytes())
             .update(&[0])
             .update(&self.arg.to_le_bytes())
-            .update(&self.priority.to_le_bytes())
             .finish();
         format!("{h:016x}")
     }
@@ -228,7 +225,6 @@ impl JobSpec {
             ("mode".into(), Value::Str(self.mode.clone())),
             ("workload".into(), Value::Str(self.workload.clone())),
             ("arg".into(), Value::Int(self.arg)),
-            ("priority".into(), Value::Int(i64::from(self.priority))),
         ])
     }
 
@@ -238,8 +234,6 @@ impl JobSpec {
             mode: str_field(doc, "mode")?,
             workload: str_field(doc, "workload")?,
             arg: int_field(doc, "arg")?,
-            priority: i32::try_from(int_field(doc, "priority")?)
-                .map_err(|_| "priority out of range".to_string())?,
         })
     }
 }
@@ -273,10 +267,6 @@ pub enum Request {
     Register {
         /// Campaign id.
         campaign: String,
-        /// Deficit-round-robin weight (≥ 1).
-        weight: u32,
-        /// Base priority added to each job's own.
-        priority: i32,
         /// Admission quota on live (pending + leased) jobs, layered
         /// under the queue's global capacity. `None` = no quota.
         quota: Option<u64>,
@@ -309,17 +299,10 @@ impl Request {
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
         let obj = match self {
-            Request::Register {
-                campaign,
-                weight,
-                priority,
-                quota,
-            } => {
+            Request::Register { campaign, quota } => {
                 let mut fields = vec![
                     ("request".into(), Value::Str("register".into())),
                     ("campaign".into(), Value::Str(campaign.clone())),
-                    ("weight".into(), Value::Int(i64::from(*weight))),
-                    ("priority".into(), Value::Int(i64::from(*priority))),
                 ];
                 if let Some(quota) = quota {
                     fields.push((
@@ -361,10 +344,6 @@ impl Request {
         Ok(match tag.as_str() {
             "register" => Request::Register {
                 campaign: str_field(&doc, "campaign")?,
-                weight: u32::try_from(int_field(&doc, "weight")?)
-                    .map_err(|_| "weight out of range".to_string())?,
-                priority: i32::try_from(int_field(&doc, "priority")?)
-                    .map_err(|_| "priority out of range".to_string())?,
                 quota: match doc.get("quota") {
                     Some(v) => Some(
                         v.as_int()
@@ -674,7 +653,6 @@ mod tests {
             mode: "wpemul".into(),
             workload: "countdown".into(),
             arg: 40,
-            priority: 1,
         }
     }
 
@@ -716,12 +694,23 @@ mod tests {
             read_frame(&mut Cursor::new(bad_magic)),
             Err(FrameError::BadMagic)
         );
-        let mut huge = wire;
+        let mut huge = wire.clone();
         huge[5..9].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(matches!(
             read_frame(&mut Cursor::new(huge)),
             Err(FrameError::TooLarge(_))
         ));
+
+        // A peer on another protocol version is refused before its
+        // payload is read: older frames carry fields this version dropped.
+        for version in [PROTO_VERSION - 1, PROTO_VERSION + 1] {
+            let mut other = wire.clone();
+            other[4] = version;
+            assert_eq!(
+                read_frame(&mut Cursor::new(other)),
+                Err(FrameError::BadVersion(version))
+            );
+        }
     }
 
     #[test]
@@ -729,20 +718,25 @@ mod tests {
         let requests = [
             Request::Register {
                 campaign: "alpha".into(),
-                weight: 2,
-                priority: -1,
                 quota: Some(16),
             },
             Request::Register {
                 campaign: "beta".into(),
-                weight: 1,
-                priority: 0,
                 quota: None,
             },
             Request::Submit {
                 request_id: spec().digest("alpha"),
                 campaign: "alpha".into(),
                 job: spec(),
+            },
+            Request::Submit {
+                request_id: spec().digest("beta"),
+                campaign: "beta".into(),
+                job: JobSpec {
+                    mode: "nowp".into(),
+                    arg: -1,
+                    ..spec()
+                },
             },
             Request::Status,
             Request::Cancel,
@@ -751,8 +745,12 @@ mod tests {
             Request::Shutdown,
         ];
         for request in requests {
-            let decoded = Request::decode(&request.encode()).expect("decode");
+            let payload = request.encode();
+            let decoded = Request::decode(&payload).expect("decode");
             assert_eq!(decoded, request);
+            // The slim vocabulary: no scheduling fields on the wire.
+            let text = String::from_utf8(payload).expect("JSON payload");
+            assert!(!text.contains("weight") && !text.contains("priority"));
         }
     }
 

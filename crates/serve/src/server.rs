@@ -32,9 +32,7 @@ use crate::proto::{
     read_frame, write_frame, FrameError, JobSpec, PoisonEntry, Request, Response, StatusReply,
     SubmitOutcome,
 };
-use ffsim_driver::{
-    hostobs, report, CampaignSpec, Enqueued, Job, JobQueue, QueueError, QueueStats,
-};
+use ffsim_driver::{hostobs, report, Enqueued, Job, JobQueue, QueueError, QueueStats};
 use ffsim_obs::prof::Phase;
 use ffsim_obs::Log2Hist;
 use std::collections::{BTreeMap, HashMap};
@@ -201,12 +199,7 @@ impl CampaignServer {
         self.requests.fetch_add(1, Ordering::Relaxed);
         hostobs::inc("serve_requests_total");
         match request {
-            Request::Register {
-                campaign,
-                weight,
-                priority,
-                quota,
-            } => self.register(campaign, *weight, *priority, *quota),
+            Request::Register { campaign, quota } => self.register(campaign, *quota),
             Request::Submit {
                 request_id,
                 campaign,
@@ -232,27 +225,18 @@ impl CampaignServer {
         }
     }
 
-    fn register(&self, campaign: &str, weight: u32, priority: i32, quota: Option<u64>) -> Response {
-        let spec = CampaignSpec {
-            id: campaign.to_string(),
-            weight,
-            priority,
-        };
-        match self.queue.register(&spec) {
-            Ok(()) => {
-                let mut state = self.state();
-                match quota {
-                    Some(quota) => {
-                        state.quotas.insert(campaign.to_string(), quota);
-                    }
-                    None => {
-                        state.quotas.remove(campaign);
-                    }
-                }
-                Response::Ok
+    fn register(&self, campaign: &str, quota: Option<u64>) -> Response {
+        self.queue.register(campaign);
+        let mut state = self.state();
+        match quota {
+            Some(quota) => {
+                state.quotas.insert(campaign.to_string(), quota);
             }
-            Err(e) => Response::Error(e.to_string()),
+            None => {
+                state.quotas.remove(campaign);
+            }
         }
+        Response::Ok
     }
 
     fn submit(&self, request_id: &str, campaign: &str, spec: &JobSpec) -> Response {
@@ -613,9 +597,10 @@ mod tests {
             if spec.workload != "countdown" {
                 return Err(format!("unknown workload `{}`", spec.workload));
             }
-            Ok(Job::new(&spec.id, mode, workload(spec.arg))
-                .with_core(CoreConfig::tiny_for_tests())
-                .with_priority(spec.priority))
+            Ok(
+                Job::new(&spec.id, mode, workload(spec.arg))
+                    .with_core(CoreConfig::tiny_for_tests()),
+            )
         })
     }
 
@@ -653,7 +638,6 @@ mod tests {
             mode: "wpemul".into(),
             workload: "countdown".into(),
             arg: 30,
-            priority: 0,
         }
     }
 
@@ -668,8 +652,6 @@ mod tests {
     fn register_req(campaign: &str, quota: Option<u64>) -> Request {
         Request::Register {
             campaign: campaign.into(),
-            weight: 1,
-            priority: 0,
             quota,
         }
     }

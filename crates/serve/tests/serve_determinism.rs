@@ -7,8 +7,7 @@
 
 use ffsim_core::WrongPathMode;
 use ffsim_driver::{
-    report, CampaignSpec, Enqueued, Job, JobQueue, QueueConfig, RetryPolicy, TelemetryConfig,
-    WorkloadFn,
+    report, Enqueued, Job, JobQueue, QueueConfig, RetryPolicy, TelemetryConfig, WorkloadFn,
 };
 use ffsim_emu::Memory;
 use ffsim_isa::{Asm, Reg};
@@ -47,8 +46,7 @@ fn factory() -> JobFactory {
             WrongPathMode::WrongPathEmulation,
             workload(spec.arg),
         )
-        .with_core(CoreConfig::tiny_for_tests())
-        .with_priority(spec.priority))
+        .with_core(CoreConfig::tiny_for_tests()))
     })
 }
 
@@ -81,7 +79,6 @@ fn specs(trips: &[i64]) -> Vec<(&'static str, JobSpec)> {
         mode: "wpemul".into(),
         workload: "countdown".into(),
         arg: trips,
-        priority: 0,
     };
     trips
         .iter()
@@ -98,8 +95,8 @@ fn specs(trips: &[i64]) -> Vec<(&'static str, JobSpec)> {
 fn reference_report(name: &str, trips: &[i64], workers: usize) -> String {
     let dir = tmp_dir(name);
     let queue = JobQueue::open(qcfg(&dir, workers)).expect("queue opens");
-    queue.register(&CampaignSpec::new("alpha")).expect("alpha");
-    queue.register(&CampaignSpec::new("beta")).expect("beta");
+    queue.register("alpha");
+    queue.register("beta");
     let build = factory();
     for (campaign, spec) in specs(trips) {
         let job = build(&spec).expect("factory");
@@ -181,8 +178,8 @@ fn serve_round(name: &str, trips: &[i64], faults: &[Fault], workers: usize) -> (
         let running = scope.spawn(|| server.run(listener));
 
         let mut control = faulty_client(&addr, Fault::None);
-        control.register("alpha", 1, 0, None).expect("register");
-        control.register("beta", 1, 0, None).expect("register");
+        control.register("alpha", None).expect("register");
+        control.register("beta", None).expect("register");
 
         // Round one: each submit through its own connection with its
         // drawn fault. Whatever happens on the wire, the submit must
