@@ -1,5 +1,5 @@
 //! Criterion benchmark of the batched frontend→timing handoff (see
-//! DESIGN.md §"Batched handoff and the block cache"): how fast the
+//! DESIGN.md §"Batched handoff"): how fast the
 //! functional frontend can stream instructions into a consumer as a
 //! function of the batch size requested per [`FetchSource::fill`] call.
 //! Batch size 1 approximates the old per-instruction `pop`

@@ -4,8 +4,8 @@
 //! average (26× worst case); this binary runs a reduced GAP + SPEC-like
 //! subset under every technique with the phase profiler enabled
 //! (`ObsConfig::profiled()`) and attributes the host time to the fixed
-//! phase taxonomy (`emu_exec`, `emu_handoff`, `block_decode`,
-//! `timing_pipeline`, `technique_hook:<label>`, `frontend_fetch`).
+//! phase taxonomy (`emu_exec`, `emu_handoff`, `timing_pipeline`,
+//! `technique_hook:<label>`, `frontend_fetch`).
 //!
 //! Output discipline:
 //!
@@ -48,11 +48,10 @@ const SPEC_SUBSET: &[&str] = &["hash_probe", "binary_search"];
 
 /// The simulator-side phases whose scope counts are deterministic (the
 /// driver phases never fire inside a bare simulation).
-const SIM_PHASES: [Phase; 6] = [
+const SIM_PHASES: [Phase; 5] = [
     Phase::FrontendFetch,
     Phase::EmuExec,
     Phase::EmuHandoff,
-    Phase::BlockDecode,
     Phase::TimingPipeline,
     Phase::TechniqueHook,
 ];
@@ -89,7 +88,7 @@ fn run_profiled(workload: &Workload, core: &CoreConfig, mode: WrongPathMode, bud
 fn render_counts(runs: &[Run]) -> String {
     let mut headers = vec!["technique", "instrs", "wp_instrs"];
     headers.extend(SIM_PHASES.iter().map(|p| p.name()));
-    headers.extend(["blk_hits", "blk_miss", "wp_emul"]);
+    headers.push("wp_emul");
     let rows: Vec<Vec<String>> = runs
         .iter()
         .map(|run| {
@@ -103,10 +102,6 @@ fn render_counts(runs: &[Run]) -> String {
                     .iter()
                     .map(|&p| run.profile.phase_agg(p).count.to_string()),
             );
-            // Block-cache traffic is a function of the wrong paths the
-            // stream takes — deterministic like the scope counts.
-            row.push(run.result.block_cache.hits.to_string());
-            row.push(run.result.block_cache.misses.to_string());
             // Wrong-path instructions functionally emulated: with lazy
             // emulation, only what the pipeline fetched.
             row.push(run.result.wrong_path_emulated.to_string());
@@ -174,14 +169,6 @@ fn record_prom(reg: &mut MetricsRegistry, group: &str, workload: &str, run: &Run
             run.profile.phase_agg(p).count,
         );
     }
-    count(
-        format!("ffsim_profile_block_cache_hits_total:{key}"),
-        run.result.block_cache.hits,
-    );
-    count(
-        format!("ffsim_profile_block_cache_misses_total:{key}"),
-        run.result.block_cache.misses,
-    );
 }
 
 struct Args {

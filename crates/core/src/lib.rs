@@ -59,9 +59,9 @@ pub mod technique;
 pub use error::SimError;
 pub use ffsim_emu::{CancelCause, CancelToken, FetchSource};
 pub use ffsim_obs::{CpiStack, ObsConfig, Phase, PhaseProfiler, StallClass};
-pub use metrics::{FaultStats, ObsReport, SimResult};
+pub use metrics::{BlockCacheStats, FaultStats, ObsReport, SimResult};
 pub use pipeline::{InstrTimes, LoadTiming, Pipeline, WindowState};
-pub use sim::{run_all_modes, NullObserver, SimConfig, SimObserver, Simulator};
+pub use sim::{run_all_modes, SimConfig, Simulator};
 pub use technique::code_cache::{CodeCache, CodeCacheStats};
 pub use technique::mode::WrongPathMode;
 pub use technique::replica::{PcCorruption, ReplicaPolicy};

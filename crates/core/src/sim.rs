@@ -2,13 +2,13 @@
 //! backend, and the four wrong-path modeling techniques.
 
 use crate::error::SimError;
-use crate::metrics::{ObsReport, SimResult};
+use crate::metrics::{BlockCacheStats, ObsReport, SimResult};
 use crate::pipeline::Pipeline;
 use crate::technique::mode::WrongPathMode;
 use crate::technique::replica::PcCorruption;
 use crate::technique::wrongpath::ConvergenceConfig;
 use crate::technique::{MispredictContext, TechniqueRegistry, WrongPathTechnique};
-use ffsim_emu::{CancelToken, DynInst, Emulator, FaultModel, FaultPolicy, FetchSource, Memory};
+use ffsim_emu::{CancelToken, Emulator, FaultModel, FaultPolicy, FetchSource, Memory};
 use ffsim_isa::Program;
 use ffsim_obs::{
     EventRing, Log2Hist, ObsConfig, Phase, ProfHandle, TraceEvent, TraceEventKind, TraceSource,
@@ -177,30 +177,6 @@ impl SimConfig {
     }
 }
 
-/// Observes simulation events as they happen — per-retired-instruction
-/// timings, mispredictions, and wrong-path injections. Implement this to
-/// build custom analyses (per-region IPC, pipeline traces, event dumps)
-/// without touching the simulator.
-///
-/// All methods have empty default bodies; override what you need.
-pub trait SimObserver {
-    /// A correct-path instruction retired with the given timestamps.
-    fn on_instruction(&mut self, inst: &DynInst, times: crate::pipeline::InstrTimes) {
-        let _ = (inst, times);
-    }
-
-    /// A branch mispredicted; it will resolve at `resolve_cycle`.
-    fn on_mispredict(&mut self, pc: ffsim_isa::Addr, resolve_cycle: u64) {
-        let _ = (pc, resolve_cycle);
-    }
-}
-
-/// The do-nothing observer used by [`Simulator::run`].
-#[derive(Clone, Copy, Default, Debug)]
-pub struct NullObserver;
-
-impl SimObserver for NullObserver {}
-
 /// A complete decoupled functional-first simulation.
 ///
 /// # Examples
@@ -313,16 +289,7 @@ impl Simulator {
     /// [`SimError::Cancelled`] or [`SimError::DeadlineExceeded`] within one
     /// retired instruction — the cooperative cancellation contract the
     /// campaign driver's watchdog relies on.
-    pub fn run(self) -> Result<SimResult, SimError> {
-        self.run_observed(&mut NullObserver)
-    }
-
-    /// Runs the simulation, reporting events to `observer`.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Simulator::run`].
-    pub fn run_observed(mut self, observer: &mut dyn SimObserver) -> Result<SimResult, SimError> {
+    pub fn run(mut self) -> Result<SimResult, SimError> {
         let started = Instant::now();
         self.prof.start();
         // The timing pipeline is the run loop's *self time*: one scope
@@ -394,7 +361,6 @@ impl Simulator {
                 self.prof.exit();
                 let times = self.pipeline.feed_correct(inst.pc, &inst.instr, inst.mem);
                 instructions += 1;
-                observer.on_instruction(&inst, times);
 
                 let Some(outcome) = inst.branch else {
                     continue;
@@ -411,7 +377,6 @@ impl Simulator {
 
                 // Misprediction: the branch resolves when it executes.
                 let resolve = times.complete;
-                observer.on_mispredict(inst.pc, resolve);
                 let branch_pc = inst.pc;
                 self.trace.record(|| {
                     timing_event(
@@ -535,7 +500,7 @@ impl Simulator {
             branch: self.predictor.stats(),
             convergence: technique_stats.convergence,
             code_cache: technique_stats.code_cache,
-            block_cache: technique_stats.block_cache,
+            block_cache: BlockCacheStats::default(),
             l1i: h.l1i().stats(),
             l1d: h.l1d().stats(),
             l2: h.l2().stats(),
@@ -791,50 +756,6 @@ mod tests {
             .run()
             .unwrap();
         assert_eq!(r.instructions, 0, "no measured instructions");
-    }
-
-    #[test]
-    fn observer_sees_every_retired_instruction_and_mispredict() {
-        struct Counter {
-            instructions: u64,
-            mispredicts: u64,
-            last_complete: u64,
-            ordered: bool,
-        }
-        impl SimObserver for Counter {
-            fn on_instruction(
-                &mut self,
-                _inst: &ffsim_emu::DynInst,
-                t: crate::pipeline::InstrTimes,
-            ) {
-                self.instructions += 1;
-                self.ordered &= t.fetch <= t.dispatch && t.dispatch <= t.issue;
-                self.last_complete = self.last_complete.max(t.complete);
-            }
-            fn on_mispredict(&mut self, _pc: ffsim_isa::Addr, resolve: u64) {
-                self.mispredicts += 1;
-                assert!(resolve > 0);
-            }
-        }
-        let p = simple_loop(50);
-        let mut obs = Counter {
-            instructions: 0,
-            mispredicts: 0,
-            last_complete: 0,
-            ordered: true,
-        };
-        let r = Simulator::new(
-            p,
-            Memory::new(),
-            tiny(WrongPathMode::ConvergenceExploitation),
-        )
-        .unwrap()
-        .run_observed(&mut obs)
-        .unwrap();
-        assert_eq!(obs.instructions, r.instructions);
-        assert_eq!(obs.mispredicts, r.branch.mispredicts());
-        assert!(obs.ordered, "stage timestamps must be ordered");
-        assert!(obs.last_complete <= r.cycles);
     }
 
     #[test]

@@ -65,9 +65,9 @@ impl From<Instr> for Decoded {
     }
 }
 
-/// Maximum instructions per memoized run, mirroring the emulator-side
-/// block cache's length cap: long branch-free stretches are chunked so a
-/// single run never holds a pathological amount of straight-line code.
+/// Maximum instructions per memoized run: long branch-free stretches are
+/// chunked so a single run never holds a pathological amount of
+/// straight-line code.
 pub(crate) const RUN_CAP: usize = 64;
 
 /// Decode-information cache indexed by instruction address.
@@ -78,8 +78,7 @@ pub(crate) const RUN_CAP: usize = 64;
 /// available for the code-cache-size ablation study.
 ///
 /// Unbounded caches additionally memoize *straight-line runs* keyed by
-/// entry pc (the timing-side analogue of the emulator's basic-block
-/// cache, see DESIGN.md §"Batched handoff and the block cache"): repeated
+/// entry pc (see DESIGN.md §"Batched handoff"): repeated
 /// wrong-path reconstruction of the same region then iterates a decoded
 /// slice instead of probing the map once per instruction. Runs are only
 /// memoized when their end can never move — a terminating branch, a

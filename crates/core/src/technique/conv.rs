@@ -7,10 +7,8 @@ use crate::technique::wrongpath::{
     ConvergenceConfig, ConvergenceStats, ConvergenceStream, FutureCache, FutureWindow, Walk,
     WalkBuf,
 };
-use crate::technique::{
-    inject_wrong_path, passive_frontend, MispredictContext, TechniqueStats, WrongPathTechnique,
-};
-use ffsim_emu::{DynInst, Emulator, FetchSource};
+use crate::technique::{inject_wrong_path, MispredictContext, TechniqueStats, WrongPathTechnique};
+use ffsim_emu::DynInst;
 use ffsim_obs::{Log2Hist, TraceEvent, TraceEventKind, TraceSource};
 
 /// Instruction reconstruction plus memory-address recovery: the future
@@ -58,10 +56,6 @@ impl WrongPathTechnique for ConvergenceTechnique {
         WrongPathMode::ConvergenceExploitation
     }
 
-    fn build_frontend(&self, emu: Emulator, cfg: &SimConfig) -> Box<dyn FetchSource> {
-        passive_frontend(emu, cfg)
-    }
-
     fn on_instruction(&mut self, inst: &DynInst) {
         self.code_cache.insert(inst.pc, inst.instr);
     }
@@ -101,13 +95,7 @@ impl WrongPathTechnique for ConvergenceTechnique {
                 });
             }
         }
-        inject_wrong_path(
-            cx.pipeline,
-            &mut stream,
-            cx.resolve,
-            self.budget,
-            Some(&mut self.stats),
-        );
+        inject_wrong_path(cx.pipeline, &mut stream, cx.resolve, self.budget);
         self.stats += stream.stats();
     }
 

@@ -3,10 +3,8 @@
 use crate::sim::SimConfig;
 use crate::technique::code_cache::CodeCache;
 use crate::technique::mode::WrongPathMode;
-use crate::technique::{
-    passive_frontend, reconstruct_inject, MispredictContext, TechniqueStats, WrongPathTechnique,
-};
-use ffsim_emu::{DynInst, Emulator, FetchSource};
+use crate::technique::{reconstruct_inject, MispredictContext, TechniqueStats, WrongPathTechnique};
+use ffsim_emu::DynInst;
 
 /// Wrong-path instructions are rebuilt from a [`CodeCache`] of previously
 /// seen decode information, steered by speculative branch predictions.
@@ -36,10 +34,6 @@ impl ReconstructionTechnique {
 impl WrongPathTechnique for ReconstructionTechnique {
     fn mode(&self) -> WrongPathMode {
         WrongPathMode::InstructionReconstruction
-    }
-
-    fn build_frontend(&self, emu: Emulator, cfg: &SimConfig) -> Box<dyn FetchSource> {
-        passive_frontend(emu, cfg)
     }
 
     fn on_instruction(&mut self, inst: &DynInst) {

@@ -48,8 +48,8 @@ use crate::technique::code_cache::{CodeCache, CodeCacheStats};
 use crate::technique::mode::WrongPathMode;
 use crate::technique::wrongpath::{ConvergenceStats, WpInst};
 use ffsim_emu::{
-    BlockCacheStats, DynInst, Emulator, FetchSource, InstrQueue, MemAccess, NoFrontendWrongPath,
-    StreamEntry, WpRecord,
+    DynInst, Emulator, FetchSource, InstrQueue, MemAccess, NoFrontendWrongPath, StreamEntry,
+    WpRecord,
 };
 use ffsim_isa::{Addr, Instr, Program, INSTR_BYTES};
 use ffsim_obs::{EventRing, Log2Hist};
@@ -127,9 +127,6 @@ pub struct TechniqueStats {
     pub convergence: ConvergenceStats,
     /// Code-cache counters; zero for techniques without a code cache.
     pub code_cache: CodeCacheStats,
-    /// Block-cache counters of functional wrong-path emulation; zero for
-    /// techniques that do not emulate wrong paths.
-    pub block_cache: BlockCacheStats,
     /// Wrong-path fault counters; zero for techniques that do not emulate
     /// wrong paths.
     pub faults: FaultStats,
@@ -154,10 +151,12 @@ pub trait WrongPathTechnique: Send + fmt::Debug {
     /// The mode this technique models (labels, reporting).
     fn mode(&self) -> WrongPathMode;
 
-    /// Builds the functional frontend this technique consumes. Most
-    /// techniques use [`passive_frontend`]; wrong-path emulation installs
-    /// the branch-predictor replica here.
-    fn build_frontend(&self, emu: Emulator, cfg: &SimConfig) -> Box<dyn FetchSource>;
+    /// Builds the functional frontend this technique consumes: by default
+    /// the [`passive_frontend`]; wrong-path emulation installs the
+    /// branch-predictor replica here.
+    fn build_frontend(&self, emu: Emulator, cfg: &SimConfig) -> Box<dyn FetchSource> {
+        passive_frontend(emu, cfg)
+    }
 
     /// A correct-path instruction was consumed by the timing model
     /// (the §III-A code-cache fill point).
@@ -180,7 +179,7 @@ pub trait WrongPathTechnique: Send + fmt::Debug {
         resolve: u64,
         budget: usize,
     ) {
-        inject_wrong_path(pipeline, wp, resolve, budget, None);
+        inject_wrong_path(pipeline, wp.iter().copied(), resolve, budget);
     }
 
     /// The mispredicted branch resolved (squash point); fetch redirects
@@ -248,21 +247,6 @@ impl WpFeed for WpInst {
     }
 }
 
-impl<W: WpFeed + ?Sized> WpFeed for &W {
-    fn wp_pc(&self) -> Addr {
-        (**self).wp_pc()
-    }
-    fn wp_instr(&self) -> &Instr {
-        (**self).wp_instr()
-    }
-    fn wp_mem(&self) -> Option<MemAccess> {
-        (**self).wp_mem()
-    }
-    fn wp_redirected(&self) -> bool {
-        (**self).wp_redirected()
-    }
-}
-
 /// A functionally emulated wrong-path record with its instruction.
 struct Emulated<'p> {
     record: WpRecord,
@@ -314,24 +298,25 @@ pub fn emulated_feed<'a>(
 /// injection (the squash). Loads with known addresses access the real
 /// hierarchy; the rest are modeled as L1 hits (§III-A, §V-C). The
 /// resolve check comes before each instruction is pulled from `wp`, so a
-/// lazy sequence is never advanced past what the pipeline takes.
+/// lazy sequence is never advanced past what the pipeline takes, and
+/// every instruction pulled is fed.
 ///
-/// `conv_stats`, when present, receives the Table III accounting of
-/// wrong-path memory operations that actually entered the pipeline.
+/// Returns the number of instructions fed, which is the number pulled.
 pub fn inject_wrong_path<W: WpFeed>(
     pipeline: &mut Pipeline,
     wp: impl IntoIterator<Item = W>,
     resolve: u64,
     budget: usize,
-    mut conv_stats: Option<&mut ConvergenceStats>,
-) {
+) -> usize {
     let snapshot = pipeline.snapshot_regs();
     let mut window = pipeline.begin_wrong_path();
     let mut wp = wp.into_iter().take(budget);
+    let mut fed = 0;
     while pipeline.next_fetch_cycle() < resolve {
         let Some(w) = wp.next() else {
             break;
         };
+        fed += 1;
         let instr = w.wp_instr();
         let mem = w.wp_mem();
         let timing = if instr.is_load() && mem.is_some() {
@@ -340,22 +325,13 @@ pub fn inject_wrong_path<W: WpFeed>(
             LoadTiming::AssumeL1Hit
         };
         let _ = pipeline.feed_wrong(&mut window, w.wp_pc(), instr, mem, timing, resolve);
-        // Table III accounting: only wrong-path memory operations that
-        // actually enter the pipeline count.
-        if let Some(stats) = conv_stats.as_deref_mut() {
-            if instr.is_mem() {
-                stats.wp_mem_ops += 1;
-                if mem.is_some() {
-                    stats.wp_mem_recovered += 1;
-                }
-            }
-        }
         if instr.is_branch() && w.wp_redirected() {
             pipeline.break_fetch_group();
         }
     }
     pipeline.end_wrong_path(window);
     pipeline.restore_regs(snapshot);
+    fed
 }
 
 /// [`reconstruct_into`](wrongpath::reconstruct_into) fused with
@@ -562,6 +538,66 @@ impl fmt::Debug for TechniqueRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ffsim_uarch::CoreConfig;
+
+    /// An endless straight-line wrong path of `nop`s that counts its pulls.
+    struct CountingNops {
+        pc: Addr,
+        pulls: usize,
+    }
+
+    impl Iterator for CountingNops {
+        type Item = WpInst;
+
+        fn next(&mut self) -> Option<WpInst> {
+            self.pulls += 1;
+            let pc = self.pc;
+            self.pc += INSTR_BYTES;
+            Some(WpInst {
+                pc,
+                instr: Instr::Nop,
+                mem: None,
+                next_pc: self.pc,
+            })
+        }
+    }
+
+    /// Injects into a fresh pipeline: (instructions fed, instructions
+    /// pulled, fetch cycle afterwards).
+    fn inject_counting(resolve: u64, budget: usize) -> (usize, usize, u64) {
+        let mut pipeline = Pipeline::new(CoreConfig::tiny_for_tests());
+        let mut wp = CountingNops {
+            pc: 0x4000,
+            pulls: 0,
+        };
+        let fed = inject_wrong_path(&mut pipeline, &mut wp, resolve, budget);
+        assert_eq!(pipeline.wrong_path_injected(), fed as u64);
+        (fed, wp.pulls, pipeline.next_fetch_cycle())
+    }
+
+    #[test]
+    fn injection_pulls_exactly_what_it_feeds() {
+        for resolve in [0, 1, 260, 261, 270, 300, 600, 2000] {
+            for budget in [0, 1, 7, 64, 4096] {
+                let (fed, pulls, fetch) = inject_counting(resolve, budget);
+                assert_eq!(pulls, fed, "resolve {resolve}, budget {budget}");
+                assert!(fed <= budget);
+                if fed < budget {
+                    // The source never ends, so only resolution stops it.
+                    assert!(fetch >= resolve, "resolve {resolve}, budget {budget}");
+                }
+                if fed > 0 {
+                    // The state the last pull was made in: fetch was still
+                    // before resolution.
+                    let (_, _, before_last) = inject_counting(resolve, fed - 1);
+                    assert!(before_last < resolve, "resolve {resolve}, budget {budget}");
+                }
+            }
+        }
+        // Both stops are reached: the budget, and resolution.
+        assert_eq!(inject_counting(600, 7).0, 7);
+        assert!(inject_counting(600, 4096).0 < 4096);
+    }
 
     #[test]
     fn builtin_registry_covers_all_modes_in_order() {

@@ -1,9 +1,7 @@
 //! The no-wrong-path baseline: fetch halts on a misprediction.
 
-use crate::sim::SimConfig;
 use crate::technique::mode::WrongPathMode;
-use crate::technique::{passive_frontend, MispredictContext, WrongPathTechnique};
-use ffsim_emu::{Emulator, FetchSource};
+use crate::technique::{MispredictContext, WrongPathTechnique};
 
 /// The functional-first default (paper §IV configuration 1): no wrong-path
 /// instructions are modeled; fetch simply halts until the mispredicted
@@ -22,10 +20,6 @@ impl NoWrongPathTechnique {
 impl WrongPathTechnique for NoWrongPathTechnique {
     fn mode(&self) -> WrongPathMode {
         WrongPathMode::NoWrongPath
-    }
-
-    fn build_frontend(&self, emu: Emulator, cfg: &SimConfig) -> Box<dyn FetchSource> {
-        passive_frontend(emu, cfg)
     }
 
     fn on_mispredict(&mut self, _cx: &mut MispredictContext<'_>) {

@@ -10,8 +10,8 @@ use crate::technique::{
     emulated_feed, inject_wrong_path, MispredictContext, TechniqueStats, WrongPathTechnique,
 };
 use ffsim_emu::{
-    BlockCache, BranchOracle, BranchOutcome, Emulator, Fault, FaultPolicy, FetchSource, InstrQueue,
-    WrongPathStop, DEFAULT_BLOCK_CACHE_BLOCKS,
+    BranchOracle, BranchOutcome, Emulator, Fault, FaultPolicy, FetchSource, InstrQueue,
+    WrongPathStop,
 };
 use ffsim_isa::{Addr, Instr};
 use ffsim_obs::{TraceEvent, TraceEventKind, TraceSource};
@@ -30,7 +30,6 @@ pub struct EmulationTechnique {
     budget: usize,
     watchdog: Option<u64>,
     fault_policy: FaultPolicy,
-    blocks: BlockCache,
     faults: FaultStats,
     emulated: u64,
 }
@@ -44,7 +43,6 @@ impl EmulationTechnique {
             budget: cfg.core.wrong_path_budget(),
             watchdog: cfg.wrong_path_watchdog,
             fault_policy: cfg.fault_policy,
-            blocks: BlockCache::new(DEFAULT_BLOCK_CACHE_BLOCKS),
             faults: FaultStats::default(),
             emulated: 0,
         }
@@ -134,13 +132,12 @@ impl WrongPathTechnique for EmulationTechnique {
             checkpoint,
             self.budget,
             self.watchdog,
-            &mut self.blocks,
             steer,
         );
         // Each record is emulated as the pipeline pulls it, and re-read
         // from the program text as it is injected.
         let feed = emulated_feed(&mut stream, emu.program());
-        inject_wrong_path(cx.pipeline, feed, cx.resolve, self.budget, None);
+        inject_wrong_path(cx.pipeline, feed, cx.resolve, self.budget);
         if to_watchdog {
             // A watchdog within the budget asks whether the wrong path runs
             // away, which the fetched prefix alone cannot tell: emulate on
@@ -184,7 +181,6 @@ impl WrongPathTechnique for EmulationTechnique {
 
     fn stats(&self) -> TechniqueStats {
         TechniqueStats {
-            block_cache: self.blocks.stats(),
             faults: self.faults,
             wrong_path_emulated: self.emulated,
             ..TechniqueStats::default()
@@ -192,7 +188,6 @@ impl WrongPathTechnique for EmulationTechnique {
     }
 
     fn reset_stats(&mut self) {
-        self.blocks.reset_stats();
         self.faults = FaultStats::default();
         self.emulated = 0;
     }

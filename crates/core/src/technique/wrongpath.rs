@@ -925,8 +925,9 @@ impl PcPath for WindowFrom<'_, '_> {
 /// where injection stops. Every yielded instruction, recovered address
 /// included, equals the eager [`reconstruct`] + [`recover_addresses`]
 /// result at the same index. The lock-step counters and `reconvergences`
-/// count the work done for the pulled prefix; a drained stream's
-/// [`stats`] equal the eager scan's.
+/// count the work done for the pulled prefix, and the memory-operation
+/// counters (Table III) count the memory operations yielded; apart from
+/// those, a drained stream's [`stats`] equal the eager scan's.
 ///
 /// [`convergence_distance`]: ConvergenceStream::convergence_distance
 /// [`stats`]: ConvergenceStream::stats
@@ -990,8 +991,7 @@ impl<'a> ConvergenceStream<'a> {
         self.distance
     }
 
-    /// This episode's counters so far (the memory-operation counters,
-    /// which the injector keeps, stay zero).
+    /// This episode's counters so far.
     #[must_use]
     pub fn stats(&self) -> ConvergenceStats {
         self.stats
@@ -1086,6 +1086,14 @@ impl Iterator for ConvergenceStream<'_> {
         }
         let mut w = self.walk.view(k).inst();
         w.mem = mem;
+        // Table III accounting: the injector feeds every instruction it
+        // pulls, so the memory operations yielded are those executed.
+        if w.instr.is_mem() {
+            self.stats.wp_mem_ops += 1;
+            if mem.is_some() {
+                self.stats.wp_mem_recovered += 1;
+            }
+        }
         Some(w)
     }
 }

@@ -366,10 +366,11 @@ proptest! {
     /// cut point `k`, the first `k` instructions it yields equal
     /// `reconstruct` + `recover_addresses` element-wise, its detection
     /// counters equal the eager scan's, its lock-step counters never
-    /// decrease as `k` grows, and a drained stream reproduces every eager
-    /// counter, code-cache hits and misses included. Later episodes on the
-    /// same future cache, starting further down the future, match the
-    /// eager scan over their own window.
+    /// decrease as `k` grows, its memory-operation counters count the
+    /// memory operations it yielded, and a drained stream reproduces every
+    /// other eager counter, code-cache hits and misses included. Later
+    /// episodes on the same future cache, starting further down the
+    /// future, match the eager scan over their own window.
     #[test]
     fn convergence_stream_is_the_eager_scan_cut_short(seed in any::<u64>()) {
         let ep = random_episode(seed);
@@ -389,6 +390,17 @@ proptest! {
             let mut stats = ConvergenceStats::default();
             let distance = recover_addresses(&mut wp, &window, cfg, &mut stats);
             (wp, stats, distance, walked)
+        };
+        // The Table III counters over yielded instructions: memory
+        // operations, and those with a recovered address.
+        let mem_counts = |wp: &[WpInst]| {
+            let ops = wp.iter().filter(|w| w.instr.is_mem());
+            (ops.clone().count() as u64, ops.filter(|w| w.mem.is_some()).count() as u64)
+        };
+        let without_mem = |s: ConvergenceStats| ConvergenceStats {
+            wp_mem_ops: 0,
+            wp_mem_recovered: 0,
+            ..s
         };
         for cfg in configs {
             let (eager, eager_stats, distance, eager_walked) = eager_from(0, &cfg);
@@ -412,8 +424,9 @@ proptest! {
                 prop_assert!(s.scan_stop_control >= last.scan_stop_control);
                 prop_assert!(s.skipped_dirty >= last.skipped_dirty);
                 prop_assert!(s.reconvergences >= last.reconvergences);
+                prop_assert_eq!((s.wp_mem_ops, s.wp_mem_recovered), mem_counts(&pulled), "cut at {}", k);
                 if k >= eager.len() {
-                    prop_assert_eq!(s, eager_stats, "drained at {}", k);
+                    prop_assert_eq!(without_mem(s), eager_stats, "drained at {}", k);
                 }
                 if k > eager.len() {
                     // The last pull found the walk's end.
@@ -432,7 +445,9 @@ proptest! {
                 prop_assert_eq!(stream.convergence_distance(), distance, "from {}", first);
                 let drained: Vec<WpInst> = stream.by_ref().collect();
                 prop_assert_eq!(&drained, &eager, "from {}", first);
-                prop_assert_eq!(stream.stats(), eager_stats, "from {}", first);
+                let s = stream.stats();
+                prop_assert_eq!(without_mem(s), eager_stats, "from {}", first);
+                prop_assert_eq!((s.wp_mem_ops, s.wp_mem_recovered), mem_counts(&drained), "from {}", first);
             }
         }
     }
@@ -488,7 +503,7 @@ proptest! {
     }
 
     /// The handoff batch size is a pure host-speed knob (see DESIGN.md
-    /// §"Batched handoff and the block cache"): per-instruction delivery
+    /// §"Batched handoff"): per-instruction delivery
     /// (`handoff_batch = 1`) and every batched size must produce
     /// bit-identical simulations across all four techniques — same
     /// cycles, retired counts, wrong-path injections, CPI stacks,

@@ -89,7 +89,7 @@ impl WrongPathTechnique for MonolithOracle {
         if self.mode == WrongPathMode::InstructionReconstruction {
             if let Some(start) = cx.wrong_path_start {
                 let wp = reconstruct(&mut self.code_cache, cx.predictor, start, self.budget);
-                inject_wrong_path(cx.pipeline, &wp, cx.resolve, self.budget, None);
+                inject_wrong_path(cx.pipeline, wp.iter().copied(), cx.resolve, self.budget);
             }
         } else if self.mode == WrongPathMode::ConvergenceExploitation {
             let Some(start) = cx.wrong_path_start else {
@@ -106,13 +106,14 @@ impl WrongPathTechnique for MonolithOracle {
                 }
             }
             let _ = recover_addresses(&mut wp, &future, &self.convergence, &mut self.conv_stats);
-            inject_wrong_path(
-                cx.pipeline,
-                &wp,
-                cx.resolve,
-                self.budget,
-                Some(&mut self.conv_stats),
-            );
+            let n = inject_wrong_path(cx.pipeline, wp.iter().copied(), cx.resolve, self.budget);
+            // Table III accounting: only the memory operations fed count.
+            for w in wp[..n].iter().filter(|w| w.instr.is_mem()) {
+                self.conv_stats.wp_mem_ops += 1;
+                if w.mem.is_some() {
+                    self.conv_stats.wp_mem_recovered += 1;
+                }
+            }
         } else if self.mode == WrongPathMode::WrongPathEmulation {
             let Some(start) = cx.wrong_path_start else {
                 return;
@@ -133,7 +134,7 @@ impl WrongPathTechnique for MonolithOracle {
                 _ => {}
             }
             let feed = emulated_feed(bundle.insts.iter().copied(), shadow.program());
-            inject_wrong_path(cx.pipeline, feed, cx.resolve, self.budget, None);
+            inject_wrong_path(cx.pipeline, feed, cx.resolve, self.budget);
         }
         // NoWrongPath: detection only, nothing injected.
     }
@@ -144,7 +145,6 @@ impl WrongPathTechnique for MonolithOracle {
             code_cache: self.code_cache.stats(),
             faults: self.faults,
             wrong_path_emulated: self.emulated,
-            ..TechniqueStats::default()
         }
     }
 

@@ -3,10 +3,10 @@
 //! run loop — the extension seam the strategy layer exists for.
 
 use ffsim_core::{
-    passive_frontend, ConvergenceStats, MispredictContext, ObsConfig, SimConfig, Simulator,
-    TechniqueRegistry, TechniqueStats, WrongPathMode, WrongPathTechnique,
+    ConvergenceStats, MispredictContext, ObsConfig, SimConfig, Simulator, TechniqueRegistry,
+    TechniqueStats, WrongPathMode, WrongPathTechnique,
 };
-use ffsim_emu::{Emulator, FetchSource, Memory};
+use ffsim_emu::Memory;
 use ffsim_isa::{Asm, Program, Reg};
 use ffsim_uarch::CoreConfig;
 
@@ -22,10 +22,6 @@ struct CountingTechnique {
 impl WrongPathTechnique for CountingTechnique {
     fn mode(&self) -> WrongPathMode {
         WrongPathMode::NoWrongPath
-    }
-
-    fn build_frontend(&self, emu: Emulator, cfg: &SimConfig) -> Box<dyn FetchSource> {
-        passive_frontend(emu, cfg)
     }
 
     fn on_mispredict(&mut self, _cx: &mut MispredictContext<'_>) {

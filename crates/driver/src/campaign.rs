@@ -41,10 +41,10 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// A cloneable, campaign-wide [`ManifestIo`]: every manifest save and cache
-/// write goes through it, so tests inject faults ([`FaultyIo`]
-/// (crate::FaultyIo), scripted failures) into a *running* campaign and
-/// prove no committed result is ever lost. Defaults to the real
-/// filesystem.
+/// write goes through it, so tests inject faults
+/// ([`FaultyIo`](crate::FaultyIo), scripted failures) into a *running*
+/// campaign and prove no committed result is ever lost. Defaults to the
+/// real filesystem.
 #[derive(Clone)]
 pub struct SharedIo(Arc<Mutex<dyn ManifestIo + Send>>);
 
@@ -176,7 +176,8 @@ pub struct CampaignOutcome {
     pub quarantines: Vec<Quarantine>,
 }
 
-/// A supervised simulation campaign. See the [module docs](self).
+/// A supervised simulation campaign. See the module docs of
+/// `campaign.rs`.
 #[derive(Debug)]
 pub struct Campaign {
     cfg: CampaignConfig,

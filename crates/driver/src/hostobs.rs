@@ -1,6 +1,6 @@
 //! Process-wide host-side observability for the campaign driver.
 //!
-//! The simulator's [`PhaseProfiler`](ffsim_obs::PhaseProfiler) rides the
+//! The simulator's [`PhaseProfiler`] rides the
 //! per-run [`ObsReport`](ffsim_core) — but the driver's own work (journal
 //! appends, compactions, cache verification, manifest commits) happens
 //! outside any single simulation. This module gives that work one global,

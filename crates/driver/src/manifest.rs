@@ -257,7 +257,7 @@ impl ManifestError {
 /// Loads a manifest, quarantining a damaged file instead of failing.
 ///
 /// A corrupt manifest (truncated, checksum mismatch, malformed) is
-/// moved aside by [`quarantine_file`] and the campaign starts
+/// moved aside by `quarantine_file` and the campaign starts
 /// from an empty manifest, with the diagnosis returned as a
 /// [`Quarantine`] notice for the report.
 ///

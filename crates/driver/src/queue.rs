@@ -236,7 +236,7 @@ pub struct PoisonJob {
     /// How many identical failures it accumulated.
     pub failures: u32,
     /// The recorded last error (panic message, lease loss, or the
-    /// underlying [`SimError`](ffsim_core::SimError) text).
+    /// underlying [`SimError`] text).
     pub error: String,
 }
 

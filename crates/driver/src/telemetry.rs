@@ -58,8 +58,8 @@ impl TelemetryConfig {
 }
 
 /// Shared campaign progress counters, updated by workers and rendered by
-/// the heartbeat thread. See the [module docs](self) for the consistency
-/// contract.
+/// the heartbeat thread. See the module docs of `telemetry.rs` for the
+/// consistency contract.
 #[derive(Debug)]
 pub struct Telemetry {
     total: usize,

@@ -14,7 +14,6 @@
 //!   ([`Emulator::wrong_path_stream`]), or eagerly to the end
 //!   ([`Emulator::emulate_wrong_path`]).
 
-use crate::block::{BlockCache, BlockFetch, BlockId, DEFAULT_BLOCK_CACHE_BLOCKS};
 use crate::cancel::{CancelCause, CancelToken};
 use crate::dyninst::{
     BranchOutcome, DynInst, WpRecord, WrongPathBundle, WrongPathCheckpoint, WrongPathStop,
@@ -24,7 +23,6 @@ use crate::mem::Memory;
 use crate::state::ArchState;
 use crate::undo::{MemAsOf, StoreLog};
 use ffsim_isa::{Addr, Instr, Program};
-use ffsim_obs::ProfHandle;
 use std::error::Error;
 use std::fmt;
 
@@ -143,7 +141,6 @@ pub struct Emulator {
     seq: u64,
     halted: bool,
     store_log: Option<StoreLog>,
-    prof: ProfHandle,
 }
 
 impl Emulator {
@@ -180,15 +177,7 @@ impl Emulator {
             seq: 0,
             halted: false,
             store_log: None,
-            prof: ProfHandle::disabled(),
         })
-    }
-
-    /// Installs a shared phase profiler: block decodes inside wrong-path
-    /// emulation are attributed as [`ffsim_obs::Phase::BlockDecode`],
-    /// nested under whatever scope the caller holds open.
-    pub fn set_profiler(&mut self, prof: ProfHandle) {
-        self.prof = prof;
     }
 
     /// Turns the correct-path store log on or off. While on, every
@@ -396,7 +385,7 @@ impl Emulator {
     /// memory at the branch, as in the paper.
     ///
     /// This is the eager form: it drains a [`WrongPathStream`] from the
-    /// current state to its end, fetching through a block cache of its own.
+    /// current state to its end.
     #[must_use]
     pub fn emulate_wrong_path<O: BranchOracle + ?Sized>(
         &self,
@@ -424,9 +413,8 @@ impl Emulator {
     ) -> WrongPathBundle {
         let mut state = self.state.clone();
         state.pc = start;
-        let mut cache = BlockCache::new(DEFAULT_BLOCK_CACHE_BLOCKS);
         let mem = MemAsOf::new(&self.mem, None, 0);
-        let mut stream = self.stream(state, mem, &mut cache, max_insts, watchdog, oracle);
+        let mut stream = self.stream(state, mem, max_insts, watchdog, oracle);
         // Size the bundle for the binding bound up front: the budget is a
         // few hundred instructions (ROB plus frontend), and growth-doubling
         // a fresh Vec would re-copy every record several times per episode.
@@ -448,8 +436,6 @@ impl Emulator {
     /// ([`Emulator::set_store_log`]), which must hold every store since
     /// `seq`. Without a log they read memory as it is now, which is only
     /// right while the emulator has not run past the branch.
-    /// Instructions are fetched through `cache`, with decodes attributed
-    /// to this emulator's profiler.
     #[must_use]
     pub fn wrong_path_stream<'a, O: BranchOracle>(
         &'a self,
@@ -457,7 +443,6 @@ impl Emulator {
         checkpoint: &WrongPathCheckpoint,
         max_insts: usize,
         watchdog: Option<u64>,
-        cache: &'a mut BlockCache,
         oracle: O,
     ) -> WrongPathStream<'a, O> {
         debug_assert!(
@@ -467,16 +452,14 @@ impl Emulator {
         let mut state = (*checkpoint.state).clone();
         state.pc = checkpoint.start;
         let mem = MemAsOf::new(&self.mem, self.store_log.as_ref(), seq);
-        self.stream(state, mem, cache, max_insts, watchdog, oracle)
+        self.stream(state, mem, max_insts, watchdog, oracle)
     }
 
-    /// A wrong-path stream from `state` over `mem`, fetching through
-    /// `cache`.
+    /// A wrong-path stream from `state` over `mem`.
     fn stream<'a, O: BranchOracle>(
         &'a self,
         state: ArchState,
         mem: MemAsOf<'a>,
-        cache: &'a mut BlockCache,
         max_insts: usize,
         watchdog: Option<u64>,
         oracle: O,
@@ -486,14 +469,10 @@ impl Emulator {
             mem,
             fault_model: self.fault_model,
             cancel: self.cancel.as_ref(),
-            prof: &self.prof,
-            cache,
             oracle,
             state,
             limit: WrongPathLimit::new(max_insts, watchdog),
             emitted: 0,
-            block: None,
-            pos: 0,
             stop: None,
         }
     }
@@ -537,26 +516,19 @@ impl WrongPathLimit {
 /// Registers live on a scratch copy of the checkpoint; stores are
 /// suppressed. The per-instruction stop checks and their priority order
 /// (cancel → watchdog → budget → illegal pc → halt → fault → oracle stop)
-/// are those of per-instruction stepping: within a cached block, members
-/// after the first skip only the illegal-pc and halt probes, which block
-/// decode already proved cannot fire. Once the stream stops, it yields
-/// nothing more and [`WrongPathStream::stop`] says why.
+/// are those of per-instruction stepping, and each instruction is fetched
+/// from the decoded program text the same way. Once the stream stops, it
+/// yields nothing more and [`WrongPathStream::stop`] says why.
 #[derive(Debug)]
 pub struct WrongPathStream<'a, O> {
     program: &'a Program,
     mem: MemAsOf<'a>,
     fault_model: FaultModel,
     cancel: Option<&'a CancelToken>,
-    prof: &'a ProfHandle,
-    cache: &'a mut BlockCache,
     oracle: O,
     state: ArchState,
     limit: WrongPathLimit,
     emitted: usize,
-    /// The cached block being walked, and the position of the next
-    /// instruction in it.
-    block: Option<BlockId>,
-    pos: usize,
     stop: Option<WrongPathStop>,
 }
 
@@ -576,24 +548,13 @@ impl<O> WrongPathStream<'_, O> {
 }
 
 impl<O: BranchOracle> WrongPathStream<'_, O> {
-    /// Fetches the next instruction at `pc`: the next member of the block
-    /// being walked, or the head of a newly probed one.
-    fn fetch(&mut self, pc: Addr) -> Result<Instr, WrongPathStop> {
-        let cache = &mut *self.cache;
-        if let Some(id) = self.block {
-            if let Some(&instr) = cache.block(id).get(self.pos) {
-                self.pos += 1;
-                return Ok(instr);
-            }
-        }
-        match cache.probe(self.program, pc, self.prof) {
-            BlockFetch::Block(id) => {
-                self.block = Some(id);
-                self.pos = 1;
-                Ok(cache.block(id)[0])
-            }
-            BlockFetch::Halt => Err(WrongPathStop::Halt),
-            BlockFetch::Illegal => Err(WrongPathStop::IllegalPc(pc)),
+    /// Fetches the instruction at `pc` from the program text; the wrong
+    /// path ends at `halt` or outside the text.
+    fn fetch(&self, pc: Addr) -> Result<Instr, WrongPathStop> {
+        match self.program.instr_at(pc) {
+            Some(Instr::Halt) => Err(WrongPathStop::Halt),
+            Some(&instr) => Ok(instr),
+            None => Err(WrongPathStop::IllegalPc(pc)),
         }
     }
 
@@ -949,19 +910,19 @@ mod tests {
         assert_eq!(emu.state(), &before);
     }
 
-    /// Emulator stopped right after the `li` of `loop_program`, the
-    /// checkpoint of a wrong path into the loop head, and a block cache.
-    fn loop_checkpoint() -> (Emulator, WrongPathCheckpoint, BlockCache) {
+    /// Emulator stopped right after the `li` of `loop_program`, and the
+    /// checkpoint of a wrong path into the loop head.
+    fn loop_checkpoint() -> (Emulator, WrongPathCheckpoint) {
         let mut emu = Emulator::new(loop_program()).unwrap();
         emu.step().unwrap(); // li
         let cp = WrongPathCheckpoint::new(emu.state().pc, emu.state());
-        (emu, cp, BlockCache::new(16))
+        (emu, cp)
     }
 
     #[test]
     fn lazy_stream_emulates_only_what_is_pulled() {
-        let (emu, cp, mut cache) = loop_checkpoint();
-        let mut stream = emu.wrong_path_stream(0, &cp, 100, Some(5), &mut cache, FollowComputed);
+        let (emu, cp) = loop_checkpoint();
+        let mut stream = emu.wrong_path_stream(0, &cp, 100, Some(5), FollowComputed);
         assert_eq!(stream.by_ref().take(5).count(), 5);
         assert_eq!(stream.emitted(), 5);
         // The watchdog trips on the sixth pull, not before it.
@@ -972,15 +933,13 @@ mod tests {
             Some(WrongPathStop::WatchdogExceeded { limit: 5, .. })
         ));
         assert_eq!(stream.next(), None, "a stopped stream stays stopped");
-        // add, addi, bnez, then the loop block again: one decode, one hit.
-        assert_eq!((cache.stats().misses, cache.stats().hits), (1, 1));
     }
 
     #[test]
     fn lazy_stream_matches_eager_emulation() {
-        let (emu, cp, mut cache) = loop_checkpoint();
+        let (emu, cp) = loop_checkpoint();
         let lazy: Vec<_> = emu
-            .wrong_path_stream(0, &cp, 7, None, &mut cache, FollowComputed)
+            .wrong_path_stream(0, &cp, 7, None, FollowComputed)
             .collect();
         let eager = emu.emulate_wrong_path(cp.start, 7, &mut FollowComputed);
         assert_eq!(lazy, eager.insts);
@@ -989,10 +948,10 @@ mod tests {
 
     #[test]
     fn lazy_stream_cancellation_stops_at_the_next_pull() {
-        let (mut emu, cp, mut cache) = loop_checkpoint();
+        let (mut emu, cp) = loop_checkpoint();
         let token = CancelToken::new();
         emu.set_cancel_token(Some(token.clone()));
-        let mut stream = emu.wrong_path_stream(0, &cp, 64, None, &mut cache, FollowComputed);
+        let mut stream = emu.wrong_path_stream(0, &cp, 64, None, FollowComputed);
         assert!(stream.next().is_some());
         token.cancel();
         assert_eq!(stream.next(), None);

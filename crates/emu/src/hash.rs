@@ -5,8 +5,8 @@
 //! keyed by *program addresses* — small, trusted integers derived from the
 //! workload's own text segment. Profiling (`perf_attrib`) showed the
 //! per-lookup SipHash cost dominating the instruction-reconstruction and
-//! convergence code caches, so those maps (and the basic-block cache) use
-//! this hasher instead. The construction is the familiar
+//! convergence code caches, so those maps (and the emulator's page map)
+//! use this hasher instead. The construction is the familiar
 //! rotate-xor-multiply mix used by rustc's FxHash family; it is **not**
 //! collision-resistant against adversarial keys and must only be used for
 //! trusted-key maps.

@@ -54,7 +54,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod block;
 mod cancel;
 mod dyninst;
 mod emulator;
@@ -65,7 +64,6 @@ mod queue;
 mod state;
 mod undo;
 
-pub use block::{BlockCache, BlockCacheStats, BLOCK_LEN_CAP, DEFAULT_BLOCK_CACHE_BLOCKS};
 pub use cancel::{CancelCause, CancelToken};
 pub use dyninst::{
     BranchOutcome, DynInst, FaultPolicy, MemAccess, WpRecord, WrongPathBundle, WrongPathCheckpoint,

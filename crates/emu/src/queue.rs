@@ -281,11 +281,8 @@ impl<P: FrontendPolicy> InstrQueue<P> {
     /// Installs a shared phase profiler attributing functional-side work:
     /// raw emulator stepping as [`Phase::EmuExec`], the surrounding
     /// refill/handoff bookkeeping as [`Phase::EmuHandoff`]. A disabled
-    /// handle (the default) costs one branch per refill. The handle is
-    /// shared with the emulator so wrong-path block decodes show up as
-    /// [`Phase::BlockDecode`](ffsim_obs::Phase) under the caller's scope.
+    /// handle (the default) costs one branch per refill.
     pub fn set_profiler(&mut self, prof: ProfHandle) {
-        self.emu.set_profiler(prof.clone());
         self.prof = prof;
     }
 
@@ -527,10 +524,9 @@ mod tests {
         // Wrong path re-enters the loop: addi, bnez, addi, bnez, ... with
         // x1 decremented to negative values, so bnez stays taken until the
         // 16-instruction budget runs out.
-        let mut cache = crate::block::BlockCache::new(8);
-        let mut stream =
-            q.emulator()
-                .wrong_path_stream(branch.seq, cp, 16, None, &mut cache, FollowComputed);
+        let mut stream = q
+            .emulator()
+            .wrong_path_stream(branch.seq, cp, 16, None, FollowComputed);
         assert_eq!(stream.by_ref().count(), 16);
         assert_eq!(stream.stop(), Some(WrongPathStop::BudgetExhausted));
     }
@@ -667,15 +663,9 @@ mod tests {
             let Some(cp) = &e.wrong_path else { continue };
             let eager =
                 reference.emulate_wrong_path_bounded(cp.start, 64, None, &mut FollowComputed);
-            let mut cache = crate::block::BlockCache::new(8);
-            let mut stream = q.emulator().wrong_path_stream(
-                e.inst.seq,
-                cp,
-                64,
-                None,
-                &mut cache,
-                FollowComputed,
-            );
+            let mut stream =
+                q.emulator()
+                    .wrong_path_stream(e.inst.seq, cp, 64, None, FollowComputed);
             let lazy: Vec<_> = stream.by_ref().collect();
             assert_eq!(lazy, eager.insts);
             assert_eq!(stream.stop(), Some(eager.stop));

@@ -4,9 +4,8 @@
 //! lazy wrong-path emulation against the eager reference.
 
 use ffsim_emu::{
-    BlockCache, BranchOracle, BranchOutcome, DynInst, Emulator, FaultModel, FollowComputed,
-    FrontendPolicy, InstrQueue, Memory, NoFrontendWrongPath, StepError, WrongPathCheckpoint,
-    WrongPathRequest,
+    BranchOracle, BranchOutcome, DynInst, Emulator, FaultModel, FollowComputed, FrontendPolicy,
+    InstrQueue, Memory, NoFrontendWrongPath, StepError, WrongPathCheckpoint, WrongPathRequest,
 };
 use ffsim_isa::{Addr, AluOp, BranchCond, FReg, Instr, MemWidth, Program, Reg, INSTR_BYTES};
 use proptest::prelude::*;
@@ -659,14 +658,13 @@ proptest! {
             NoFrontendWrongPath,
             32,
         );
-        let mut cache = BlockCache::new(16);
         loop {
             match (injected.pop(), clean.pop()) {
                 (Some(a), Some(b)) => {
                     prop_assert_eq!(a.inst, b.inst);
                     if let Some(cp) = &a.wrong_path {
                         let stream = injected.emulator().wrong_path_stream(
-                            a.inst.seq, cp, budget, Some(watchdog), &mut cache, FollowComputed);
+                            a.inst.seq, cp, budget, Some(watchdog), FollowComputed);
                         prop_assert!(stream.count() <= budget);
                     }
                 }
@@ -696,7 +694,6 @@ proptest! {
         let mut emu = Emulator::new(p.clone()).unwrap();
         emu.set_store_log(true);
         let mut q = InstrQueue::new(emu, replica, 16);
-        let mut cache = BlockCache::new(16);
         let mut wrong_paths = 0;
         while let Some(entry) = q.pop() {
             let Some(cp) = &entry.wrong_path else { continue };
@@ -704,7 +701,7 @@ proptest! {
             let steer = q.policy_mut().at_requests.pop_front().expect("one table per request");
             let records: Vec<_> = q
                 .emulator()
-                .wrong_path_stream(entry.inst.seq, cp, budget, None, &mut cache, steer)
+                .wrong_path_stream(entry.inst.seq, cp, budget, None, steer)
                 .collect();
             prop_assert!(records.len() <= budget);
             for rec in &records {
@@ -756,7 +753,6 @@ proptest! {
         let mut reference = Emulator::new(p.clone()).unwrap();
         let mut ahead = Emulator::new(p).unwrap();
         ahead.set_store_log(true);
-        let mut cache = BlockCache::new(8);
         let mut runahead = runahead.into_iter().cycle();
         let mut episodes = 0;
         while let Ok(inst) = reference.step() {
@@ -771,7 +767,7 @@ proptest! {
                 start, budget, watchdog, &mut FlipEveryThird(0));
             let cp = WrongPathCheckpoint::new(start, reference.state());
             let mut lazy = ahead.wrong_path_stream(
-                inst.seq, &cp, budget, watchdog, &mut cache, FlipEveryThird(0));
+                inst.seq, &cp, budget, watchdog, FlipEveryThird(0));
             let k = cut.min(eager.insts.len());
             let prefix: Vec<_> = lazy.by_ref().take(k).collect();
             prop_assert_eq!(&prefix[..], &eager.insts[..k], "cut at {}", k);

@@ -22,7 +22,7 @@
 //!   watchdogs), asserting identical retired-instruction counts, state
 //!   digests, and typed error outcomes. It also cross-checks
 //!   checkpoint/restore exactness around every wrong-path excursion.
-//! - [`shrink`] + [`artifact`] — a delta-debugging shrinker that
+//! - [`shrink`](mod@shrink) + [`artifact`] — a delta-debugging shrinker that
 //!   minimizes a divergent program, and a textual `.fsm` format that
 //!   persists the repro independent of generator seeds, together with a
 //!   regression-test stub.

@@ -32,10 +32,6 @@ pub enum Phase {
     /// Emulator→timing handoff: queue refill bookkeeping around the raw
     /// emulator steps (buffering, policy hooks, stream assembly).
     EmuHandoff,
-    /// Basic-block decode on a block-cache miss during wrong-path
-    /// emulation (nested inside [`Phase::EmuExec`]; a hot cache makes
-    /// this phase vanish).
-    BlockDecode,
     /// The timing pipeline proper, measured as the run loop's self time:
     /// retire accounting, predictor update, redirects, and the loop's own
     /// per-instruction bookkeeping (everything not nested in a fetch,
@@ -60,14 +56,13 @@ pub enum Phase {
 }
 
 /// Number of phases in the taxonomy.
-pub const PHASE_COUNT: usize = 10;
+pub const PHASE_COUNT: usize = 9;
 
 impl Phase {
     /// Every phase, in rendering order.
     pub const ALL: [Phase; PHASE_COUNT] = [
         Phase::EmuExec,
         Phase::EmuHandoff,
-        Phase::BlockDecode,
         Phase::TimingPipeline,
         Phase::TechniqueHook,
         Phase::FrontendFetch,
@@ -84,7 +79,6 @@ impl Phase {
         match self {
             Phase::EmuExec => "emu_exec",
             Phase::EmuHandoff => "emu_handoff",
-            Phase::BlockDecode => "block_decode",
             Phase::TimingPipeline => "timing_pipeline",
             Phase::TechniqueHook => "technique_hook",
             Phase::FrontendFetch => "frontend_fetch",
