@@ -105,6 +105,21 @@ fn cache_rate(c: &mut Criterion) {
             walks
         });
     });
+    // Hit-dominated: 64 pages, within the 96-entry DTLB, so after the
+    // warm-up every access hits (the miss-dominated case is above).
+    group.bench_function("dtlb_access_hot_10k", |b| {
+        let mut tlb = Tlb::new(cfg.dtlb);
+        let mut x = 0u64;
+        b.iter(|| {
+            let mut walks = 0u64;
+            for _ in 0..10_000 {
+                x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+                let addr = (x >> 58) * cfg.dtlb.page_bytes + (x >> 20) % cfg.dtlb.page_bytes;
+                walks += tlb.access(addr, PathKind::Correct);
+            }
+            walks
+        });
+    });
     group.bench_function("branch_observe_10k", |b| {
         let mut bp = BranchPredictor::new(cfg.branch);
         let branch = Instr::Branch {

@@ -67,7 +67,12 @@ fn measure(
     SuiteResult { suite, rows }
 }
 
+/// Prints `result`'s table and mean slowdowns; nothing when `--benchmarks`
+/// left the suite empty.
 fn report(label: &str, modes: &[WrongPathMode], result: &SuiteResult) {
+    if result.rows.is_empty() {
+        return;
+    }
     let rows: Vec<Vec<String>> = result
         .rows
         .iter()
@@ -93,6 +98,30 @@ fn report(label: &str, modes: &[WrongPathMode], result: &SuiteResult) {
         })
         .collect();
     println!("average slowdown: {}\n", summary.join(", "));
+}
+
+/// The techniques ordered by their mean slowdown over `result`'s rows,
+/// with `nowp` at 1.00x, e.g. `nowp 1.00x < instrec 2.17x < conv 2.85x`.
+/// Means equal to two decimals are joined by `=`.
+fn ordering(modes: &[WrongPathMode], result: &SuiteResult) -> String {
+    let mut means: Vec<(&str, f64)> = vec![(WrongPathMode::NoWrongPath.label(), 1.0)];
+    means.extend(modes.iter().enumerate().map(|(i, m)| {
+        let slow: Vec<f64> = result.rows.iter().map(|r| r.slowdowns[i]).collect();
+        (m.label(), mean(&slow))
+    }));
+    means.sort_by(|a, b| a.1.total_cmp(&b.1));
+    let mut out = String::new();
+    for (i, (label, m)) in means.iter().enumerate() {
+        if i > 0 {
+            out.push_str(if x100(*m) == x100(means[i - 1].1) {
+                " = "
+            } else {
+                " < "
+            });
+        }
+        out.push_str(&format!("{label} {m:.2}x"));
+    }
+    out
 }
 
 fn x100(value: f64) -> i64 {
@@ -237,9 +266,13 @@ fn main() {
     let spec_result = measure(&modes, &spec_workloads, SPEC_MAX_INSTRUCTIONS, "SPEC-like");
     report("SPEC-like", &modes, &spec_result);
     println!("paper: SPEC 1.12x / 1.13x / 2.1x;  GAP 3.2x / 4.0x / 13.1x");
-    println!("(absolute host ratios differ — our in-process emulator makes wrong-path");
-    println!("emulation far cheaper than Pin checkpoint/inject — but the ordering");
-    println!("nowp < instrec <= conv < wpemul and the GAP >> SPEC overhead gap hold)");
+    println!("(absolute host ratios differ: our in-process emulator makes wrong-path");
+    println!("emulation far cheaper than Pin checkpoint/inject)");
+    for (label, result) in [("GAP", &gap_result), ("SPEC-like", &spec_result)] {
+        if !result.rows.is_empty() {
+            println!("measured {label} ordering: {}", ordering(&modes, result));
+        }
+    }
 
     if let Some(path) = args.json {
         let doc = Value::Obj(vec![

@@ -46,7 +46,8 @@ pub enum Phase {
     FrontendFetch,
     /// Driver result-cache lookups, verification and stores.
     CacheIo,
-    /// Driver manifest / shard commit IO.
+    /// Driver manifest commits: the record insert and the atomic rewrite
+    /// of the store's one manifest file.
     ManifestIo,
     /// Driver queue journal appends, lease bookkeeping and compaction.
     QueueJournal,

@@ -1,14 +1,14 @@
-//! Property-based tests for the microarchitectural components: cache vs. a
-//! reference LRU model, predictor determinism, RAS semantics, DRAM
-//! bandwidth accounting, and hierarchy invariants.
+//! Property-based tests for the microarchitectural components: cache and
+//! TLB vs. reference LRU models, predictor determinism, RAS semantics,
+//! DRAM bandwidth accounting, and hierarchy invariants.
 
 use ffsim_isa::{BranchCond, Instr, Reg};
 use ffsim_uarch::{
     BranchConfig, BranchPredictor, Cache, CacheConfig, CoreConfig, Dram, DramConfig, Level, Lookup,
-    MemoryHierarchy, PathKind, ReturnStack, Tlb, TlbConfig,
+    MemoryHierarchy, PathKind, ReturnStack, Tlb, TlbConfig, TlbStats,
 };
 use proptest::prelude::*;
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 
 /// Reference LRU set-associative cache model (slow but obviously correct).
 struct RefCache {
@@ -60,6 +60,50 @@ impl RefCache {
             self.sets[set].pop_back();
         }
         self.sets[set].push_front(line);
+    }
+}
+
+/// Reference TLB: the page → LRU-stamp map with a min-stamp victim scan
+/// that `Tlb` used before its flat slots (slow but obviously exact LRU).
+struct RefTlb {
+    cfg: TlbConfig,
+    page_shift: u32,
+    entries: HashMap<u64, u64>,
+    clock: u64,
+    stats: TlbStats,
+}
+
+impl RefTlb {
+    fn new(cfg: TlbConfig) -> RefTlb {
+        RefTlb {
+            cfg,
+            page_shift: cfg.page_bytes.trailing_zeros(),
+            entries: HashMap::new(),
+            clock: 0,
+            stats: TlbStats::default(),
+        }
+    }
+
+    fn access(&mut self, addr: u64, path: PathKind) -> u64 {
+        self.clock += 1;
+        let page = addr >> self.page_shift;
+        if let Some(stamp) = self.entries.get_mut(&page) {
+            *stamp = self.clock;
+            self.stats.hits.bump(path);
+            return 0;
+        }
+        self.stats.misses.bump(path);
+        if self.entries.len() >= self.cfg.entries {
+            let victim = *self
+                .entries
+                .iter()
+                .min_by_key(|(_, &stamp)| stamp)
+                .expect("non-empty")
+                .0;
+            self.entries.remove(&victim);
+        }
+        self.entries.insert(page, self.clock);
+        self.cfg.walk_latency
     }
 }
 
@@ -205,6 +249,29 @@ proptest! {
         for p in pages {
             prop_assert_eq!(t.access(p * 4096 + 123, PathKind::Correct), 0);
         }
+    }
+
+    /// TLB: every access's latency and the final per-path hit and miss
+    /// counts equal the reference model's, for streams that mix a hot set
+    /// (hit-heavy) with pages drawn from a wide range (miss-heavy).
+    #[test]
+    fn tlb_matches_reference_lru(
+        entries in prop_oneof![Just(96usize), Just(128usize), 1usize..131],
+        page_log2 in 0u32..22,
+        hot_pages in 1u64..200,
+        hot_quarters in 0u64..5,
+        ops in proptest::collection::vec((0u64..4, any::<u64>(), any::<bool>()), 1..3000),
+    ) {
+        let cfg = TlbConfig { entries, page_bytes: 1 << page_log2, walk_latency: 30 };
+        let mut tlb = Tlb::new(cfg);
+        let mut reference = RefTlb::new(cfg);
+        for (i, (quarter, raw, wrong)) in ops.into_iter().enumerate() {
+            let page = if quarter < hot_quarters { raw % hot_pages } else { raw % (1 << 16) };
+            let addr = (page << page_log2) | ((raw >> 32) & (cfg.page_bytes - 1));
+            let path = if wrong { PathKind::Wrong } else { PathKind::Correct };
+            prop_assert_eq!(tlb.access(addr, path), reference.access(addr, path), "access {}", i);
+        }
+        prop_assert_eq!(tlb.stats(), reference.stats);
     }
 
     /// Hierarchy: after any access the line is present in L1, and repeat
