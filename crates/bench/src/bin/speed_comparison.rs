@@ -6,6 +6,10 @@
 //! and 13.1× (up to 157×). The reconstruction techniques burden only the
 //! performance simulator; emulation burdens the functional simulator.
 //!
+//! Each benchmark × technique entry is timed [`RUNS`] times, in
+//! interleaved rounds so that host drift hits every technique alike, and
+//! reports the median.
+//!
 //! `--techniques <label,...>` restricts the slowdown columns to a subset
 //! of the registered techniques. The no-wrong-path model is the
 //! normalization baseline, so it always runs even when filtered out.
@@ -28,6 +32,9 @@ use std::path::PathBuf;
 /// `BENCH_speed.json` schema version; bump on structural change.
 const JSON_VERSION: i64 = 1;
 
+/// Timed runs per benchmark × technique; an entry is their median.
+const RUNS: usize = 3;
+
 /// One benchmark's measurements: baseline wall-clock and per-technique
 /// slowdown, both exact enough for the text report and the JSON artifact.
 struct BenchRow {
@@ -49,17 +56,33 @@ fn measure(
     suite: &'static str,
 ) -> SuiteResult {
     let core = CoreConfig::golden_cove_like();
+    let timed: Vec<WrongPathMode> = std::iter::once(WrongPathMode::NoWrongPath)
+        .chain(modes.iter().copied())
+        .collect();
     let rows = workloads
         .iter()
         .map(|w| {
-            let nowp = run_mode(w, &core, WrongPathMode::NoWrongPath, max_instructions);
-            let slowdowns = modes
+            let mut times = vec![Vec::with_capacity(RUNS); timed.len()];
+            for _ in 0..RUNS {
+                for (t, &mode) in times.iter_mut().zip(&timed) {
+                    t.push(run_mode(w, &core, mode, max_instructions).wall_time);
+                }
+            }
+            let medians: Vec<f64> = times
+                .into_iter()
+                .map(|mut t| {
+                    t.sort();
+                    t[RUNS / 2].as_secs_f64()
+                })
+                .collect();
+            let nowp = medians[0];
+            let slowdowns = medians[1..]
                 .iter()
-                .map(|&mode| run_mode(w, &core, mode, max_instructions).slowdown_vs(&nowp))
+                .map(|&t| if nowp == 0.0 { 1.0 } else { t / nowp })
                 .collect();
             BenchRow {
                 benchmark: w.name().to_string(),
-                nowp_us: i64::try_from(nowp.wall_time.as_micros()).unwrap_or(i64::MAX),
+                nowp_us: (nowp * 1e6).round() as i64,
                 slowdowns,
             }
         })

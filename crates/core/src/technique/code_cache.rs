@@ -9,10 +9,14 @@
 //! be *reconstructed* by walking remembered instructions from the wrong
 //! target. A lookup miss stops reconstruction and falls back to halting
 //! fetch.
+//!
+//! Program text is contiguous and immutable, so the cache is a table
+//! indexed by text slot, `(pc − base) / 4`, rather than a map keyed by
+//! pc: an insert is an index computation, and a wrong-path walk reads a
+//! whole remembered straight-line stretch with one scan.
 
-use ffsim_emu::FxBuildHasher;
-use ffsim_isa::{Addr, ArchReg, Instr, RegSet};
-use std::collections::{HashMap, VecDeque};
+use ffsim_isa::{Addr, ArchReg, Instr, RegSet, INSTR_BYTES};
+use std::collections::VecDeque;
 
 /// Lookup/insert statistics of the code cache.
 #[derive(Clone, Copy, PartialEq, Eq, Default, Debug)]
@@ -25,21 +29,8 @@ pub struct CodeCacheStats {
     pub evictions: u64,
 }
 
-/// How a memoized straight-line run of remembered instructions ends.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub(crate) enum RunEnd {
-    /// The run's last instruction is a branch (always included, per the
-    /// reconstruction stopping rules).
-    Branch,
-    /// The pc after the run holds a remembered `halt`. A run of length
-    /// zero with this end marks an entry pc that is itself `halt`.
-    Halt,
-    /// Split at [`RUN_CAP`]; the walk continues at the pc after the run.
-    Cap,
-}
-
 /// A remembered instruction with the registers convergence matching
-/// reads, decoded once when its run is recorded rather than on every
+/// reads, decoded once when it is inserted rather than on every
 /// lock-step comparison.
 #[derive(Clone, Copy, PartialEq, Debug)]
 pub(crate) struct Decoded {
@@ -65,25 +56,61 @@ impl From<Instr> for Decoded {
     }
 }
 
-/// Maximum instructions per memoized run: long branch-free stretches are
-/// chunked so a single run never holds a pathological amount of
-/// straight-line code.
-pub(crate) const RUN_CAP: usize = 64;
+/// What the cache knows about one text slot: one byte, so that a
+/// [`CodeCache::stretch`] is a byte scan.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[repr(u8)]
+enum Kind {
+    /// Nothing remembered here.
+    Unknown,
+    /// A remembered instruction that falls through.
+    Plain,
+    /// A remembered control-flow instruction.
+    Branch,
+    /// A remembered `halt`.
+    Halt,
+}
+
+impl Kind {
+    fn of(instr: &Instr) -> Kind {
+        if matches!(instr, Instr::Halt) {
+            Kind::Halt
+        } else if instr.is_branch() {
+            Kind::Branch
+        } else {
+            Kind::Plain
+        }
+    }
+}
+
+/// How a [`CodeCache::stretch`] ended.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) enum StretchEnd {
+    /// The room ran out; the pc after the stretch was not looked up.
+    Room,
+    /// The stretch's last instruction is a branch.
+    Branch,
+    /// The pc after the stretch holds a remembered `halt` (a hit).
+    Halt,
+    /// The pc after the stretch is not remembered (a miss).
+    Unknown,
+}
 
 /// Decode-information cache indexed by instruction address.
+///
+/// The cache is one table with a slot per 4-byte text word, from `base`,
+/// the lowest pc inserted so far, to the highest; it grows on demand in
+/// both directions. Program text is contiguous, so the table is as dense
+/// as the text the run has touched (pcs inserted far apart would make it
+/// span the gap; the simulator inserts only program text). Each slot
+/// holds the decoded instruction and a one-byte kind (unknown, plain,
+/// branch or halt), so a wrong-path walk reads a whole straight-line
+/// stretch with one byte scan and one copy.
 ///
 /// By default the cache is unbounded — program text is finite, which
 /// mirrors the paper's implementation. A capacity bound (with FIFO
 /// replacement in insertion order, so runs are bit-reproducible) is
 /// available for the code-cache-size ablation study.
-///
-/// Unbounded caches additionally memoize *straight-line runs* keyed by
-/// entry pc (see DESIGN.md §"Batched handoff"): repeated
-/// wrong-path reconstruction of the same region then iterates a decoded
-/// slice instead of probing the map once per instruction. Runs are only
-/// memoized when their end can never move — a terminating branch, a
-/// remembered `halt`, or the length cap — so later inserts cannot stale
-/// them; bounded (ablation) caches evict, so they never memoize.
 ///
 /// # Examples
 ///
@@ -97,14 +124,18 @@ pub(crate) const RUN_CAP: usize = 64;
 /// ```
 #[derive(Clone, Debug)]
 pub struct CodeCache {
-    /// Keyed with the cheap address-mixing hasher: lookups sit on the
-    /// wrong-path reconstruction hot loop, where SipHash dominates.
-    entries: HashMap<Addr, Instr, FxBuildHasher>,
-    /// Insertion order of live keys (bounded caches only): the FIFO
-    /// eviction queue. The front is always the oldest live key.
+    /// The pc of slot 0 (meaningless while the table is empty).
+    base: Addr,
+    /// The kind of each slot.
+    kinds: Vec<Kind>,
+    /// The decoded instruction of each slot; stale where the kind is
+    /// [`Kind::Unknown`].
+    slots: Vec<Decoded>,
+    /// Remembered instructions (slots not [`Kind::Unknown`]).
+    len: usize,
+    /// Insertion order of live pcs (bounded caches only): the FIFO
+    /// eviction queue. The front is always the oldest live pc.
     order: VecDeque<Addr>,
-    /// Memoized straight-line runs by entry pc (unbounded caches only).
-    runs: HashMap<Addr, (Box<[Decoded]>, RunEnd), FxBuildHasher>,
     capacity: Option<usize>,
     stats: CodeCacheStats,
 }
@@ -114,9 +145,11 @@ impl CodeCache {
     #[must_use]
     pub fn unbounded() -> CodeCache {
         CodeCache {
-            entries: HashMap::default(),
+            base: 0,
+            kinds: Vec::new(),
+            slots: Vec::new(),
+            len: 0,
             order: VecDeque::new(),
-            runs: HashMap::default(),
             capacity: None,
             stats: CodeCacheStats::default(),
         }
@@ -132,24 +165,22 @@ impl CodeCache {
     pub fn with_capacity(capacity: usize) -> CodeCache {
         assert!(capacity > 0, "code cache capacity must be positive");
         CodeCache {
-            entries: HashMap::with_capacity_and_hasher(capacity, FxBuildHasher::default()),
             order: VecDeque::with_capacity(capacity),
-            runs: HashMap::default(),
             capacity: Some(capacity),
-            stats: CodeCacheStats::default(),
+            ..CodeCache::unbounded()
         }
     }
 
     /// Number of remembered instructions.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.len
     }
 
     /// Whether the cache is empty.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len == 0
     }
 
     /// Accumulated statistics.
@@ -163,41 +194,85 @@ impl CodeCache {
         self.stats = CodeCacheStats::default();
     }
 
+    /// The table index of `pc`, if it lies on the table's grid.
+    fn slot(&self, pc: Addr) -> Option<usize> {
+        let off = pc.wrapping_sub(self.base);
+        let i = usize::try_from(off / INSTR_BYTES).ok()?;
+        (off.is_multiple_of(INSTR_BYTES) && i < self.kinds.len()).then_some(i)
+    }
+
+    /// Grows the table to cover `pc` and returns its index.
+    fn grow_to(&mut self, pc: Addr) -> usize {
+        assert!(
+            pc.is_multiple_of(INSTR_BYTES),
+            "instruction pcs are 4-byte aligned"
+        );
+        let words = |from: Addr, to: Addr| {
+            usize::try_from((to - from) / INSTR_BYTES).expect("the text span fits in memory")
+        };
+        let unknown = Decoded::from(Instr::Nop);
+        if self.kinds.is_empty() {
+            self.base = pc;
+        } else if pc < self.base {
+            let n = words(pc, self.base);
+            self.kinds
+                .splice(..0, std::iter::repeat_n(Kind::Unknown, n));
+            self.slots.splice(..0, std::iter::repeat_n(unknown, n));
+            self.base = pc;
+        }
+        let i = words(self.base, pc);
+        if i >= self.kinds.len() {
+            self.kinds.resize(i + 1, Kind::Unknown);
+            self.slots.resize(i + 1, unknown);
+        }
+        i
+    }
+
     /// Remembers the decode information of a consumed correct-path
     /// instruction.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pc` is not 4-byte aligned (program text always is).
     pub fn insert(&mut self, pc: Addr, instr: Instr) {
-        if let Some(slot) = self.entries.get_mut(&pc) {
-            if *slot != instr {
-                // A remembered pc changed meaning (never happens for real
-                // programs — text is immutable — but the API permits it):
-                // every memoized run is suspect, drop them all.
-                self.runs.clear();
+        let i = match self.slot(pc) {
+            Some(i) => i,
+            None => self.grow_to(pc),
+        };
+        if self.kinds[i] == Kind::Unknown {
+            if let Some(cap) = self.capacity {
+                if self.len >= cap {
+                    if let Some(victim) = self.order.pop_front() {
+                        let v = self.slot(victim).expect("live pcs lie in the table");
+                        self.kinds[v] = Kind::Unknown;
+                        self.len -= 1;
+                        self.stats.evictions += 1;
+                    }
+                }
+                self.order.push_back(pc);
             }
-            *slot = instr;
+            self.len += 1;
+        } else if self.slots[i].instr == instr {
             return;
         }
-        if let Some(cap) = self.capacity {
-            if self.entries.len() >= cap {
-                // FIFO replacement: evict the oldest live key, so bounded
-                // runs are deterministic (HashMap iteration order is not).
-                if let Some(victim) = self.order.pop_front() {
-                    self.entries.remove(&victim);
-                    self.stats.evictions += 1;
-                }
-            }
-        }
-        self.entries.insert(pc, instr);
-        if self.capacity.is_some() {
-            self.order.push_back(pc);
-        }
+        // A new entry, or a remembered pc that changed meaning (never for
+        // real programs, whose text is immutable, but the API permits
+        // it), which is updated in place and keeps its age.
+        self.slots[i] = Decoded::from(instr);
+        self.kinds[i] = Kind::of(&instr);
+    }
+
+    /// The index of `pc` if an instruction is remembered there.
+    fn known(&self, pc: Addr) -> Option<usize> {
+        self.slot(pc).filter(|&i| self.kinds[i] != Kind::Unknown)
     }
 
     /// Looks up the remembered instruction at `pc`, counting hit/miss.
     pub fn lookup(&mut self, pc: Addr) -> Option<Instr> {
-        match self.entries.get(&pc) {
-            Some(&i) => {
+        match self.known(pc) {
+            Some(i) => {
                 self.stats.hits += 1;
-                Some(i)
+                Some(self.slots[i].instr)
             }
             None => {
                 self.stats.misses += 1;
@@ -209,29 +284,33 @@ impl CodeCache {
     /// Checks presence without touching statistics.
     #[must_use]
     pub fn contains(&self, pc: Addr) -> bool {
-        self.entries.contains_key(&pc)
+        self.known(pc).is_some()
     }
 
-    /// The memoized straight-line run entered at `pc`, if one was recorded
-    /// by an earlier reconstruction walk. Statistics are untouched — the
-    /// caller counts one hit per instruction it actually consumes, which
-    /// keeps the counters identical to a per-instruction walk.
-    pub(crate) fn run_at(&self, pc: Addr) -> Option<(&[Decoded], RunEnd)> {
-        self.runs.get(&pc).map(|(run, end)| (&run[..], *end))
-    }
-
-    /// Memoizes the straight-line run entered at `pc`. No-op for bounded
-    /// caches: eviction could remove a member instruction, and the run
-    /// memo has no per-member back-pointers to notice.
-    pub(crate) fn memoize_run(&mut self, pc: Addr, run: &[Decoded], end: RunEnd) {
-        if self.capacity.is_none() {
-            self.runs.insert(pc, (run.into(), end));
-        }
-    }
-
-    /// Counts `n` successful lookups served from a memoized run.
-    pub(crate) fn add_run_hits(&mut self, n: u64) {
-        self.stats.hits += n;
+    /// The remembered straight-line stretch from `pc`, at most `room`
+    /// instructions: it ends after a branch, before a `halt` or an
+    /// unknown pc, or when the room runs out. The statistics count
+    /// exactly what looking up each pc in turn would: a hit per
+    /// instruction returned, a hit for a `halt` met within the room, and
+    /// a miss for an unknown pc met within the room.
+    pub(crate) fn stretch(&mut self, pc: Addr, room: usize) -> (&[Decoded], StretchEnd) {
+        // Off the table, the scan starts at its end: the first pc is
+        // unknown.
+        let i = self.slot(pc).unwrap_or(self.kinds.len());
+        let end = self.kinds.len().min(i.saturating_add(room));
+        let (n, how) = match self.kinds[i..end].iter().position(|&k| k != Kind::Plain) {
+            Some(n) => match self.kinds[i + n] {
+                Kind::Branch => (n + 1, StretchEnd::Branch),
+                Kind::Halt => (n, StretchEnd::Halt),
+                _ => (n, StretchEnd::Unknown),
+            },
+            None if end - i == room => (room, StretchEnd::Room),
+            // The table ends within the room.
+            None => (end - i, StretchEnd::Unknown),
+        };
+        self.stats.hits += n as u64 + u64::from(how == StretchEnd::Halt);
+        self.stats.misses += u64::from(how == StretchEnd::Unknown);
+        (&self.slots[i..i + n], how)
     }
 }
 
@@ -329,6 +408,58 @@ mod tests {
         assert_eq!(a.stats().evictions, b.stats().evictions);
         for &pc in &seq {
             assert_eq!(a.contains(pc), b.contains(pc), "divergence at {pc:#x}");
+        }
+    }
+
+    /// A region with every kind of slot: plain runs, a branch, a `halt`
+    /// and holes, starting below the first insert.
+    fn mixed() -> CodeCache {
+        let mut cc = CodeCache::unbounded();
+        let jal = Instr::Jal {
+            rd: Reg::ZERO,
+            target: 0x1000,
+        };
+        for (i, instr) in [(4, alu(1)), (5, alu(2)), (6, jal), (7, alu(3))] {
+            cc.insert(0x1000 + i * 4, instr);
+        }
+        for (i, instr) in [(0, alu(4)), (1, alu(5)), (3, Instr::Halt), (9, alu(6))] {
+            cc.insert(0x1000 + i * 4, instr);
+        }
+        cc
+    }
+
+    /// A stretch returns and counts exactly what looking up each pc in
+    /// turn does, from every start on and off the table and its grid, for
+    /// every room.
+    #[test]
+    fn stretch_counts_what_per_pc_lookups_count() {
+        for start in (0xff0u64..0x1034).step_by(2) {
+            for room in 0..12 {
+                let mut by_lookup = mixed();
+                let mut want = Vec::new();
+                let mut how = StretchEnd::Room;
+                let mut pc = start;
+                while want.len() < room {
+                    match by_lookup.lookup(pc) {
+                        None => how = StretchEnd::Unknown,
+                        Some(Instr::Halt) => how = StretchEnd::Halt,
+                        Some(i) => {
+                            want.push(i);
+                            pc += 4;
+                            if !i.is_branch() {
+                                continue;
+                            }
+                            how = StretchEnd::Branch;
+                        }
+                    }
+                    break;
+                }
+                let mut cc = mixed();
+                let (got, end) = cc.stretch(start, room);
+                let got: Vec<Instr> = got.iter().map(|d| d.instr).collect();
+                assert_eq!((got, end), (want, how), "{start:#x}, room {room}");
+                assert_eq!(cc.stats(), by_lookup.stats(), "{start:#x}, room {room}");
+            }
         }
     }
 

@@ -3,7 +3,8 @@
 use crate::sim::SimConfig;
 use crate::technique::code_cache::CodeCache;
 use crate::technique::mode::WrongPathMode;
-use crate::technique::{reconstruct_inject, MispredictContext, TechniqueStats, WrongPathTechnique};
+use crate::technique::wrongpath::Reconstruct;
+use crate::technique::{inject_wrong_path, MispredictContext, TechniqueStats, WrongPathTechnique};
 use ffsim_emu::DynInst;
 
 /// Wrong-path instructions are rebuilt from a [`CodeCache`] of previously
@@ -42,17 +43,10 @@ impl WrongPathTechnique for ReconstructionTechnique {
 
     fn on_mispredict(&mut self, cx: &mut MispredictContext<'_>) {
         if let Some(start) = cx.wrong_path_start {
-            // Fused reconstruct + inject: the walk stops the moment the
-            // pipeline stops consuming (branch resolution), skipping the
-            // budget-sized tail a buffered reconstruction would discard.
-            reconstruct_inject(
-                &mut self.code_cache,
-                cx.predictor,
-                cx.pipeline,
-                start,
-                cx.resolve,
-                self.budget,
-            );
+            // The lazy path is looked up only as far as the pipeline takes
+            // it before the branch resolves.
+            let wp = Reconstruct::new(&mut self.code_cache, cx.predictor, start);
+            inject_wrong_path(cx.pipeline, wp, cx.resolve, self.budget);
         }
     }
 

@@ -44,7 +44,7 @@ use crate::error::SimError;
 use crate::metrics::FaultStats;
 use crate::pipeline::{LoadTiming, Pipeline};
 use crate::sim::SimConfig;
-use crate::technique::code_cache::{CodeCache, CodeCacheStats};
+use crate::technique::code_cache::CodeCacheStats;
 use crate::technique::mode::WrongPathMode;
 use crate::technique::wrongpath::{ConvergenceStats, WpInst};
 use ffsim_emu::{
@@ -332,75 +332,6 @@ pub fn inject_wrong_path<W: WpFeed>(
     pipeline.end_wrong_path(window);
     pipeline.restore_regs(snapshot);
     fed
-}
-
-/// [`reconstruct_into`](wrongpath::reconstruct_into) fused with
-/// [`inject_wrong_path`]: reconstructs the wrong path from the code cache
-/// and streams it straight into the pipeline, with no intermediate buffer.
-///
-/// Injection stops when the mispredicted branch resolves — usually long
-/// before the reconstruction budget (ROB + frontend depth) is reached — so
-/// the fused walk reconstructs exactly the prefix the pipeline consumes
-/// and skips the tail a buffered walk would have produced and thrown away.
-/// The injected stream, pipeline state, and timing are bit-identical to
-/// the `reconstruct_into` + `inject_wrong_path` pair; the only observable
-/// difference is that the code-cache hit/miss counters reflect the probed
-/// prefix rather than the full budget. Used by the reconstruction
-/// technique, whose memory timings are always
-/// [`LoadTiming::AssumeL1Hit`] (`mem` is never known).
-pub fn reconstruct_inject(
-    code_cache: &mut CodeCache,
-    predictor: &BranchPredictor,
-    pipeline: &mut Pipeline,
-    start: Addr,
-    resolve: u64,
-    budget: usize,
-) {
-    let snapshot = pipeline.snapshot_regs();
-    let mut window = pipeline.begin_wrong_path();
-    let mut spec = predictor.speculative_state();
-    let mut pc = start;
-    let mut injected = 0usize;
-    while injected < budget && pipeline.next_fetch_cycle() < resolve {
-        let Some(instr) = code_cache.lookup(pc) else {
-            break;
-        };
-        if matches!(instr, Instr::Halt) {
-            break;
-        }
-        let mut stop = false;
-        let next_pc = if instr.is_branch() {
-            match predictor.predict_speculative(pc, &instr, &mut spec).next_pc {
-                Some(t) => t,
-                None => {
-                    // The branch itself was fetched; reconstruction cannot
-                    // continue past it.
-                    stop = true;
-                    pc + INSTR_BYTES
-                }
-            }
-        } else {
-            pc + INSTR_BYTES
-        };
-        let _ = pipeline.feed_wrong(
-            &mut window,
-            pc,
-            &instr,
-            None,
-            LoadTiming::AssumeL1Hit,
-            resolve,
-        );
-        injected += 1;
-        if instr.is_branch() && next_pc != pc + INSTR_BYTES {
-            pipeline.break_fetch_group();
-        }
-        if stop {
-            break;
-        }
-        pc = next_pc;
-    }
-    pipeline.end_wrong_path(window);
-    pipeline.restore_regs(snapshot);
 }
 
 /// A technique factory: builds a fresh technique for one run's

@@ -1,11 +1,12 @@
 //! Wrong-path instruction reconstruction and convergence-based memory
 //! address recovery — the paper's §III-A and §III-C techniques.
 //!
-//! **Instruction reconstruction** ([`reconstruct`], a [`Walk`] taken to
-//! its end): on a misprediction, walk the [`CodeCache`] from the
-//! wrong-path start, steering branches with speculative predictions, until
-//! the budget is exhausted or an address is not remembered. The result
-//! carries no data addresses.
+//! **Instruction reconstruction** ([`Reconstruct`], [`reconstruct`]): on
+//! a misprediction, walk the [`CodeCache`] from the wrong-path start,
+//! steering branches with speculative predictions, until the budget is
+//! exhausted or an address is not remembered. The result carries no data
+//! addresses. [`Walk`] reads the same path a stretch at a time, for
+//! convergence matching.
 //!
 //! **Convergence exploitation** ([`recover_addresses`]): exploit the
 //! functional simulator's runahead to peek at the *future correct path*;
@@ -17,7 +18,7 @@
 //! simulator runs it lazily as a [`ConvergenceStream`], which walks,
 //! peeks and matches only as far as the pipeline takes the wrong path.
 
-use crate::technique::code_cache::{CodeCache, Decoded, RunEnd, RUN_CAP};
+use crate::technique::code_cache::{CodeCache, Decoded, StretchEnd};
 use ffsim_emu::{DynInst, FetchSource, MemAccess, StreamEntry};
 use ffsim_isa::{Addr, ArchReg, Instr, RegSet, INSTR_BYTES};
 use ffsim_uarch::{BranchPredictor, SpeculativeState};
@@ -36,14 +37,71 @@ pub struct WpInst {
     pub next_pc: Addr,
 }
 
-/// Reconstructs the wrong path starting at `start` from the code cache,
-/// steering branch directions with speculative predictions from
-/// `predictor` (which is never mutated).
+/// The reconstructed wrong path from a start pc, one code-cache lookup
+/// per instruction pulled, steering branch directions with speculative
+/// predictions from a predictor that is never mutated.
 ///
-/// Reconstruction stops at the first address the code cache does not
-/// remember, at an unpredictable branch (which is still included, as it
-/// was fetched), or when `budget` instructions have been produced — the
-/// stopping rules of §III-A.
+/// The path ends at the first address the code cache does not remember
+/// (a miss), at a remembered `halt` (a hit), or after an unpredictable
+/// branch (which is still yielded, as it was fetched) — the stopping
+/// rules of §III-A. The budget is the consumer's: `take` it.
+#[derive(Debug)]
+pub struct Reconstruct<'a> {
+    code_cache: &'a mut CodeCache,
+    predictor: &'a BranchPredictor,
+    spec: SpeculativeState,
+    /// The pc to look up next; `None` once the path has ended.
+    pc: Option<Addr>,
+}
+
+impl<'a> Reconstruct<'a> {
+    /// The wrong path from `start`.
+    pub fn new(
+        code_cache: &'a mut CodeCache,
+        predictor: &'a BranchPredictor,
+        start: Addr,
+    ) -> Reconstruct<'a> {
+        Reconstruct {
+            code_cache,
+            predictor,
+            spec: predictor.speculative_state(),
+            pc: Some(start),
+        }
+    }
+}
+
+impl Iterator for Reconstruct<'_> {
+    type Item = WpInst;
+
+    #[inline]
+    fn next(&mut self) -> Option<WpInst> {
+        let pc = self.pc.take()?;
+        let instr = self
+            .code_cache
+            .lookup(pc)
+            .filter(|i| !matches!(i, Instr::Halt))?;
+        let mut next_pc = pc + INSTR_BYTES;
+        self.pc = Some(next_pc);
+        if instr.is_branch() {
+            // An unpredictable branch is still fetched, but reconstruction
+            // cannot continue past it.
+            self.pc = self
+                .predictor
+                .predict_speculative(pc, &instr, &mut self.spec)
+                .next_pc;
+            next_pc = self.pc.unwrap_or(next_pc);
+        }
+        Some(WpInst {
+            pc,
+            instr,
+            mem: None,
+            next_pc,
+        })
+    }
+}
+
+/// Reconstructs at most `budget` wrong-path instructions from `start`
+/// (see [`Reconstruct`]).
 #[must_use]
 pub fn reconstruct(
     code_cache: &mut CodeCache,
@@ -51,26 +109,15 @@ pub fn reconstruct(
     start: Addr,
     budget: usize,
 ) -> Vec<WpInst> {
-    let mut out = Vec::new();
-    reconstruct_into(code_cache, predictor, start, budget, &mut out);
-    out
+    Reconstruct::new(code_cache, predictor, start)
+        .take(budget)
+        .collect()
 }
 
-/// [`reconstruct`] into a caller-owned buffer (cleared first): a [`Walk`]
-/// taken to its end and flattened.
-pub fn reconstruct_into(
-    code_cache: &mut CodeCache,
-    predictor: &BranchPredictor,
-    start: Addr,
-    budget: usize,
-    out: &mut Vec<WpInst>,
-) {
-    let mut buf = WalkBuf::default();
-    let mut walk = Walk::new(code_cache, predictor, start, budget, &mut buf);
-    walk.finish();
-    out.clear();
-    out.extend((0..walk.len()).map(|i| walk.view(i).inst()));
-}
+/// The most instructions one [`Walk`] step appends. A walk reads the code
+/// cache a whole step past the instruction it was asked for, so this also
+/// sets how far conv's code-cache counters look past what it injects.
+const WALK_STEP: usize = 64;
 
 /// A straight-line stretch of a walk: instructions `start..end` sit at
 /// consecutive pcs from `pc`. Stretches that fall through to each other
@@ -122,20 +169,16 @@ impl WpView<'_> {
 }
 
 /// A resumable wrong-path reconstruction walk over the code cache: the
-/// body of [`reconstruct`], extended on demand so a consumer that stops
+/// path of [`reconstruct`], extended on demand so a consumer that stops
 /// early never walks the tail of the budget.
 ///
-/// The walk appends one straight-line stretch at a time: the decoded
-/// instructions and their pcs go to flat buffers, and the stretch to a
-/// list of segments, so a pc search is one range test per segment. A
-/// [`WpInst`] is built only when a consumer asks for instruction `i`.
-/// Stretches are served from the code cache's memoized runs when
-/// available (see [`CodeCache`]); stretches walked per instruction are
-/// memoized for the next episode. The walked path and the hit/miss
-/// statistics are identical either way: a run hit counts one cache hit
-/// per instruction consumed, exactly as the per-instruction walk would
-/// have. The statistics therefore count only the stretches actually
-/// walked.
+/// The walk appends one remembered straight-line stretch of at most
+/// `WALK_STEP` (64) instructions at a time: the decoded instructions and
+/// their pcs go to flat buffers, and the stretch to a list of segments,
+/// so a pc search is one range test per segment. A [`WpInst`] is built
+/// only when a consumer asks for instruction `i`. The code cache counts
+/// a hit or miss for each pc of a stretch exactly as a per-instruction
+/// walk would, so the statistics count the stretches actually walked.
 #[derive(Debug)]
 pub struct Walk<'a> {
     code_cache: &'a mut CodeCache,
@@ -232,59 +275,33 @@ impl<'a> Walk<'a> {
         None
     }
 
-    /// Walks to the end: the budget or a §III-A stopping rule.
-    fn finish(&mut self) {
-        while !self.ended {
-            self.extend();
-        }
-    }
-
-    /// Appends one memoized run or one probed stretch.
+    /// Appends the next remembered stretch and steers its closing
+    /// branch. A stretch with no room left ends the walk at its budget.
     fn extend(&mut self) {
         let start = self.len();
-        if start >= self.budget {
-            self.ended = true;
-            return;
-        }
-        let remaining = self.budget - start;
         let entry = self.pc;
-        // Fast path: replay a memoized run entered at `entry`.
-        if let Some((run, end)) = self.code_cache.run_at(entry) {
-            let m = run.len().min(remaining);
-            let full = m == run.len();
-            self.buf.instrs.extend_from_slice(&run[..m]);
-            // One hit per consumed instruction; the per-instruction walk
-            // additionally probes the terminating `halt` — but only when
-            // still under budget.
-            let mut hits = m as u64;
-            let mut next = entry + m as Addr * INSTR_BYTES;
-            let mut stop = !full;
-            if full && end == RunEnd::Branch {
-                // A fully consumed branch-terminated run has its last
-                // instruction steered through the predictor; everything
-                // before it (and every truncated prefix) falls through.
-                let bpc = next - INSTR_BYTES;
+        let room = (self.budget - start).min(WALK_STEP);
+        let (stretch, end) = self.code_cache.stretch(entry, room);
+        self.buf.instrs.extend_from_slice(stretch);
+        let end_pc = entry + stretch.len() as Addr * INSTR_BYTES;
+        self.pc = end_pc;
+        match end {
+            StretchEnd::Room => self.ended = room == 0,
+            StretchEnd::Branch => {
+                let instr = self.buf.instrs[self.len() - 1].instr;
+                let bpc = end_pc - INSTR_BYTES;
                 match self
                     .predictor
-                    .predict_speculative(bpc, &run[m - 1].instr, &mut self.spec)
+                    .predict_speculative(bpc, &instr, &mut self.spec)
                     .next_pc
                 {
-                    Some(t) => next = t,
-                    // The branch itself was fetched; reconstruction cannot
-                    // continue past it.
-                    None => stop = true,
+                    Some(t) => self.pc = t,
+                    // Unpredictable: the branch itself was fetched, but
+                    // reconstruction cannot continue past it.
+                    None => self.ended = true,
                 }
-            } else if full && end == RunEnd::Halt {
-                if m < remaining {
-                    hits += 1;
-                }
-                stop = true;
             }
-            self.code_cache.add_run_hits(hits);
-            self.ended = stop;
-            self.pc = next;
-        } else {
-            self.pc = self.probe(entry, start);
+            StretchEnd::Halt | StretchEnd::Unknown => self.ended = true,
         }
         let end = self.len();
         if end == start {
@@ -293,63 +310,14 @@ impl<'a> Walk<'a> {
         let pcs = (0..(end - start) as Addr).map(|j| entry + j * INSTR_BYTES);
         self.buf.pcs.extend(pcs);
         match self.buf.segs.last_mut() {
-            // A stretch the previous one falls through to (a run split at
-            // the cap, or a not-taken branch) continues its pcs.
+            // A stretch the previous one falls through to (one split at
+            // the step, or after a not-taken branch) continues its pcs.
             Some(g) if g.pc_of(g.end) == entry => g.end = end,
             _ => self.buf.segs.push(Segment {
                 pc: entry,
                 start,
                 end,
             }),
-        }
-    }
-
-    /// Slow path of [`Walk::extend`]: probes the code cache per
-    /// instruction from `entry`, exactly like the original walk, and
-    /// returns the successor of the last instruction walked. The stretch
-    /// is memoized so the next episode through `entry` replays it. Only
-    /// complete runs (branch / remembered halt / cap) are memoized — a
-    /// budget- or unknown-pc-ended prefix could grow longer in a later
-    /// episode.
-    fn probe(&mut self, entry: Addr, start: usize) -> Addr {
-        let (code_cache, instrs) = (&mut *self.code_cache, &mut self.buf.instrs);
-        let mut pc = entry;
-        loop {
-            if instrs.len() >= self.budget {
-                self.ended = true;
-                return pc;
-            }
-            let Some(instr) = code_cache.lookup(pc) else {
-                self.ended = true;
-                return pc;
-            };
-            if matches!(instr, Instr::Halt) {
-                code_cache.memoize_run(entry, &instrs[start..], RunEnd::Halt);
-                self.ended = true;
-                return pc;
-            }
-            instrs.push(Decoded::from(instr));
-            if instr.is_branch() {
-                code_cache.memoize_run(entry, &instrs[start..], RunEnd::Branch);
-                return match self
-                    .predictor
-                    .predict_speculative(pc, &instr, &mut self.spec)
-                    .next_pc
-                {
-                    Some(t) => t,
-                    // Unpredictable: the branch itself was fetched, but
-                    // reconstruction cannot continue past it.
-                    None => {
-                        self.ended = true;
-                        pc + INSTR_BYTES
-                    }
-                };
-            }
-            pc += INSTR_BYTES;
-            if instrs.len() - start >= RUN_CAP {
-                code_cache.memoize_run(entry, &instrs[start..], RunEnd::Cap);
-                return pc;
-            }
         }
     }
 }
@@ -1258,9 +1226,8 @@ mod tests {
 
     /// The first convergence distance of a stream walking `cc` from
     /// `start` against the future `pcs`, checked against the eager scan.
-    /// The stream runs twice: first from a cold future cache (and, for
-    /// an unwalked region, cold code-cache runs), then over the entries
-    /// and runs the first run left behind.
+    /// The stream runs twice: first from a cold future cache, then over
+    /// the entries the first run left behind.
     fn first_distance(
         cc: &mut CodeCache,
         start: Addr,
@@ -1341,28 +1308,80 @@ mod tests {
         assert_eq!(first_distance(&mut cc, 0x3000, 16, &[0x300c], 8), None);
     }
 
-    /// Case B across a run split at `RUN_CAP`: the future's head is the
-    /// last instruction before the split or the first after it.
+    /// Case B across a stretch split at `WALK_STEP`: the future's head is
+    /// the last instruction before the split or the first after it.
     #[test]
-    fn wrong_path_search_crosses_a_run_cap_split() {
+    fn wrong_path_search_crosses_a_walk_step() {
         let mut cc = CodeCache::unbounded();
-        straight_line(&mut cc, 0x3000, RUN_CAP + 8);
+        straight_line(&mut cc, 0x3000, WALK_STEP + 8);
         let pc = |i: usize| 0x3000 + i as Addr * 4;
-        for i in [RUN_CAP - 1, RUN_CAP] {
+        for i in [WALK_STEP - 1, WALK_STEP] {
             assert_eq!(
-                first_distance(&mut cc, 0x3000, 2 * RUN_CAP, &[pc(i)], 8),
+                first_distance(&mut cc, 0x3000, 2 * WALK_STEP, &[pc(i)], 8),
                 Some(i)
             );
         }
         // A search from the walk's end, where walking on grows the last
         // segment instead of adding one.
         let (p, mut buf) = (predictor(), WalkBuf::default());
-        let mut cold = CodeCache::unbounded();
-        straight_line(&mut cold, 0x3000, RUN_CAP + 8);
-        let mut walk = Walk::new(&mut cold, &p, 0x3000, 2 * RUN_CAP, &mut buf);
+        let mut walk = Walk::new(&mut cc, &p, 0x3000, 2 * WALK_STEP, &mut buf);
         assert!(walk.reach(0));
-        assert_eq!(walk.len(), RUN_CAP);
-        assert_eq!(walk.find(RUN_CAP, pc(RUN_CAP + 3), 8), Some(3));
+        assert_eq!(walk.len(), WALK_STEP);
+        assert_eq!(walk.find(WALK_STEP, pc(WALK_STEP + 3), 8), Some(3));
+    }
+
+    /// Walks `cc` from `start` to its end: (instructions walked, segments,
+    /// code-cache hits, misses).
+    fn walk_to_end(cc: &mut CodeCache, start: Addr, budget: usize) -> (usize, usize, u64, u64) {
+        let (p, mut buf) = (predictor(), WalkBuf::default());
+        let before = cc.stats();
+        let mut walk = Walk::new(cc, &p, start, budget, &mut buf);
+        assert!(!walk.reach(budget), "the walk stays within its budget");
+        let len = walk.len();
+        let after = cc.stats();
+        (
+            len,
+            buf.segs.len(),
+            after.hits - before.hits,
+            after.misses - before.misses,
+        )
+    }
+
+    /// 70 straight-line instructions and then an unknown pc: two stretches
+    /// (64 + 6) merged into one segment, a hit per instruction and one
+    /// miss.
+    #[test]
+    fn walk_counts_each_instruction_of_a_long_stretch_and_its_miss() {
+        let mut cc = CodeCache::unbounded();
+        straight_line(&mut cc, 0x3000, 70);
+        assert_eq!(walk_to_end(&mut cc, 0x3000, 128), (70, 1, 70, 1));
+    }
+
+    /// A remembered `halt` is looked up (one hit) only while the walk is
+    /// under its budget; it is never walked.
+    #[test]
+    fn walk_probes_a_halt_only_under_budget() {
+        let mut cc = CodeCache::unbounded();
+        straight_line(&mut cc, 0x3000, 5);
+        cc.insert(0x3014, Instr::Halt);
+        assert_eq!(walk_to_end(&mut cc, 0x3000, 6), (5, 1, 6, 0));
+        assert_eq!(walk_to_end(&mut cc, 0x3000, 5), (5, 1, 5, 0));
+        assert_eq!(walk_to_end(&mut cc, 0x3014, 1), (0, 0, 1, 0));
+        assert_eq!(walk_to_end(&mut cc, 0x3014, 0), (0, 0, 0, 0));
+    }
+
+    /// A walk that reaches its budget ends with a stretch of no room,
+    /// which looks nothing up: the pc past the budget is neither a hit
+    /// nor a miss.
+    #[test]
+    fn walk_at_its_budget_counts_nothing_more() {
+        let mut cc = CodeCache::unbounded();
+        straight_line(&mut cc, 0x3000, 70);
+        assert_eq!(walk_to_end(&mut cc, 0x3000, 70), (70, 1, 70, 0));
+        assert_eq!(walk_to_end(&mut cc, 0x3000, 64), (64, 1, 64, 0));
+        assert_eq!(walk_to_end(&mut cc, 0x3000, 0), (0, 0, 0, 0));
+        // Nor is an unknown pc at a budget of zero.
+        assert_eq!(walk_to_end(&mut cc, 0x9000, 0), (0, 0, 0, 0));
     }
 
     /// Case B at the walk budget: the future's head found as the last

@@ -6,13 +6,14 @@ use ffsim_core::technique::wrongpath::{
     ConvergenceStream, FutureCache, FutureWindow, Walk, WalkBuf,
 };
 use ffsim_core::{
-    reconstruct, recover_addresses, CodeCache, ConvergenceConfig, ConvergenceStats, ObsConfig,
-    Pipeline, SimConfig, Simulator, WpInst, WrongPathMode,
+    reconstruct, recover_addresses, CodeCache, CodeCacheStats, ConvergenceConfig, ConvergenceStats,
+    ObsConfig, Pipeline, SimConfig, Simulator, WpInst, WrongPathMode,
 };
 use ffsim_emu::{BranchOutcome, DynInst, MemAccess, Memory, StreamEntry};
 use ffsim_isa::{Addr, AluOp, BranchCond, Instr, MemWidth, Program, Reg, INSTR_BYTES};
 use ffsim_uarch::{BranchPredictor, CoreConfig};
 use proptest::prelude::*;
+use std::collections::{HashMap, VecDeque};
 
 fn arb_reg() -> impl Strategy<Value = Reg> {
     (1u8..30).prop_map(Reg::new)
@@ -233,6 +234,54 @@ fn random_episode(seed: u64) -> Episode {
         budget: r.below(200),
         future,
         cap,
+    }
+}
+
+/// Reference code cache: the pc-keyed map with a FIFO queue of live pcs
+/// that `CodeCache` used before its text-indexed table (slow but
+/// obviously right).
+struct RefCodeCache {
+    entries: HashMap<Addr, Instr>,
+    order: VecDeque<Addr>,
+    capacity: Option<usize>,
+    stats: CodeCacheStats,
+}
+
+impl RefCodeCache {
+    fn new(capacity: Option<usize>) -> RefCodeCache {
+        RefCodeCache {
+            entries: HashMap::new(),
+            order: VecDeque::new(),
+            capacity,
+            stats: CodeCacheStats::default(),
+        }
+    }
+
+    fn insert(&mut self, pc: Addr, instr: Instr) {
+        if let Some(slot) = self.entries.get_mut(&pc) {
+            *slot = instr;
+            return;
+        }
+        if let Some(cap) = self.capacity {
+            if self.entries.len() >= cap {
+                if let Some(victim) = self.order.pop_front() {
+                    self.entries.remove(&victim);
+                    self.stats.evictions += 1;
+                }
+            }
+            self.order.push_back(pc);
+        }
+        self.entries.insert(pc, instr);
+    }
+
+    fn lookup(&mut self, pc: Addr) -> Option<Instr> {
+        let found = self.entries.get(&pc).copied();
+        if found.is_some() {
+            self.stats.hits += 1;
+        } else {
+            self.stats.misses += 1;
+        }
+        found
     }
 }
 
@@ -462,6 +511,49 @@ proptest! {
         for pc in pcs {
             cc.insert(pc * 4, Instr::Nop);
             prop_assert!(cc.len() <= cap);
+        }
+    }
+
+    /// The text-indexed code cache answers every lookup and `contains`,
+    /// and keeps `len` and the statistics, exactly as the pc-keyed
+    /// reference does, unbounded and bounded. Inserts land around a random
+    /// start, also below the first insert, and re-insert pcs with other
+    /// instructions; lookups also go off the 4-byte grid and past every
+    /// insert.
+    #[test]
+    fn code_cache_matches_reference(
+        cap in prop_oneof![Just(None), (1usize..65).prop_map(Some)],
+        start in 0x100u64..(1 << 40),
+        ops in proptest::collection::vec((0u8..4, -96i64..96, 0u64..4, 0usize..4), 1..400),
+    ) {
+        let instrs = [
+            Instr::Nop,
+            Instr::Alu { op: AluOp::Add, rd: Reg::new(1), rs1: Reg::new(2), rs2: Reg::new(3) },
+            Instr::Jal { rd: Reg::ZERO, target: 0x1000 },
+            Instr::Halt,
+        ];
+        let mut cc = cap.map_or_else(CodeCache::unbounded, CodeCache::with_capacity);
+        let mut reference = RefCodeCache::new(cap);
+        for (i, (op, off, sub, which)) in ops.into_iter().enumerate() {
+            let grid = (start as i64 + off.clamp(-64, 63)) as Addr * INSTR_BYTES;
+            let pc = (start as i64 + off) as Addr * INSTR_BYTES + sub;
+            match op {
+                0 | 1 => {
+                    cc.insert(grid, instrs[which]);
+                    reference.insert(grid, instrs[which]);
+                }
+                2 => prop_assert_eq!(cc.lookup(pc), reference.lookup(pc), "op {} at {:#x}", i, pc),
+                _ => prop_assert_eq!(
+                    cc.contains(pc),
+                    reference.entries.contains_key(&pc),
+                    "op {} at {:#x}", i, pc
+                ),
+            }
+            prop_assert_eq!(cc.len(), reference.entries.len(), "op {}", i);
+            prop_assert_eq!(cc.stats(), reference.stats, "op {}", i);
+        }
+        for pc in reference.entries.keys() {
+            prop_assert!(cc.contains(*pc));
         }
     }
 

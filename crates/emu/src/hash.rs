@@ -3,13 +3,12 @@
 //! The standard library's default hasher (SipHash-1-3) is keyed and
 //! DoS-resistant, which the simulator does not need: its hot maps are
 //! keyed by *program addresses* — small, trusted integers derived from the
-//! workload's own text segment. Profiling (`perf_attrib`) showed the
-//! per-lookup SipHash cost dominating the instruction-reconstruction and
-//! convergence code caches, so those maps (and the emulator's page map)
-//! use this hasher instead. The construction is the familiar
-//! rotate-xor-multiply mix used by rustc's FxHash family; it is **not**
-//! collision-resistant against adversarial keys and must only be used for
-//! trusted-key maps.
+//! workload's own text and data segments. Profiling (`perf_attrib`)
+//! showed the per-lookup SipHash cost dominating such maps, so the
+//! emulator's page map uses this hasher instead. The construction is the
+//! familiar rotate-xor-multiply mix used by rustc's FxHash family; it is
+//! **not** collision-resistant against adversarial keys and must only be
+//! used for trusted-key maps.
 
 use std::hash::{BuildHasherDefault, Hasher};
 

@@ -71,7 +71,6 @@ pub use dyninst::{
 };
 pub use emulator::{BranchOracle, EmuError, Emulator, FollowComputed, StepError, WrongPathStream};
 pub use exec::{Fault, FaultModel};
-pub use hash::{FxBuildHasher, FxHasher};
 pub use mem::{Memory, MemoryLimitError, PAGE_BYTES};
 pub use queue::{
     FetchSource, FrontendPolicy, InstrQueue, NoFrontendWrongPath, StreamBuf, StreamEntry,
