@@ -231,33 +231,37 @@ impl CodeCache {
     /// Remembers the decode information of a consumed correct-path
     /// instruction.
     ///
+    /// A pc's instruction never changes (program text is immutable), so a
+    /// pc that is already remembered returns at once.
+    ///
     /// # Panics
     ///
-    /// Panics if `pc` is not 4-byte aligned (program text always is).
+    /// Panics if `pc` is not 4-byte aligned (program text always is), and
+    /// in debug builds if `pc` is remembered with another instruction.
     pub fn insert(&mut self, pc: Addr, instr: Instr) {
         let i = match self.slot(pc) {
             Some(i) => i,
             None => self.grow_to(pc),
         };
-        if self.kinds[i] == Kind::Unknown {
-            if let Some(cap) = self.capacity {
-                if self.len >= cap {
-                    if let Some(victim) = self.order.pop_front() {
-                        let v = self.slot(victim).expect("live pcs lie in the table");
-                        self.kinds[v] = Kind::Unknown;
-                        self.len -= 1;
-                        self.stats.evictions += 1;
-                    }
-                }
-                self.order.push_back(pc);
-            }
-            self.len += 1;
-        } else if self.slots[i].instr == instr {
+        if self.kinds[i] != Kind::Unknown {
+            debug_assert_eq!(
+                self.slots[i].instr, instr,
+                "the instruction at {pc:#x} changed"
+            );
             return;
         }
-        // A new entry, or a remembered pc that changed meaning (never for
-        // real programs, whose text is immutable, but the API permits
-        // it), which is updated in place and keeps its age.
+        if let Some(cap) = self.capacity {
+            if self.len >= cap {
+                if let Some(victim) = self.order.pop_front() {
+                    let v = self.slot(victim).expect("live pcs lie in the table");
+                    self.kinds[v] = Kind::Unknown;
+                    self.len -= 1;
+                    self.stats.evictions += 1;
+                }
+            }
+            self.order.push_back(pc);
+        }
+        self.len += 1;
         self.slots[i] = Decoded::from(instr);
         self.kinds[i] = Kind::of(&instr);
     }
@@ -347,12 +351,23 @@ mod tests {
     }
 
     #[test]
-    fn reinsert_updates_in_place() {
+    fn reinsert_keeps_the_entry() {
+        let mut cc = CodeCache::unbounded();
+        cc.insert(0x1000, alu(3));
+        cc.insert(0x1000, alu(3));
+        assert_eq!(cc.len(), 1);
+        assert_eq!(cc.lookup(0x1000), Some(alu(3)));
+    }
+
+    /// A pc's instruction never changes; debug builds catch a caller that
+    /// says otherwise.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "the instruction at 0x1000 changed")]
+    fn conflicting_reinsert_panics_in_debug_builds() {
         let mut cc = CodeCache::unbounded();
         cc.insert(0x1000, alu(3));
         cc.insert(0x1000, alu(5));
-        assert_eq!(cc.len(), 1);
-        assert_eq!(cc.lookup(0x1000), Some(alu(5)));
     }
 
     #[test]
@@ -370,7 +385,7 @@ mod tests {
         let mut cc = CodeCache::with_capacity(2);
         cc.insert(0x1000, alu(3));
         cc.insert(0x1004, alu(4));
-        cc.insert(0x1000, alu(5));
+        cc.insert(0x1000, alu(3));
         assert_eq!(cc.len(), 2);
         assert_eq!(cc.stats().evictions, 0);
         assert!(cc.contains(0x1004));
@@ -384,7 +399,7 @@ mod tests {
         }
         // Re-inserting 0x1000 must not refresh its age: it is still the
         // oldest and the next victim.
-        cc.insert(0x1000, alu(2));
+        cc.insert(0x1000, alu(1));
         cc.insert(0x2000, alu(3));
         assert!(!cc.contains(0x1000), "oldest key evicted first");
         assert!(cc.contains(0x1004));

@@ -517,14 +517,15 @@ proptest! {
     /// The text-indexed code cache answers every lookup and `contains`,
     /// and keeps `len` and the statistics, exactly as the pc-keyed
     /// reference does, unbounded and bounded. Inserts land around a random
-    /// start, also below the first insert, and re-insert pcs with other
-    /// instructions; lookups also go off the 4-byte grid and past every
-    /// insert.
+    /// start, also below the first insert, and re-insert pcs, each with its
+    /// one fixed instruction as program text has; lookups also go off the
+    /// 4-byte grid and past every insert.
     #[test]
     fn code_cache_matches_reference(
         cap in prop_oneof![Just(None), (1usize..65).prop_map(Some)],
         start in 0x100u64..(1 << 40),
-        ops in proptest::collection::vec((0u8..4, -96i64..96, 0u64..4, 0usize..4), 1..400),
+        text in proptest::collection::vec(0usize..4, 128),
+        ops in proptest::collection::vec((0u8..4, -96i64..96, 0u64..4), 1..400),
     ) {
         let instrs = [
             Instr::Nop,
@@ -534,13 +535,15 @@ proptest! {
         ];
         let mut cc = cap.map_or_else(CodeCache::unbounded, CodeCache::with_capacity);
         let mut reference = RefCodeCache::new(cap);
-        for (i, (op, off, sub, which)) in ops.into_iter().enumerate() {
-            let grid = (start as i64 + off.clamp(-64, 63)) as Addr * INSTR_BYTES;
+        for (i, (op, off, sub)) in ops.into_iter().enumerate() {
+            let slot = off.clamp(-64, 63);
+            let grid = (start as i64 + slot) as Addr * INSTR_BYTES;
             let pc = (start as i64 + off) as Addr * INSTR_BYTES + sub;
             match op {
                 0 | 1 => {
-                    cc.insert(grid, instrs[which]);
-                    reference.insert(grid, instrs[which]);
+                    let instr = instrs[text[(slot + 64) as usize]];
+                    cc.insert(grid, instr);
+                    reference.insert(grid, instr);
                 }
                 2 => prop_assert_eq!(cc.lookup(pc), reference.lookup(pc), "op {} at {:#x}", i, pc),
                 _ => prop_assert_eq!(

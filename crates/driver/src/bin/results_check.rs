@@ -22,6 +22,12 @@
 //! slowdown exceeds the committed `BENCH_speed.json` value by more than
 //! `--speed-tolerance` percent (default 30).
 //!
+//! `--only experiments` checks EXPERIMENTS.md against the goldens: each
+//! block of it marked `<!-- golden: results_X.txt -->` (the table or
+//! list that follows the marker) may only quote numbers that appear in
+//! that committed file, so a table cannot go stale when a golden changes.
+//! It needs no bench binary.
+//!
 //! Besides the file diffs, the check asserts the committed **perf
 //! budgets**: the `base` CPI of a canonical loop on the tiny core, per
 //! technique. The committed results files all use the golden-cove core,
@@ -447,6 +453,132 @@ fn check_bench_speed(args: &Args, bin_dir: &Path) -> Vec<String> {
     Vec::new()
 }
 
+/// The document whose marked tables [`check_experiment_tables`] checks
+/// (`--only` key `experiments`).
+const EXPERIMENTS_FILE: &str = "EXPERIMENTS.md";
+const GOLDEN_MARKER: &str = "<!-- golden: ";
+
+/// The numbers quoted in `text`, each as written with its sign (`-` for
+/// either minus sign) and without it. A number starts at a digit that
+/// does not continue a word (the `2` of `L2` is not one); a `-`, `−` or
+/// `+` right before it is its sign unless it follows a digit (the `98` of
+/// `62-98%` is unsigned). List markers (`3. `) at a line start are not
+/// numbers.
+fn numbers(text: &str) -> Vec<(String, String)> {
+    let mut out = Vec::new();
+    for line in text.lines() {
+        let trimmed = line.trim_start();
+        let marker = trimmed
+            .find(". ")
+            .filter(|&n| n > 0 && trimmed[..n].bytes().all(|b| b.is_ascii_digit()));
+        let line = marker.map_or(line, |n| &trimmed[n + 2..]);
+        let chars: Vec<char> = line.chars().collect();
+        let mut i = 0;
+        while i < chars.len() {
+            let prev = i.checked_sub(1).map(|j| chars[j]);
+            let continues_word = prev.is_some_and(|c| c.is_alphanumeric() || c == '_' || c == '.');
+            if !chars[i].is_ascii_digit() || continues_word {
+                i += 1;
+                continue;
+            }
+            let start = i;
+            while i < chars.len()
+                && (chars[i].is_ascii_digit()
+                    || (chars[i] == '.' && chars.get(i + 1).is_some_and(char::is_ascii_digit)))
+            {
+                i += 1;
+            }
+            let magnitude: String = chars[start..i].iter().collect();
+            let sign = match (prev, start.checked_sub(2).map(|j| chars[j])) {
+                (Some(c @ ('-' | '−' | '+')), before)
+                    if !before.is_some_and(|b| b.is_ascii_digit()) =>
+                {
+                    if c == '+' {
+                        "+"
+                    } else {
+                        "-"
+                    }
+                }
+                _ => "",
+            };
+            out.push((format!("{sign}{magnitude}"), magnitude));
+        }
+    }
+    out
+}
+
+/// The numbers of each block of `doc` marked with a golden that are not
+/// in that golden, as `(golden, line, number)`; `read` fetches a golden's
+/// text. A marked block is the run of non-blank lines after the marker. A
+/// signed number must appear in the golden with that sign; an unsigned
+/// one with any.
+fn stale_numbers(
+    doc: &str,
+    mut read: impl FnMut(&str) -> Result<String, String>,
+) -> Result<Vec<(String, usize, String)>, String> {
+    let lines: Vec<&str> = doc.lines().collect();
+    let mut stale = Vec::new();
+    let mut marked = 0;
+    for (at, line) in lines.iter().enumerate() {
+        let Some(rest) = line.trim().strip_prefix(GOLDEN_MARKER) else {
+            continue;
+        };
+        let golden = rest
+            .strip_suffix("-->")
+            .map(str::trim)
+            .ok_or_else(|| format!("line {}: unterminated golden marker", at + 1))?;
+        let known: Vec<(String, String)> = numbers(&read(golden)?);
+        let first = lines[at + 1..]
+            .iter()
+            .position(|l| !l.trim().is_empty())
+            .map(|n| at + 1 + n)
+            .ok_or_else(|| format!("line {}: nothing follows the marker", at + 1))?;
+        for (n, text) in lines[first..]
+            .iter()
+            .enumerate()
+            .take_while(|(_, l)| !l.trim().is_empty())
+        {
+            for (signed, magnitude) in numbers(text) {
+                let found = known.iter().any(|(s, m)| {
+                    if signed == magnitude {
+                        *m == magnitude
+                    } else {
+                        *s == signed
+                    }
+                });
+                if !found {
+                    stale.push((golden.to_string(), first + n + 1, signed));
+                }
+            }
+        }
+        marked += 1;
+    }
+    if marked == 0 {
+        return Err("no marked tables".into());
+    }
+    Ok(stale)
+}
+
+/// Checks every table of EXPERIMENTS.md marked with a golden against it.
+fn check_experiment_tables(root: &Path) -> Vec<String> {
+    let doc = match std::fs::read_to_string(root.join(EXPERIMENTS_FILE)) {
+        Ok(doc) => doc,
+        Err(e) => return vec![format!("reading {EXPERIMENTS_FILE}: {e}")],
+    };
+    let read = |golden: &str| {
+        std::fs::read_to_string(root.join(golden)).map_err(|e| format!("reading {golden}: {e}"))
+    };
+    match stale_numbers(&doc, read) {
+        Ok(stale) => stale
+            .into_iter()
+            .map(|(golden, line, number)| {
+                format!("{EXPERIMENTS_FILE}:{line}: {number} is not in {golden}")
+            })
+            .collect(),
+        Err(e) => vec![format!("{EXPERIMENTS_FILE}: {e}")],
+    }
+}
+
 /// Drops cargo stderr chatter that leaked into committed files when they
 /// were captured with `cargo run ... &> file`.
 fn normalize(text: &str) -> String {
@@ -616,6 +748,18 @@ fn main() -> ExitCode {
         }
     }
 
+    if args.only.is_none() || args.only.as_deref() == Some("experiments") {
+        let stale = check_experiment_tables(&args.repo_root);
+        if stale.is_empty() {
+            eprintln!("results_check: ok {EXPERIMENTS_FILE} (marked tables)");
+            checked += 1;
+        }
+        for failure in stale {
+            eprintln!("results_check: STALE {failure}");
+            failures += 1;
+        }
+    }
+
     if args.only.is_none() || args.only.as_deref() == Some("bench_speed") {
         let speed_failures = check_bench_speed(&args, &bin_dir);
         if speed_failures.is_empty() {
@@ -647,6 +791,39 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn numbers_keep_signs_and_skip_words_ranges_and_list_markers() {
+        let got: Vec<String> = numbers("3. bc −41.6% L2 +8.0% 62-98% x 0.5 (7)")
+            .into_iter()
+            .map(|(signed, _)| signed)
+            .collect();
+        assert_eq!(got, ["-41.6", "+8.0", "62", "98", "0.5", "7"]);
+    }
+
+    #[test]
+    fn marked_blocks_may_only_quote_their_golden() {
+        let golden = "bc  -41.6%  ipc 0.343\naverage: 22.5%\n";
+        let read = |name: &str| match name {
+            "g.txt" => Ok(golden.to_string()),
+            other => Err(format!("no {other}")),
+        };
+        let doc = "# T\n<!-- golden: g.txt -->\n\n| b | e |\n|---|---|\n| bc | −41.6% |\n| avg | 22.5% |\n\nprose 99\n";
+        assert_eq!(stale_numbers(doc, read).unwrap(), []);
+        let stale = doc.replace("22.5%", "22.4%");
+        assert_eq!(
+            stale_numbers(&stale, read).unwrap(),
+            [("g.txt".to_string(), 7, "22.4".to_string())]
+        );
+        let flipped = doc.replace("−41.6%", "+41.6%");
+        assert_eq!(
+            stale_numbers(&flipped, read).unwrap().len(),
+            1,
+            "a sign is checked"
+        );
+        assert!(stale_numbers(&doc.replace("g.txt", "h.txt"), read).is_err());
+        assert!(stale_numbers("no markers", read).is_err());
+    }
 
     fn summary(entries: &[(&str, &str, i64)]) -> SpeedSummary {
         entries

@@ -360,6 +360,26 @@ mod tests {
         assert_ne!(base, workload_digest(&other, &empty), "program matters");
     }
 
+    /// Cache keys name on-disk entries, so the workload digest of a fixed
+    /// workload is pinned: a change to it must be deliberate (and bump
+    /// [`CACHE_VERSION`]). The memory is digested through clones taken
+    /// before and after writes, as campaign jobs digest it.
+    #[test]
+    fn workload_digest_known_answer() {
+        let p = program();
+        let mut image = Memory::new();
+        image.write_u64(0x1000, 0x0123_4567_89ab_cdef);
+        image.write_u64(0x2ffc, u64::MAX); // straddles two pages
+        image.write_u8(0x9000, 1);
+        image.write_u8(0x9000, 0); // resident but all zero
+        let job = image.clone();
+        assert_eq!(workload_digest(&p, &job), 0x7e49_6209_dbeb_a13b);
+        assert_eq!(workload_digest(&p, &image.clone()), 0x7e49_6209_dbeb_a13b);
+        image.write_u32(0x1_0000, 0xfeed);
+        assert_eq!(workload_digest(&p, &image.clone()), 0x32bc_3e8c_5e08_0c19);
+        assert_eq!(workload_digest(&p, &job), 0x7e49_6209_dbeb_a13b);
+    }
+
     #[test]
     fn config_digest_sees_knobs_and_supervision() {
         let cfg = SimConfig::new(WrongPathMode::WrongPathEmulation);

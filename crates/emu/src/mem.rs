@@ -6,18 +6,102 @@
 //! means wrong-path loads from wild addresses are always well-defined (they
 //! read zeros) instead of faulting — matching the paper's requirement that
 //! wrong-path emulation never perturbs functional state.
+//!
+//! [`Memory::digest`] is incremental. Every clone of one image shares a
+//! memo of the digest's fold over that image, and each memory tracks the
+//! lowest page it has written since it took its memo (its *clean mark*).
+//! Pages below the clean mark equal the memo's image, so a digest resumes
+//! from the memo's state there and folds only the pages at and above the
+//! mark; a never-written clone of an already-digested image folds none.
 
 use crate::hash::FxBuildHasher;
 use ffsim_isa::Addr;
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Bytes per backing page.
 pub const PAGE_BYTES: usize = 4096;
 
 const PAGE_SHIFT: u32 = 12;
 const PAGE_MASK: u64 = PAGE_BYTES as u64 - 1;
+
+/// No page has been written since the memo was taken (page indices stop
+/// at 2^52, so this is never a real page).
+const ALL_CLEAN: u64 = u64::MAX;
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x100_0000_01b3;
+
+/// Folds `bytes` into the FNV-1a state `h`.
+fn fnv_fold(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(FNV_PRIME);
+    }
+    h
+}
+
+/// How far the digest fold of one memory image has been computed.
+#[derive(Debug, Default)]
+struct Folded {
+    /// `(page index, FNV-1a state after folding that page)` for the image's
+    /// non-zero pages below `covered`, ascending.
+    states: Vec<(u64, u64)>,
+    /// Every non-zero page of the image below this index is in `states`
+    /// ([`ALL_CLEAN`] once the whole image is).
+    covered: u64,
+}
+
+impl Folded {
+    /// The fold state after every non-zero page below `page`
+    /// (`page <= covered`).
+    fn state_below(&self, page: u64) -> u64 {
+        let n = self.states.partition_point(|&(i, _)| i < page);
+        n.checked_sub(1)
+            .map_or(FNV_OFFSET, |last| self.states[last].1)
+    }
+
+    /// The part of this fold that holds for any image equal to this one
+    /// below page `clean`, with room for the states of `pages` pages.
+    ///
+    /// The room is reserved here, by the thread that makes the memo, so
+    /// that clones digesting on other threads record into it without
+    /// allocating: a memo outlives their work, and a long-lived block in
+    /// a campaign worker's allocator arena keeps that arena from shrinking
+    /// (it raised `campaign`'s peak RSS by about 2 MiB).
+    fn below(&self, clean: u64, pages: usize) -> Folded {
+        let covered = self.covered.min(clean);
+        let n = self.states.partition_point(|&(i, _)| i < covered);
+        let mut states = Vec::with_capacity(pages.max(n));
+        states.extend_from_slice(&self.states[..n]);
+        Folded { states, covered }
+    }
+
+    /// Records `learned`, the states of an image's non-zero pages from
+    /// some page at or below `covered` up to `upto`, in ascending order.
+    fn learn(&mut self, learned: &[(u64, u64)], upto: u64) {
+        if upto > self.covered {
+            let n = learned.partition_point(|&(i, _)| i < self.covered);
+            self.states.extend_from_slice(&learned[n..]);
+            self.covered = upto;
+        }
+    }
+}
+
+/// A digest memo, shared by every clone of one image.
+type Memo = Arc<Mutex<Folded>>;
+
+fn new_memo(folded: Folded) -> Memo {
+    Arc::new(Mutex::new(folded))
+}
+
+/// Locks `memo`. Nothing panics while holding it, but a poisoned memo is
+/// still consistent: it only ever grows by whole recorded prefixes.
+fn lock(memo: &Memo) -> MutexGuard<'_, Folded> {
+    memo.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// A write was refused because it would materialize a page past the
 /// configured [`Memory::set_page_limit`] bound.
@@ -77,12 +161,44 @@ impl MemRead for Memory {
 /// assert_eq!(m.read_u64(0x1000), 0xdead_beef);
 /// assert_eq!(m.read_u64(0x9_0000), 0, "untouched memory reads as zero");
 /// ```
-#[derive(Clone, Default, Debug)]
+#[derive(Debug)]
 pub struct Memory {
     // Fx-hashed: every emulated load probes this map, and `digest()` sorts
     // page indices, so the hasher never shows in results.
     pages: HashMap<u64, Box<[u8; PAGE_BYTES]>, FxBuildHasher>,
     page_limit: Option<usize>,
+    /// The digest memo of the image this memory was created or cloned as.
+    memo: Memo,
+    /// The lowest page index written since `memo` was taken
+    /// ([`ALL_CLEAN`] if none): every page below it equals `memo`'s image.
+    clean: u64,
+    /// The memo of this memory's current image, made by the first clone
+    /// after a write and shared by every clone until the next write.
+    current: OnceLock<Memo>,
+}
+
+impl Default for Memory {
+    fn default() -> Memory {
+        Memory {
+            pages: HashMap::default(),
+            page_limit: None,
+            memo: new_memo(Folded::default()),
+            clean: ALL_CLEAN,
+            current: OnceLock::new(),
+        }
+    }
+}
+
+impl Clone for Memory {
+    fn clone(&self) -> Memory {
+        Memory {
+            pages: self.pages.clone(),
+            page_limit: self.page_limit,
+            memo: Arc::clone(self.clone_memo()),
+            clean: ALL_CLEAN,
+            current: OnceLock::new(),
+        }
+    }
 }
 
 impl Memory {
@@ -97,8 +213,8 @@ impl Memory {
     #[must_use]
     pub fn with_page_limit(limit: usize) -> Memory {
         Memory {
-            pages: HashMap::default(),
             page_limit: Some(limit),
+            ..Memory::default()
         }
     }
 
@@ -133,27 +249,73 @@ impl Memory {
     /// memories that read identically digest identically regardless of
     /// which pages happen to be resident. Used by the fault-injection
     /// harness to assert bit-identical final state across runs.
+    ///
+    /// The fold resumes from the memo this memory shares with its clones
+    /// and folds only the pages written since it took that memo, plus
+    /// clean pages no clone has folded yet (which it records for them).
     #[must_use]
     pub fn digest(&self) -> u64 {
+        let (memo, clean) = self.image_memo();
+        let (from, mut h) = {
+            let folded = lock(memo);
+            let from = clean.min(folded.covered);
+            (from, folded.state_below(from))
+        };
+        if from == ALL_CLEAN {
+            return h;
+        }
         let mut indices: Vec<u64> = self
             .pages
             .iter()
-            .filter(|(_, p)| p.iter().any(|&b| b != 0))
+            .filter(|&(&i, p)| i >= from && p.iter().any(|&b| b != 0))
             .map(|(&i, _)| i)
             .collect();
         indices.sort_unstable();
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        let mut fold = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x100_0000_01b3);
-            }
-        };
+        // Folded outside the lock: clones on other threads may digest the
+        // same image at the same time.
+        let mut learned = Vec::new();
         for i in indices {
-            fold(&i.to_le_bytes());
-            fold(&self.pages[&i][..]);
+            h = fnv_fold(fnv_fold(h, &i.to_le_bytes()), &self.pages[&i][..]);
+            if i < clean {
+                learned.push((i, h));
+            }
         }
+        lock(memo).learn(&learned, clean);
         h
+    }
+
+    /// The memo of an image and the page below which this memory equals
+    /// it: the current image's memo if a clone has made one, else the memo
+    /// taken at creation or clone time and the clean mark.
+    fn image_memo(&self) -> (&Memo, u64) {
+        match self.current.get() {
+            Some(current) => (current, ALL_CLEAN),
+            None => (&self.memo, self.clean),
+        }
+    }
+
+    /// The memo a clone shares: this memory's own if it was never written,
+    /// else the current image's, made now from the clean prefix of its own
+    /// if this is the first clone since a write.
+    fn clone_memo(&self) -> &Memo {
+        if self.clean == ALL_CLEAN {
+            &self.memo
+        } else {
+            self.current
+                .get_or_init(|| new_memo(lock(&self.memo).below(self.clean, self.pages.len())))
+        }
+    }
+
+    /// Notes a write to page `idx`: the current image's memo (if a clone
+    /// made one) becomes this memory's own, and the clean mark drops to
+    /// `idx`.
+    fn mark_written(&mut self, idx: u64) {
+        if let Some(current) = self.current.take() {
+            self.memo = current;
+            self.clean = idx;
+        } else if idx < self.clean {
+            self.clean = idx;
+        }
     }
 
     /// Reads a single byte.
@@ -165,7 +327,8 @@ impl Memory {
         }
     }
 
-    /// Materializes the page containing `addr`, honouring the page limit.
+    /// Materializes the page containing `addr`, honouring the page limit,
+    /// and marks it written.
     fn page_mut(&mut self, addr: Addr) -> Result<&mut [u8; PAGE_BYTES], MemoryLimitError> {
         let idx = addr >> PAGE_SHIFT;
         if !self.pages.contains_key(&idx) {
@@ -175,6 +338,7 @@ impl Memory {
                 }
             }
         }
+        self.mark_written(idx);
         Ok(self
             .pages
             .entry(idx)
@@ -456,5 +620,62 @@ mod tests {
         assert_eq!(a.digest(), b.digest(), "zero pages are not observable");
         b.write_u64(0x40, 78);
         assert_ne!(a.digest(), b.digest());
+    }
+
+    #[test]
+    fn clones_share_one_memo_until_a_write() {
+        let mut image = Memory::new();
+        image.write_u64(0x1000, 7);
+        image.write_u64(0x3000, 9);
+        let a = image.clone();
+        let b = image.clone();
+        assert!(Arc::ptr_eq(&a.memo, &b.memo), "one memo per written image");
+        let d = a.digest();
+        assert_eq!(lock(&b.memo).covered, ALL_CLEAN, "a's fold is b's");
+        assert_eq!((b.digest(), image.digest()), (d, d));
+        let c = b.clone();
+        assert!(Arc::ptr_eq(&b.memo, &c.memo), "an unwritten clone shares");
+
+        image.write_u8(0x3000, 1);
+        let e = image.clone();
+        assert!(!Arc::ptr_eq(&e.memo, &a.memo), "a write drops the memo");
+        let kept = lock(&e.memo).below(ALL_CLEAN, 0);
+        assert_eq!((kept.covered, kept.states.len()), (3, 1), "page 1 kept");
+        assert_ne!(e.digest(), d);
+        assert_eq!(a.digest(), d);
+    }
+
+    #[test]
+    fn concurrent_digests_of_one_image_agree() {
+        let mut image = Memory::new();
+        for page in 0..64u64 {
+            image.write_u64(page << PAGE_SHIFT, page + 1);
+        }
+        let expect = image.clone().digest();
+        image.write_u8(0, 0xff);
+        let clones: Vec<Memory> = (0..4).map(|_| image.clone()).collect();
+        // All four start folding the shared, empty memo at once.
+        let start = std::sync::Barrier::new(clones.len());
+        let digests: Vec<u64> = std::thread::scope(|s| {
+            let handles: Vec<_> = clones
+                .iter()
+                .map(|m| {
+                    let start = &start;
+                    s.spawn(move || {
+                        start.wait();
+                        m.digest()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert!(digests.windows(2).all(|w| w[0] == w[1]), "{digests:?}");
+        assert_ne!(digests[0], expect);
+        let mut fresh = Memory::new();
+        for page in 0..64u64 {
+            fresh.write_u64(page << PAGE_SHIFT, page + 1);
+        }
+        fresh.write_u8(0, 0xff);
+        assert_eq!(fresh.digest(), digests[0]);
     }
 }

@@ -1,7 +1,8 @@
 //! Property-based tests for the functional emulator: memory model
 //! equivalence, execution determinism, wrong-path state isolation,
-//! queue/emulator stream coherence, the packed wrong-path records, and
-//! lazy wrong-path emulation against the eager reference.
+//! queue/emulator stream coherence, the packed wrong-path records, lazy
+//! wrong-path emulation against the eager reference, and incremental
+//! memory digests against a from-scratch fold.
 
 use ffsim_emu::{
     BranchOracle, BranchOutcome, DynInst, Emulator, FaultModel, FollowComputed, FrontendPolicy,
@@ -9,7 +10,7 @@ use ffsim_emu::{
 };
 use ffsim_isa::{Addr, AluOp, BranchCond, FReg, Instr, MemWidth, Program, Reg, INSTR_BYTES};
 use proptest::prelude::*;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 
 /// A hostile frontend policy: requests a wrong path every `k`-th
 /// instruction from a (possibly corrupted) start pc. Used to prove that
@@ -501,6 +502,75 @@ impl BranchOracle for FlipEveryThird {
     }
 }
 
+/// One step of a script over several live memories that share digest
+/// memos through clones.
+#[derive(Clone, Debug)]
+enum MemOp {
+    /// `try_write_uint(addr, width, value)` on one memory.
+    Write {
+        slot: usize,
+        addr: Addr,
+        width: u64,
+        value: u64,
+    },
+    /// Replaces memory `to` with a clone of memory `from`.
+    Clone { from: usize, to: usize },
+    /// Digests one memory.
+    Digest { slot: usize },
+    /// Sets one memory's page limit.
+    Limit { slot: usize, limit: Option<usize> },
+}
+
+/// Live memories in a digest script.
+const MEM_SLOTS: usize = 3;
+const PAGE: u64 = ffsim_emu::PAGE_BYTES as u64;
+
+fn arb_mem_op() -> impl Strategy<Value = MemOp> {
+    let slot = || 0..MEM_SLOTS;
+    let write = move || {
+        // Few distinct offsets per page, so zero writes often empty a
+        // page; the last ones straddle into the next page for wide writes.
+        let offset = prop_oneof![Just(0u64), Just(8), Just(PAGE - 8), PAGE - 7..PAGE];
+        let width = prop_oneof![Just(1u64), Just(2), Just(4), Just(8)];
+        let value = prop_oneof![Just(0u64), any::<u64>()];
+        (slot(), 0u64..8, offset, width, value).prop_map(|(slot, page, off, width, value)| {
+            MemOp::Write {
+                slot,
+                addr: page * PAGE + off,
+                width,
+                value,
+            }
+        })
+    };
+    prop_oneof![
+        write(),
+        write(),
+        (slot(), slot()).prop_map(|(from, to)| MemOp::Clone { from, to }),
+        slot().prop_map(|slot| MemOp::Digest { slot }),
+        (slot(), prop_oneof![Just(None), (1usize..6).prop_map(Some)])
+            .prop_map(|(slot, limit)| MemOp::Limit { slot, limit }),
+    ]
+}
+
+/// The digest as a from-scratch FNV-1a fold over the non-zero pages in
+/// ascending order: the definition `Memory::digest` must reproduce.
+fn reference_digest(pages: &BTreeMap<u64, Vec<u8>>) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut fold = |bytes: &[u8]| {
+        for &b in bytes {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x100_0000_01b3);
+        }
+    };
+    for (i, page) in pages {
+        if page.iter().any(|&b| b != 0) {
+            fold(&i.to_le_bytes());
+            fold(page);
+        }
+    }
+    h
+}
+
 proptest! {
     /// Memory behaves exactly like a sparse byte map.
     #[test]
@@ -778,5 +848,42 @@ proptest! {
             episodes += 1;
         }
         prop_assert!(episodes > 0, "the back edge is a conditional branch");
+    }
+
+    /// Every digest of memories that share memos through clones equals a
+    /// from-scratch fold of their contents, whatever was written, cloned
+    /// and digested before.
+    #[test]
+    fn incremental_digest_matches_a_full_fold(
+        script in proptest::collection::vec(arb_mem_op(), 0..300)
+    ) {
+        let mut mems: Vec<Memory> = (0..MEM_SLOTS).map(|_| Memory::new()).collect();
+        let mut shadows: Vec<BTreeMap<u64, Vec<u8>>> = vec![BTreeMap::new(); MEM_SLOTS];
+        for op in script {
+            match op {
+                MemOp::Write { slot, addr, width, value } => {
+                    if mems[slot].try_write_uint(addr, width, value).is_ok() {
+                        for (i, b) in value.to_le_bytes().iter().take(width as usize).enumerate() {
+                            let a = addr + i as u64;
+                            let page = shadows[slot]
+                                .entry(a / PAGE)
+                                .or_insert_with(|| vec![0; PAGE as usize]);
+                            page[(a % PAGE) as usize] = *b;
+                        }
+                    }
+                }
+                MemOp::Clone { from, to } => {
+                    mems[to] = mems[from].clone();
+                    shadows[to] = shadows[from].clone();
+                }
+                MemOp::Digest { slot } => {
+                    prop_assert_eq!(mems[slot].digest(), reference_digest(&shadows[slot]));
+                }
+                MemOp::Limit { slot, limit } => mems[slot].set_page_limit(limit),
+            }
+        }
+        for (mem, shadow) in mems.iter().zip(&shadows) {
+            prop_assert_eq!(mem.digest(), reference_digest(shadow));
+        }
     }
 }
