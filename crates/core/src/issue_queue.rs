@@ -12,26 +12,40 @@
 //!   never delay a dispatch, so it is only counted, and popping one
 //!   reports the floor.
 //! * **Cycle ring.** Entries in `(floor, floor + RING]` are counted per
-//!   cycle in a power-of-two ring with an occupancy bitmap; a pop takes
-//!   the first occupied slot after the floor.
+//!   cycle in a power-of-two ring with an occupancy bitmap and a summary
+//!   bitmap of its non-zero words; a pop takes the first occupied slot
+//!   after the floor, and a search, clear or copy touches only occupied
+//!   words.
 //! * **Overflow.** Entries past the ring's horizon wait in a min-heap and
 //!   move into the ring only when the floor brings the heap's minimum
 //!   inside the horizon — one peek per advance.
+//!
+//! `RING` is 16384 cycles: the smallest power of two past which no
+//! entry of any ffbench kernel vacates. With 1024, `pointer_chase`'s DRAM
+//! chains sent half of its two million pushes (1.0M) to the heap, and
+//! 4096 and 8192 still sent 128k and 54k; `stream_triad`, `spmv` and
+//! GAP `bc` sent 196k, 2.4k and 10.8k at 1024 and none at 2048, and no
+//! other kernel spilled at all.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// Cycles the ring covers past the floor (a power of two).
-const RING: usize = 1024;
+/// Cycles the ring covers past the floor (a power of two, a multiple of
+/// 4096 so that the bitmap's words fill whole summary words).
+const RING: usize = 16384;
 const MASK: usize = RING - 1;
 const WORDS: usize = RING / 64;
+const GROUPS: usize = WORDS / 64;
 
 /// Per-cycle entry counts over one ring's span, with a bitmap of the
-/// non-zero slots. Boxed by [`IssueQueue`] so that the queue itself stays
-/// a few words: the pipeline moves the wrong-path scratch window in and
-/// out of its spare slot on every episode.
+/// non-zero slots and a summary bitmap of the non-zero bitmap words, so
+/// that a search, a clear or a copy touches only occupied words. Boxed by
+/// [`IssueQueue`] so that the queue itself stays a few words: the
+/// pipeline moves the wrong-path scratch window in and out of its spare
+/// slot on every episode.
 #[derive(Clone, Debug)]
 struct Ring {
+    summary: [u64; GROUPS],
     occupied: [u64; WORDS],
     counts: [u32; RING],
 }
@@ -39,6 +53,7 @@ struct Ring {
 impl Ring {
     fn boxed() -> Box<Ring> {
         Box::new(Ring {
+            summary: [0; GROUPS],
             occupied: [0; WORDS],
             counts: [0; RING],
         })
@@ -46,13 +61,24 @@ impl Ring {
 
     fn add(&mut self, slot: usize) {
         self.counts[slot] += 1;
-        self.occupied[slot / 64] |= 1 << (slot % 64);
+        let word = slot / 64;
+        self.occupied[word] |= 1 << (slot % 64);
+        self.summary[word / 64] |= 1 << (word % 64);
+    }
+
+    /// Clears `bits` of bitmap word `word`, and its summary bit if the
+    /// word empties.
+    fn unmark(&mut self, word: usize, bits: u64) {
+        self.occupied[word] &= !bits;
+        if self.occupied[word] == 0 {
+            self.summary[word / 64] &= !(1 << (word % 64));
+        }
     }
 
     fn take_one(&mut self, slot: usize) {
         self.counts[slot] -= 1;
         if self.counts[slot] == 0 {
-            self.occupied[slot / 64] &= !(1 << (slot % 64));
+            self.unmark(slot / 64, 1 << (slot % 64));
         }
     }
 
@@ -67,11 +93,13 @@ impl Ring {
             let take = (64 - bit).min(left);
             let mask = (u64::MAX >> (64 - take)) << bit;
             let mut hit = self.occupied[word] & mask;
-            self.occupied[word] &= !mask;
-            while hit != 0 {
-                let s = word * 64 + hit.trailing_zeros() as usize;
-                drained += std::mem::take(&mut self.counts[s]) as usize;
-                hit &= hit - 1;
+            if hit != 0 {
+                self.unmark(word, hit);
+                while hit != 0 {
+                    let s = word * 64 + hit.trailing_zeros() as usize;
+                    drained += std::mem::take(&mut self.counts[s]) as usize;
+                    hit &= hit - 1;
+                }
             }
             slot = (slot + take) & MASK;
             left -= take;
@@ -79,10 +107,26 @@ impl Ring {
         drained
     }
 
+    /// The occupied bitmap words, in index order.
+    fn occupied_words(summary: [u64; GROUPS]) -> impl Iterator<Item = usize> {
+        summary
+            .into_iter()
+            .enumerate()
+            .flat_map(|(group, mut bits)| {
+                std::iter::from_fn(move || {
+                    (bits != 0).then(|| {
+                        let word = group * 64 + bits.trailing_zeros() as usize;
+                        bits &= bits - 1;
+                        word
+                    })
+                })
+            })
+    }
+
     /// Empties every slot. Touches only the occupied ones.
     fn clear(&mut self) {
-        for (word, bits) in self.occupied.iter_mut().enumerate() {
-            let mut hit = std::mem::take(bits);
+        for word in Ring::occupied_words(std::mem::take(&mut self.summary)) {
+            let mut hit = std::mem::take(&mut self.occupied[word]);
             while hit != 0 {
                 self.counts[word * 64 + hit.trailing_zeros() as usize] = 0;
                 hit &= hit - 1;
@@ -92,8 +136,10 @@ impl Ring {
 
     /// Makes this ring equal to `src`, given that this ring is empty.
     fn fill_from(&mut self, src: &Ring) {
-        self.occupied = src.occupied;
-        for (word, &bits) in src.occupied.iter().enumerate() {
+        self.summary = src.summary;
+        for word in Ring::occupied_words(src.summary) {
+            let bits = src.occupied[word];
+            self.occupied[word] = bits;
             let mut hit = bits;
             while hit != 0 {
                 let s = word * 64 + hit.trailing_zeros() as usize;
@@ -111,15 +157,24 @@ impl Ring {
         if head != 0 {
             return first_word * 64 + head.trailing_zeros() as usize;
         }
-        // The last step revisits the first word; its bits at or after
-        // `start` are known clear, so only the wrapped-around ones remain.
-        (1..=WORDS)
-            .map(|i| (first_word + i) % WORDS)
-            .find_map(|word| {
-                let bits = self.occupied[word];
-                (bits != 0).then(|| word * 64 + bits.trailing_zeros() as usize)
-            })
-            .expect("ring holds an entry")
+        // The next occupied word after the first, wrapping, from the
+        // summary. The last step revisits the first summary word in full:
+        // if that finds the first word again, its set bits all lie before
+        // `start`.
+        let next = (first_word + 1) % WORDS;
+        let head = self.summary[next / 64] & (u64::MAX << (next % 64));
+        let word = if head != 0 {
+            next / 64 * 64 + head.trailing_zeros() as usize
+        } else {
+            (1..=GROUPS)
+                .map(|i| (next / 64 + i) % GROUPS)
+                .find_map(|g| {
+                    let bits = self.summary[g];
+                    (bits != 0).then(|| g * 64 + bits.trailing_zeros() as usize)
+                })
+                .expect("ring holds an entry")
+        };
+        word * 64 + self.occupied[word].trailing_zeros() as usize
     }
 }
 
@@ -352,6 +407,49 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Entries on both sides of the ring's horizon, popped through floor
+    /// jumps that move the overflow into the ring and past the floor.
+    #[test]
+    fn horizon_boundary_matches_reference() {
+        let mut q = IssueQueue::default();
+        let mut r = Reference::default();
+        fn push(q: &mut IssueQueue, r: &mut Reference, vacate: u64) {
+            q.push(vacate);
+            r.heap.push(Reverse(vacate));
+        }
+        let floor = 5 * R + 17;
+        q.advance(floor);
+        r.floor = floor;
+        for offset in [R - 1, R, R + 1, R - 1, R + 1] {
+            push(&mut q, &mut r, floor + offset);
+        }
+        assert_eq!(
+            q.ring_len, 3,
+            "floor + RING - 1 and floor + RING are in the ring"
+        );
+        assert_eq!(q.overflow.len(), 2, "floor + RING + 1 overflows");
+        // Pop the earliest, then let the floor reach each boundary in turn.
+        assert_eq!(q.pop_earliest().max(r.floor), r.pop());
+        for jump in [1, R - 2, 1, 1] {
+            r.floor += jump;
+            q.advance(r.floor);
+            assert_eq!(q.len(), r.heap.len());
+            assert_eq!(q.pop_earliest().max(r.floor), r.pop());
+            // Refill at the new horizon, and below the floor.
+            let floor = r.floor;
+            push(&mut q, &mut r, floor + R + 1);
+            push(&mut q, &mut r, floor + R);
+            push(&mut q, &mut r, floor - 1);
+        }
+        // A jump past the whole ring, then drain.
+        r.floor += 2 * R;
+        q.advance(r.floor);
+        while q.len() > 0 {
+            assert_eq!(q.pop_earliest().max(r.floor), r.pop());
+        }
+        assert!(r.heap.is_empty());
     }
 
     #[test]

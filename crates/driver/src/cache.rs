@@ -28,13 +28,13 @@
 //! `Fault`) and which carry a result summary are cached — wall-clock
 //! outcomes (deadline, cancellation) and outright failures always re-run.
 
+use crate::fnv::Fnv1a;
 use crate::job::JobRecord;
 use crate::manifest::{self, ManifestError, ManifestIo};
 use crate::{json, AttemptOutcome};
 use ffsim_core::SimConfig;
 use ffsim_emu::Memory;
 use ffsim_isa::Program;
-use std::fmt::Write as _;
 use std::path::PathBuf;
 
 /// Cache entry format version; bumped on incompatible layout changes.
@@ -58,16 +58,15 @@ impl CacheKey {
 }
 
 /// Digest of a workload: program disassembly plus initial memory image.
+/// The program's part is [`Program::text_digest`], which every clone of a
+/// program shares, so keying many jobs of one kernel formats its
+/// disassembly once.
 #[must_use]
 pub fn workload_digest(program: &Program, memory: &Memory) -> u64 {
-    let mut text = String::new();
-    let _ = writeln!(text, "base {:#x}", program.base());
-    let _ = writeln!(text, "entry {:#x}", program.entry());
-    for (_, instr) in program.iter() {
-        let _ = writeln!(text, "{instr}");
-    }
-    let _ = writeln!(text, "memory {:016x}", memory.digest());
-    crate::fnv::fnv1a(text.as_bytes())
+    let memory_line = format!("memory {:016x}\n", memory.digest());
+    Fnv1a::resume(program.text_digest())
+        .update(memory_line.as_bytes())
+        .finish()
 }
 
 /// Digest of the deterministic configuration knobs plus the job's

@@ -44,6 +44,14 @@ impl Fnv1a {
         Fnv1a(OFFSET_BASIS)
     }
 
+    /// A hasher that continues an earlier FNV-1a hash from its value
+    /// `state`: FNV-1a has no finalization step, so resuming from the hash
+    /// of `a` and folding `b` gives the hash of `a` followed by `b`.
+    #[must_use]
+    pub fn resume(state: u64) -> Fnv1a {
+        Fnv1a(state)
+    }
+
     /// Folds `bytes` into the hash; returns `self` for chaining.
     #[must_use]
     pub fn update(mut self, bytes: &[u8]) -> Fnv1a {

@@ -308,6 +308,9 @@ impl Emulator {
     /// Returns [`StepError::Halted`] once the program has executed `halt`
     /// (the `halt` itself is returned as a normal instruction), and
     /// [`StepError::Fault`] on correct-path faults.
+    // Inlined into `InstrQueue`'s refill loop, so each record is built
+    // once, in its queue slot.
+    #[inline(always)]
     pub fn step(&mut self) -> Result<DynInst, StepError> {
         if self.halted {
             return Err(StepError::Halted);

@@ -73,7 +73,10 @@ pub struct StreamEntry {
 /// A reusable, caller-owned batch of [`StreamEntry`]s filled by
 /// [`FetchSource::fill`]. The consumer clears and refills the same buffer
 /// every batch, so the per-instruction handoff cost (a virtual `pop` call
-/// plus `VecDeque` bookkeeping) is paid once per *run* of instructions.
+/// and the queue's bookkeeping) is paid once per *run* of instructions.
+/// [`InstrQueue::fill`] may hand a whole batch over by swapping the
+/// buffer's vector with one of its own, so the allocation behind a buffer
+/// can change from one batch to the next.
 #[derive(Clone, Default, Debug)]
 pub struct StreamBuf {
     entries: Vec<StreamEntry>,
@@ -224,6 +227,13 @@ impl<P: FrontendPolicy + Send + std::fmt::Debug> FetchSource for InstrQueue<P> {
 
 /// The functional→performance instruction queue.
 ///
+/// The runahead is kept in chunks of consecutive entries, each chunk a
+/// `Vec` sized like the consumer's batches (the `max` of the latest
+/// [`InstrQueue::fill`]). The emulator writes each record once, straight
+/// into the back chunk. A batch that is exactly the front chunk, asked for
+/// into an empty [`StreamBuf`], is handed over by swapping vectors, and the
+/// buffer's old vector is kept as a spare chunk. Any other delivery copies.
+///
 /// # Examples
 ///
 /// ```
@@ -244,7 +254,17 @@ impl<P: FrontendPolicy + Send + std::fmt::Debug> FetchSource for InstrQueue<P> {
 pub struct InstrQueue<P> {
     emu: Emulator,
     policy: P,
-    buf: VecDeque<StreamEntry>,
+    /// The runahead in program order. The front chunk's first `head`
+    /// entries are delivered; every chunk holds at least one undelivered
+    /// entry.
+    chunks: VecDeque<Vec<StreamEntry>>,
+    head: usize,
+    /// Undelivered entries.
+    len: usize,
+    /// Entries per new chunk.
+    chunk: usize,
+    /// Emptied vectors, reused as chunks.
+    spare: Vec<Vec<StreamEntry>>,
     depth: usize,
     ended: bool,
     fault: Option<Fault>,
@@ -268,7 +288,11 @@ impl<P: FrontendPolicy> InstrQueue<P> {
         InstrQueue {
             emu,
             policy,
-            buf: VecDeque::with_capacity(depth),
+            chunks: VecDeque::new(),
+            head: 0,
+            len: 0,
+            chunk: depth,
+            spare: Vec::new(),
             depth,
             ended: false,
             fault: None,
@@ -287,31 +311,43 @@ impl<P: FrontendPolicy> InstrQueue<P> {
     }
 
     fn refill_to(&mut self, want: usize) {
-        if self.buf.len() >= want || self.ended {
+        if self.len >= want || self.ended {
             return;
         }
         self.prof.enter(Phase::EmuHandoff);
-        while self.buf.len() < want && !self.ended {
-            self.prof.enter(Phase::EmuExec);
-            let stepped = self.emu.step();
-            self.prof.exit();
-            match stepped {
-                Ok(inst) => {
-                    let wrong_path = self
-                        .policy
-                        .on_instruction(&inst)
-                        .map(|req| WrongPathCheckpoint::new(req.start, self.emu.state()));
-                    self.buf.push_back(StreamEntry { inst, wrong_path });
-                }
-                Err(StepError::Halted) => self.ended = true,
-                Err(StepError::Fault(f)) => {
-                    self.fault = Some(f);
-                    self.ended = true;
-                }
-                Err(StepError::Cancelled(cause)) => {
-                    self.cancelled = Some(cause);
-                    self.ended = true;
-                }
+        while self.len < want && !self.ended {
+            if self.chunks.back().is_none_or(|c| c.len() >= self.chunk) {
+                let fresh = self.spare.pop().unwrap_or_default();
+                self.chunks.push_back(fresh);
+            }
+            let chunk = self.chunks.back_mut().expect("a chunk with room");
+            let room = (self.chunk - chunk.len()).min(want - self.len);
+            for _ in 0..room {
+                self.prof.enter(Phase::EmuExec);
+                let stepped = self.emu.step();
+                self.prof.exit();
+                let inst = match stepped {
+                    Ok(inst) => inst,
+                    Err(end) => {
+                        match end {
+                            StepError::Halted => {}
+                            StepError::Fault(f) => self.fault = Some(f),
+                            StepError::Cancelled(cause) => self.cancelled = Some(cause),
+                        }
+                        self.ended = true;
+                        break;
+                    }
+                };
+                let wrong_path = self
+                    .policy
+                    .on_instruction(&inst)
+                    .map(|req| WrongPathCheckpoint::new(req.start, self.emu.state()));
+                chunk.push(StreamEntry { inst, wrong_path });
+                self.len += 1;
+            }
+            if chunk.is_empty() {
+                let empty = self.chunks.pop_back().expect("the chunk just filled");
+                self.spare.push(empty);
             }
         }
         self.prof.exit();
@@ -326,11 +362,35 @@ impl<P: FrontendPolicy> InstrQueue<P> {
         }
     }
 
+    /// Moves the front chunk's `head` entry out.
+    fn take_head(&mut self) -> StreamEntry {
+        let front = &mut self.chunks[0];
+        let e = &mut front[self.head];
+        let entry = StreamEntry {
+            inst: e.inst,
+            wrong_path: e.wrong_path.take(),
+        };
+        self.head += 1;
+        self.len -= 1;
+        if self.head == front.len() {
+            self.recycle_front();
+        }
+        entry
+    }
+
+    /// Retires the front chunk, all delivered, as a spare.
+    fn recycle_front(&mut self) {
+        let mut done = self.chunks.pop_front().expect("a front chunk");
+        done.clear();
+        self.spare.push(done);
+        self.head = 0;
+    }
+
     /// Pops the next correct-path entry, or `None` at end of stream.
     pub fn pop(&mut self) -> Option<StreamEntry> {
         self.prune_delivered();
         self.refill_to(1);
-        let entry = self.buf.pop_front();
+        let entry = (self.len > 0).then(|| self.take_head());
         if let Some(e) = &entry {
             self.delivered = Some(e.inst.seq);
         }
@@ -347,14 +407,32 @@ impl<P: FrontendPolicy> InstrQueue<P> {
     /// point with a single `refill_to(max + depth)`, preserving the exact
     /// production order (and thus replica-predictor state and wrong-path
     /// checkpoints).
+    ///
+    /// New chunks take `max` entries, so a consumer that always asks for
+    /// the same batch into an emptied buffer gets each batch by a swap.
     pub fn fill(&mut self, out: &mut StreamBuf, max: usize) -> usize {
         self.prune_delivered();
-        self.refill_to(max.saturating_add(self.depth));
-        let take = max.min(self.buf.len());
-        out.entries.extend(self.buf.drain(..take));
-        if take > 0 {
-            self.delivered = out.entries.last().map(|e| e.inst.seq);
+        if max > 0 {
+            self.chunk = max;
         }
+        self.refill_to(max.saturating_add(self.depth));
+        let take = max.min(self.len);
+        if take == 0 {
+            return 0;
+        }
+        if out.entries.is_empty() && self.head == 0 && self.chunks[0].len() == take {
+            let front = self.chunks.pop_front().expect("a front chunk");
+            let old = std::mem::replace(&mut out.entries, front);
+            self.spare.push(old);
+            self.len -= take;
+        } else {
+            out.entries.reserve(take);
+            for _ in 0..take {
+                let entry = self.take_head();
+                out.entries.push(entry);
+            }
+        }
+        self.delivered = out.entries.last().map(|e| e.inst.seq);
         take
     }
 
@@ -367,20 +445,27 @@ impl<P: FrontendPolicy> InstrQueue<P> {
             return None;
         }
         self.refill_to(index + 1);
-        self.buf.get(index)
+        let mut at = self.head + index;
+        for chunk in &self.chunks {
+            if at < chunk.len() {
+                return Some(&chunk[at]);
+            }
+            at -= chunk.len();
+        }
+        None
     }
 
     /// Number of entries currently buffered.
     #[must_use]
     pub fn buffered(&self) -> usize {
-        self.buf.len()
+        self.len
     }
 
     /// Whether the stream has ended and the buffer is drained.
     #[must_use]
     pub fn is_exhausted(&mut self) -> bool {
         self.refill_to(1);
-        self.buf.is_empty()
+        self.len == 0
     }
 
     /// The correct-path fault that ended the stream, if any.

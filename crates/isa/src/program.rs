@@ -1,7 +1,8 @@
 //! Assembled programs: a contiguous code image plus entry point.
 
 use crate::instr::{Addr, Instr, INSTR_BYTES};
-use std::fmt;
+use std::fmt::{self, Write as _};
+use std::sync::{Arc, OnceLock};
 
 /// Default base address for program text.
 pub const DEFAULT_TEXT_BASE: Addr = 0x1_0000;
@@ -25,11 +26,30 @@ pub const DEFAULT_TEXT_BASE: Addr = 0x1_0000;
 /// assert!(prog.instr_at(prog.entry()).is_some());
 /// # Ok::<(), ffsim_isa::AsmError>(())
 /// ```
-#[derive(Clone, PartialEq, Debug)]
+#[derive(Clone)]
 pub struct Program {
     base: Addr,
     entry: Addr,
     instrs: Vec<Instr>,
+    /// [`Program::text_digest`], computed on first use and shared by every
+    /// clone.
+    text_digest: Arc<OnceLock<u64>>,
+}
+
+impl PartialEq for Program {
+    fn eq(&self, other: &Program) -> bool {
+        (self.base, self.entry, &self.instrs) == (other.base, other.entry, &other.instrs)
+    }
+}
+
+impl fmt::Debug for Program {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Program")
+            .field("base", &self.base)
+            .field("entry", &self.entry)
+            .field("instrs", &self.instrs)
+            .finish()
+    }
 }
 
 impl Program {
@@ -47,6 +67,7 @@ impl Program {
             base,
             entry: base,
             instrs,
+            text_digest: Arc::default(),
         }
     }
 
@@ -65,6 +86,27 @@ impl Program {
         );
         p.entry = entry;
         p
+    }
+
+    /// 64-bit FNV-1a of the program's listing: a `base {:#x}` line, an
+    /// `entry {:#x}` line, then each instruction's disassembly on a line
+    /// of its own. Computed once and shared by every clone, so a caller
+    /// that keys results by program text pays for the formatting once per
+    /// program. FNV-1a has no finalization step, so a caller can go on
+    /// folding bytes after the listing from this value.
+    #[must_use]
+    pub fn text_digest(&self) -> u64 {
+        *self.text_digest.get_or_init(|| {
+            let mut text = String::new();
+            let _ = writeln!(text, "base {:#x}", self.base);
+            let _ = writeln!(text, "entry {:#x}", self.entry);
+            for instr in &self.instrs {
+                let _ = writeln!(text, "{instr}");
+            }
+            text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+            })
+        })
     }
 
     /// The address of the first instruction.
@@ -177,6 +219,21 @@ mod tests {
     #[should_panic(expected = "aligned")]
     fn unaligned_base_panics() {
         let _ = Program::new(0x1001, vec![Instr::Nop]);
+    }
+
+    #[test]
+    fn text_digest_is_shared_by_clones_and_ignored_by_equality() {
+        let p = sample();
+        let clone = p.clone();
+        let digest = p.text_digest();
+        assert!(
+            clone.text_digest.get().is_some(),
+            "the clone shares the memo"
+        );
+        assert_eq!(clone.text_digest(), digest);
+        assert_eq!(p, sample(), "a digested program equals an undigested one");
+        let other = Program::with_entry(0x1000, 0x1004, vec![Instr::Nop, Instr::Nop, Instr::Halt]);
+        assert_ne!(other.text_digest(), digest, "the entry is part of the text");
     }
 
     #[test]
