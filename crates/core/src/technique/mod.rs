@@ -47,11 +47,8 @@ use crate::sim::SimConfig;
 use crate::technique::code_cache::CodeCacheStats;
 use crate::technique::mode::WrongPathMode;
 use crate::technique::wrongpath::{ConvergenceStats, WpInst};
-use ffsim_emu::{
-    DynInst, Emulator, FetchSource, InstrQueue, MemAccess, NoFrontendWrongPath, StreamEntry,
-    WpRecord,
-};
-use ffsim_isa::{Addr, Instr, Program, INSTR_BYTES};
+use ffsim_emu::{DynInst, Emulator, FetchSource, InstrQueue, NoFrontendWrongPath, StreamEntry};
+use ffsim_isa::{Addr, INSTR_BYTES};
 use ffsim_obs::{EventRing, Log2Hist};
 use ffsim_uarch::BranchPredictor;
 use std::fmt;
@@ -216,80 +213,6 @@ pub fn passive_frontend(emu: Emulator, cfg: &SimConfig) -> Box<dyn FetchSource> 
     ))
 }
 
-/// A wrong-path instruction as the injection loop sees it: a
-/// reconstructed [`WpInst`], or a functionally emulated [`WpRecord`]
-/// joined with its instruction from the program text (see
-/// [`emulated_feed`]).
-pub trait WpFeed {
-    /// Instruction address.
-    fn wp_pc(&self) -> Addr;
-    /// The decoded instruction.
-    fn wp_instr(&self) -> &Instr;
-    /// Data memory access, if known.
-    fn wp_mem(&self) -> Option<MemAccess>;
-    /// Whether wrong-path fetch was redirected after this instruction
-    /// instead of continuing at `pc + 4`.
-    fn wp_redirected(&self) -> bool;
-}
-
-impl WpFeed for WpInst {
-    fn wp_pc(&self) -> Addr {
-        self.pc
-    }
-    fn wp_instr(&self) -> &Instr {
-        &self.instr
-    }
-    fn wp_mem(&self) -> Option<MemAccess> {
-        self.mem
-    }
-    fn wp_redirected(&self) -> bool {
-        self.next_pc != self.pc + INSTR_BYTES
-    }
-}
-
-/// A functionally emulated wrong-path record with its instruction.
-struct Emulated<'p> {
-    record: WpRecord,
-    instr: &'p Instr,
-}
-
-impl WpFeed for Emulated<'_> {
-    fn wp_pc(&self) -> Addr {
-        self.record.pc()
-    }
-    fn wp_instr(&self) -> &Instr {
-        self.instr
-    }
-    fn wp_mem(&self) -> Option<MemAccess> {
-        self.record.mem(self.instr)
-    }
-    fn wp_redirected(&self) -> bool {
-        self.record.redirected()
-    }
-}
-
-/// Feeds emulated wrong-path `records` to [`inject_wrong_path`],
-/// re-reading each instruction from `program`, the text it was emulated
-/// from. Both are lazy: records the pipeline never takes are never pulled
-/// from `records` (so a [`WrongPathStream`](ffsim_emu::WrongPathStream)
-/// never emulates them) and never decoded.
-///
-/// # Panics
-///
-/// When iterated, panics if a record's pc lies outside `program`'s text;
-/// the emulator only records instructions it fetched from that text.
-pub fn emulated_feed<'a>(
-    records: impl IntoIterator<Item = WpRecord> + 'a,
-    program: &'a Program,
-) -> impl Iterator<Item = impl WpFeed + 'a> + 'a {
-    records.into_iter().map(move |record| Emulated {
-        record,
-        instr: program
-            .instr_at(record.pc())
-            .expect("wrong-path records come from the program text"),
-    })
-}
-
 /// Injects a wrong-path instruction sequence into the pipeline.
 ///
 /// Fetch of wrong-path instructions continues until the mispredicted
@@ -302,9 +225,9 @@ pub fn emulated_feed<'a>(
 /// every instruction pulled is fed.
 ///
 /// Returns the number of instructions fed, which is the number pulled.
-pub fn inject_wrong_path<W: WpFeed>(
+pub fn inject_wrong_path(
     pipeline: &mut Pipeline,
-    wp: impl IntoIterator<Item = W>,
+    wp: impl IntoIterator<Item = WpInst>,
     resolve: u64,
     budget: usize,
 ) -> usize {
@@ -317,15 +240,13 @@ pub fn inject_wrong_path<W: WpFeed>(
             break;
         };
         fed += 1;
-        let instr = w.wp_instr();
-        let mem = w.wp_mem();
-        let timing = if instr.is_load() && mem.is_some() {
+        let timing = if w.instr.is_load() && w.mem.is_some() {
             LoadTiming::Real
         } else {
             LoadTiming::AssumeL1Hit
         };
-        let _ = pipeline.feed_wrong(&mut window, w.wp_pc(), instr, mem, timing, resolve);
-        if instr.is_branch() && w.wp_redirected() {
+        let _ = pipeline.feed_wrong(&mut window, w.pc, &w.instr, w.mem, timing, resolve);
+        if w.instr.is_branch() && w.next_pc != w.pc.wrapping_add(INSTR_BYTES) {
             pipeline.break_fetch_group();
         }
     }
@@ -469,6 +390,7 @@ impl fmt::Debug for TechniqueRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ffsim_isa::Instr;
     use ffsim_uarch::CoreConfig;
 
     /// An endless straight-line wrong path of `nop`s that counts its pulls.

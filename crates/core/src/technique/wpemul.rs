@@ -6,9 +6,7 @@ use crate::metrics::FaultStats;
 use crate::sim::SimConfig;
 use crate::technique::mode::WrongPathMode;
 use crate::technique::replica::ReplicaPolicy;
-use crate::technique::{
-    emulated_feed, inject_wrong_path, MispredictContext, TechniqueStats, WrongPathTechnique,
-};
+use crate::technique::{inject_wrong_path, MispredictContext, TechniqueStats, WrongPathTechnique};
 use ffsim_emu::{
     BranchOracle, BranchOutcome, Emulator, Fault, FaultPolicy, FetchSource, InstrQueue,
     WrongPathStop,
@@ -134,10 +132,8 @@ impl WrongPathTechnique for EmulationTechnique {
             self.watchdog,
             steer,
         );
-        // Each record is emulated as the pipeline pulls it, and re-read
-        // from the program text as it is injected.
-        let feed = emulated_feed(&mut stream, emu.program());
-        inject_wrong_path(cx.pipeline, feed, cx.resolve, self.budget);
+        // Each instruction is emulated as the pipeline pulls it.
+        inject_wrong_path(cx.pipeline, &mut stream, cx.resolve, self.budget);
         if to_watchdog {
             // A watchdog within the budget asks whether the wrong path runs
             // away, which the fetched prefix alone cannot tell: emulate on

@@ -19,23 +19,10 @@
 //! peeks and matches only as far as the pipeline takes the wrong path.
 
 use crate::technique::code_cache::{CodeCache, Decoded, StretchEnd};
+pub use ffsim_emu::WpInst;
 use ffsim_emu::{DynInst, FetchSource, MemAccess, StreamEntry};
 use ffsim_isa::{Addr, ArchReg, Instr, RegSet, INSTR_BYTES};
 use ffsim_uarch::{BranchPredictor, SpeculativeState};
-
-/// One reconstructed wrong-path instruction.
-#[derive(Clone, Copy, PartialEq, Debug)]
-pub struct WpInst {
-    /// Instruction address.
-    pub pc: Addr,
-    /// Decoded instruction (from the code cache).
-    pub instr: Instr,
-    /// Data memory access, if known. Reconstruction leaves this `None`;
-    /// convergence recovery fills some of them in.
-    pub mem: Option<MemAccess>,
-    /// The next wrong-path fetch pc actually followed.
-    pub next_pc: Addr,
-}
 
 /// The reconstructed wrong path from a start pc, one code-cache lookup
 /// per instruction pulled, steering branch directions with speculative

@@ -3,7 +3,7 @@
 //! dispatch. The oracle below reimplements the old `Simulator::run`
 //! mode switch as one monolithic technique built from the same public
 //! building blocks (`reconstruct`, `recover_addresses`,
-//! `inject_wrong_path`, `emulated_feed`, eager wrong-path emulation),
+//! `inject_wrong_path`, eager wrong-path emulation),
 //! and the property drives both through identical random workloads.
 //!
 //! For wrong-path emulation the oracle is independent of the frontend
@@ -12,7 +12,7 @@
 //! emulates the whole wrong path eagerly from the branch, steered by the
 //! timing model's predictor.
 
-use ffsim_core::technique::{emulated_feed, inject_wrong_path, PredictorSteer};
+use ffsim_core::technique::{inject_wrong_path, PredictorSteer};
 use ffsim_core::{
     passive_frontend, reconstruct, recover_addresses, CodeCache, ConvergenceConfig,
     ConvergenceStats, FaultStats, MispredictContext, ObsConfig, SimConfig, SimResult, Simulator,
@@ -133,8 +133,7 @@ impl WrongPathTechnique for MonolithOracle {
                 WrongPathStop::IllegalPc(_) => self.faults.illegal_pc_stops += 1,
                 _ => {}
             }
-            let feed = emulated_feed(bundle.insts.iter().copied(), shadow.program());
-            inject_wrong_path(cx.pipeline, feed, cx.resolve, self.budget);
+            inject_wrong_path(cx.pipeline, bundle.insts, cx.resolve, self.budget);
         }
         // NoWrongPath: detection only, nothing injected.
     }

@@ -70,7 +70,7 @@
 
 pub mod cache;
 mod campaign;
-pub mod fnv;
+pub use ffsim_isa::fnv;
 pub mod hostobs;
 mod job;
 pub mod manifest;

@@ -659,12 +659,6 @@ impl JobQueue {
         self.cancel.clone()
     }
 
-    /// The live gauges rendered into heartbeat lines.
-    #[must_use]
-    pub fn gauges(&self) -> Arc<QueueGauges> {
-        Arc::clone(&self.gauges)
-    }
-
     /// Registers a campaign id so jobs can be enqueued under it.
     /// Registering an id again is a no-op that keeps any queued jobs.
     pub fn register(&self, campaign: &str) {
@@ -796,12 +790,6 @@ impl JobQueue {
     #[must_use]
     pub fn wait_hists(&self) -> BTreeMap<String, Log2Hist> {
         self.lock().waits.clone()
-    }
-
-    /// Per-campaign lease-to-commit run-time distributions (milliseconds).
-    #[must_use]
-    pub fn run_hists(&self) -> BTreeMap<String, Log2Hist> {
-        self.lock().runs.clone()
     }
 
     /// A lease deadline suggestion derived from the run-time `Log2Hist`

@@ -7,13 +7,15 @@
 //! branches. This is the functional-first contract described in §II of the
 //! paper: "instruction address, disassembled instruction, memory addresses".
 //!
-//! Emulated wrong-path instructions travel as [`WpRecord`]s instead: a
-//! 16-byte record of what the program text cannot give back.
+//! A wrong-path instruction, however it was produced (reconstructed from
+//! the code cache, emulated, or given addresses by convergence), travels
+//! as a [`WpInst`]: the fields of a [`DynInst`] less the sequence number
+//! and the resolved branch outcome, which only the correct path has.
 
 use crate::cancel::CancelCause;
 use crate::exec::Fault;
 use crate::state::ArchState;
-use ffsim_isa::{Addr, BranchKind, ExecClass, Instr, Operands, INSTR_BYTES};
+use ffsim_isa::{Addr, BranchKind, ExecClass, Instr, Operands};
 
 /// A data-memory access performed by an instruction.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -24,27 +26,6 @@ pub struct MemAccess {
     pub size: u8,
     /// Whether the access is a store.
     pub is_store: bool,
-}
-
-impl MemAccess {
-    /// The access `instr` makes at `addr`, or `None` if it is not a load or
-    /// store. Size and load/store kind are static properties of the
-    /// instruction; only the address is dynamic.
-    #[must_use]
-    pub(crate) fn of(instr: &Instr, addr: Addr) -> Option<MemAccess> {
-        let (size, is_store) = match *instr {
-            Instr::Load { width, .. } => (width.bytes(), false),
-            Instr::Store { width, .. } => (width.bytes(), true),
-            Instr::FpLoad { .. } => (8, false),
-            Instr::FpStore { .. } => (8, true),
-            _ => return None,
-        };
-        Some(MemAccess {
-            addr,
-            size: size as u8,
-            is_store,
-        })
-    }
 }
 
 /// The resolved outcome of a control-flow instruction.
@@ -106,56 +87,18 @@ impl DynInst {
     }
 }
 
-/// One functionally emulated wrong-path instruction, packed into 16 bytes.
-///
-/// A record keeps only what the program text cannot give back: the pc and
-/// the data address. The instruction, the access size and the load/store
-/// kind are re-read from the program at injection ([`WpRecord::mem`]).
-/// Instruction addresses are 4-byte aligned, so the pc's low bits are
-/// always zero; bit 0 carries the "fetch redirected" flag.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct WpRecord {
-    /// The pc, with [`REDIRECTED`] in its alignment bits.
-    pc_flags: Addr,
-    /// The data address; zero unless the instruction is a load or store.
-    addr: Addr,
-}
-
-/// Flag bit in [`WpRecord::pc_flags`]: fetch did not continue at `pc + 4`.
-const REDIRECTED: Addr = 1;
-
-impl WpRecord {
-    /// Packs the instruction at `pc`, its data access `mem`, and the pc
-    /// fetch followed after it, `next_pc`.
-    #[must_use]
-    pub fn new(pc: Addr, mem: Option<MemAccess>, next_pc: Addr) -> WpRecord {
-        debug_assert!(pc.is_multiple_of(INSTR_BYTES), "unaligned pc {pc:#x}");
-        let redirected = next_pc != pc.wrapping_add(INSTR_BYTES);
-        WpRecord {
-            pc_flags: pc | Addr::from(redirected),
-            addr: mem.map_or(0, |m| m.addr),
-        }
-    }
-
-    /// Address of the instruction.
-    #[must_use]
-    pub fn pc(self) -> Addr {
-        self.pc_flags & !REDIRECTED
-    }
-
-    /// Whether fetch was redirected after this instruction (a taken
-    /// branch or jump), rather than falling through to `pc + 4`.
-    #[must_use]
-    pub fn redirected(self) -> bool {
-        self.pc_flags & REDIRECTED != 0
-    }
-
-    /// The data access of this record, given its instruction `instr` as
-    /// decoded from the program text at [`WpRecord::pc`].
-    #[must_use]
-    pub fn mem(self, instr: &Instr) -> Option<MemAccess> {
-        MemAccess::of(instr, self.addr)
-    }
+/// One wrong-path instruction, as the timing model is fed it.
+#[derive(Clone, Copy, PartialEq, Debug)]
+pub struct WpInst {
+    /// Instruction address.
+    pub pc: Addr,
+    /// The decoded instruction.
+    pub instr: Instr,
+    /// Data memory access, if known. Emulation knows every one;
+    /// reconstruction knows none, and convergence recovers some.
+    pub mem: Option<MemAccess>,
+    /// The next wrong-path fetch pc actually followed.
+    pub next_pc: Addr,
 }
 
 /// Why wrong-path generation stopped.
@@ -240,7 +183,7 @@ pub struct WrongPathCheckpoint {
     /// Always empty: wrong paths are no longer emulated into the entry.
     /// Kept only so code that counted the records of the former eager
     /// bundle still compiles.
-    pub insts: [WpRecord; 0],
+    pub insts: [WpInst; 0],
 }
 
 impl WrongPathCheckpoint {
@@ -261,7 +204,7 @@ impl WrongPathCheckpoint {
 pub struct WrongPathBundle {
     /// The wrong-path instructions in fetch order, with functionally
     /// emulated memory addresses (stores suppressed).
-    pub insts: Vec<WpRecord>,
+    pub insts: Vec<WpInst>,
     /// Why generation stopped.
     pub stop: WrongPathStop,
 }
@@ -269,127 +212,7 @@ pub struct WrongPathBundle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ffsim_isa::{AluOp, BranchCond, FReg, Instr, MemWidth, Reg, DEFAULT_TEXT_BASE};
-
-    /// A pc at the default text base, one at a high aligned base, and the
-    /// highest aligned pc, whose fall-through wraps to zero.
-    const PCS: [Addr; 3] = [
-        DEFAULT_TEXT_BASE,
-        0xffff_ffff_ffff_f000,
-        Addr::MAX & !(INSTR_BYTES - 1),
-    ];
-
-    /// Every load and store shape (each integer width, and FP) with the
-    /// size and store flag its access must report.
-    fn mem_instrs() -> Vec<(Instr, u8, bool)> {
-        let (r, base) = (Reg::new(1), Reg::new(2));
-        let mut out = Vec::new();
-        for (width, size) in [
-            (MemWidth::B, 1),
-            (MemWidth::H, 2),
-            (MemWidth::W, 4),
-            (MemWidth::D, 8),
-        ] {
-            for signed in [true, false] {
-                let load = Instr::Load {
-                    rd: r,
-                    base,
-                    offset: -8,
-                    width,
-                    signed,
-                };
-                out.push((load, size, false));
-            }
-            let store = Instr::Store {
-                src: r,
-                base,
-                offset: 16,
-                width,
-            };
-            out.push((store, size, true));
-        }
-        let (f, offset) = (FReg::new(3), 8);
-        out.push((
-            Instr::FpLoad {
-                fd: f,
-                base,
-                offset,
-            },
-            8,
-            false,
-        ));
-        out.push((
-            Instr::FpStore {
-                fs: f,
-                base,
-                offset,
-            },
-            8,
-            true,
-        ));
-        out
-    }
-
-    #[test]
-    fn wp_record_is_sixteen_bytes() {
-        assert_eq!(std::mem::size_of::<WpRecord>(), 16);
-    }
-
-    #[test]
-    fn wp_record_round_trips_loads_and_stores() {
-        for pc in PCS {
-            for (instr, size, is_store) in mem_instrs() {
-                for addr in [0, 0x80, 0xffff_ffff_ffff_fff8] {
-                    let access = MemAccess {
-                        addr,
-                        size,
-                        is_store,
-                    };
-                    let rec = WpRecord::new(pc, Some(access), pc.wrapping_add(INSTR_BYTES));
-                    assert_eq!(rec.pc(), pc);
-                    assert!(!rec.redirected());
-                    assert_eq!(rec.mem(&instr), Some(access), "{instr} at {pc:#x}");
-                    assert_eq!(MemAccess::of(&instr, addr), Some(access));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn wp_record_without_access_decodes_none() {
-        let add = Instr::Alu {
-            op: AluOp::Add,
-            rd: Reg::new(1),
-            rs1: Reg::new(2),
-            rs2: Reg::new(3),
-        };
-        for pc in PCS {
-            let rec = WpRecord::new(pc, None, pc.wrapping_add(INSTR_BYTES));
-            assert_eq!(rec.pc(), pc);
-            assert!(!rec.redirected());
-            assert_eq!(rec.mem(&add), None);
-            assert_eq!(rec.mem(&Instr::Nop), None);
-        }
-    }
-
-    #[test]
-    fn wp_record_keeps_branch_redirects() {
-        for pc in PCS {
-            let branch = Instr::Branch {
-                cond: BranchCond::Ne,
-                rs1: Reg::new(1),
-                rs2: Reg::new(0),
-                target: pc.wrapping_sub(0x40),
-            };
-            let taken = WpRecord::new(pc, None, pc.wrapping_sub(0x40));
-            assert_eq!(taken.pc(), pc);
-            assert!(taken.redirected(), "taken branch at {pc:#x}");
-            assert_eq!(taken.mem(&branch), None);
-            let fallthrough = WpRecord::new(pc, None, pc.wrapping_add(INSTR_BYTES));
-            assert_eq!(fallthrough.pc(), pc);
-            assert!(!fallthrough.redirected(), "fall-through at {pc:#x}");
-        }
-    }
+    use ffsim_isa::{AluOp, Instr, Reg};
 
     fn mk(instr: Instr) -> DynInst {
         DynInst {

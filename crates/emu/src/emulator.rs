@@ -16,12 +16,13 @@
 
 use crate::cancel::{CancelCause, CancelToken};
 use crate::dyninst::{
-    BranchOutcome, DynInst, WpRecord, WrongPathBundle, WrongPathCheckpoint, WrongPathStop,
+    BranchOutcome, DynInst, WpInst, WrongPathBundle, WrongPathCheckpoint, WrongPathStop,
 };
 use crate::exec::{execute, Fault, FaultModel, RegWrite};
 use crate::mem::Memory;
 use crate::state::ArchState;
 use crate::undo::{MemAsOf, StoreLog};
+use ffsim_isa::fnv::Fnv1a;
 use ffsim_isa::{Addr, Instr, Program};
 use std::error::Error;
 use std::fmt;
@@ -235,14 +236,10 @@ impl Emulator {
     pub fn digest(&self) -> u64 {
         // Fold the two component digests FNV-style so the pair ordering
         // matters.
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for v in [self.state.digest(), self.mem.digest()] {
-            for b in v.to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x100_0000_01b3);
-            }
-        }
-        h
+        Fnv1a::new()
+            .update(&self.state.digest().to_le_bytes())
+            .update(&self.mem.digest().to_le_bytes())
+            .finish()
     }
 
     /// The program being executed.
@@ -382,7 +379,7 @@ impl Emulator {
     /// exceptions suppressed**, then restore the checkpoint and continue on
     /// the correct path. Memory is never modified; register effects happen
     /// on a scratch copy that is thrown away. Store addresses are still
-    /// recorded in the emitted [`WpRecord`]s so the timing model can play
+    /// recorded in the emitted [`WpInst`]s so the timing model can play
     /// them against the data cache. There is no store-to-load forwarding
     /// along the wrong path — wrong-path loads read the architectural
     /// memory at the branch, as in the paper.
@@ -562,7 +559,7 @@ impl<O: BranchOracle> WrongPathStream<'_, O> {
     }
 
     /// Emulates one instruction, or says why the wrong path ends.
-    fn step(&mut self) -> Result<WpRecord, WrongPathStop> {
+    fn step(&mut self) -> Result<WpInst, WrongPathStop> {
         if let Some(cause) = self.cancel.and_then(CancelToken::cause) {
             return Err(WrongPathStop::Cancelled(cause));
         }
@@ -589,14 +586,19 @@ impl<O: BranchOracle> WrongPathStream<'_, O> {
         }
         self.state.pc = next_pc;
         self.emitted += 1;
-        Ok(WpRecord::new(pc, out.mem, next_pc))
+        Ok(WpInst {
+            pc,
+            instr,
+            mem: out.mem,
+            next_pc,
+        })
     }
 }
 
 impl<O: BranchOracle> Iterator for WrongPathStream<'_, O> {
-    type Item = WpRecord;
+    type Item = WpInst;
 
-    fn next(&mut self) -> Option<WpRecord> {
+    fn next(&mut self) -> Option<WpInst> {
         if self.stop.is_some() {
             return None;
         }
@@ -729,10 +731,8 @@ mod tests {
         assert_eq!(bundle.stop, WrongPathStop::Halt);
         // The suppressed store still reports its address.
         let store = bundle.insts[1];
-        assert_eq!(store.pc(), wrong_target + 4);
-        let mem = store
-            .mem(emu.program().instr_at(store.pc()).unwrap())
-            .unwrap();
+        assert_eq!(store.pc, wrong_target + 4);
+        let mem = store.mem.unwrap();
         assert!(mem.is_store);
         assert_eq!(mem.addr, 0x200);
         // Correct path continues unaffected.
@@ -742,10 +742,11 @@ mod tests {
 
     #[test]
     fn wrong_path_records_match_correct_path_steps_at_high_text_base() {
-        // Emulated as a wrong path that follows computed outcomes, the
-        // program yields one record per instruction its correct-path run
-        // steps through. A text base near the top of the address space
-        // checks that the record's flag bit leaves the pc intact.
+        // Emulated as a wrong path that follows computed outcomes from a
+        // checkpoint, the program yields, field for field, the record a
+        // clone of the emulator steps through from that checkpoint. A
+        // text base near the top of the address space checks the
+        // fall-through arithmetic there.
         let (x1, x2, x3) = (Reg::new(1), Reg::new(2), Reg::new(3));
         let f1 = ffsim_isa::FReg::new(1);
         let mut a = Asm::with_base(0xffff_ffff_ffff_0000);
@@ -761,33 +762,35 @@ mod tests {
         a.nop();
         a.label("end");
         a.halt();
-        let p = a.assemble().unwrap();
-        let entry = p.entry();
-        let mut emu = Emulator::new(p).unwrap();
-        let bundle = emu.emulate_wrong_path(entry, 1000, &mut FollowComputed);
+        let mut emu = Emulator::new(a.assemble().unwrap()).unwrap();
+        emu.step().unwrap(); // li x1
+        let cp = WrongPathCheckpoint::new(emu.state().pc, emu.state());
+        let bundle = emu.emulate_wrong_path(cp.start, 1000, &mut FollowComputed);
         assert_eq!(bundle.stop, WrongPathStop::Halt);
+        let mut stepper = emu.clone();
         let mut stepped = Vec::new();
-        while let Ok(inst) = emu.step() {
+        while let Ok(inst) = stepper.step() {
             stepped.push(inst);
         }
         stepped.pop(); // the halt, where wrong-path emulation stops
         assert_eq!(bundle.insts.len(), stepped.len());
-        for (rec, inst) in bundle.insts.iter().zip(&stepped) {
-            assert_eq!(rec.pc(), inst.pc);
-            assert_eq!(emu.program().instr_at(rec.pc()), Some(&inst.instr));
+        for (wp, inst) in bundle.insts.iter().zip(&stepped) {
             assert_eq!(
-                rec.mem(&inst.instr),
-                inst.mem,
+                (wp.pc, wp.instr, wp.mem, wp.next_pc),
+                (inst.pc, inst.instr, inst.mem, inst.next_pc),
                 "{} at {:#x}",
                 inst.instr,
                 inst.pc
             );
-            assert_eq!(rec.redirected(), inst.next_pc != inst.fallthrough());
         }
         // Two taken back edges and the jump redirect; the loop exit falls
         // through.
-        assert_eq!(bundle.insts.iter().filter(|r| r.redirected()).count(), 3);
-        let stores = stepped.iter().filter(|d| d.mem.is_some_and(|m| m.is_store));
+        let redirected = bundle.insts.iter().filter(|w| w.next_pc != w.pc + 4);
+        assert_eq!(redirected.count(), 3);
+        let stores = bundle
+            .insts
+            .iter()
+            .filter(|w| w.mem.is_some_and(|m| m.is_store));
         assert_eq!(stores.count(), 3 * 5);
     }
 
@@ -846,10 +849,7 @@ mod tests {
         emu.mem_mut().write_u64(0x300, 1234);
         emu.step().unwrap();
         let bundle = emu.emulate_wrong_path(wp, 8, &mut FollowComputed);
-        let load = bundle.insts[0];
-        let mem = load
-            .mem(emu.program().instr_at(load.pc()).unwrap())
-            .unwrap();
+        let mem = bundle.insts[0].mem.unwrap();
         assert!(!mem.is_store);
         assert_eq!(mem.addr, 0x300);
         // And the register scratch value was really loaded (observable via

@@ -12,8 +12,9 @@
 //!   checkpoints (Pin's `PIN_SaveContext`/`PIN_ExecuteAt` analogues),
 //! * [`Emulator::wrong_path_stream`] — full functional wrong-path
 //!   emulation with suppressed stores and faults (paper §III-B), from a
-//!   branch checkpoint into packed 16-byte [`WpRecord`]s, one record per
-//!   pull; [`Emulator::emulate_wrong_path`] drains one eagerly,
+//!   branch checkpoint into [`WpInst`]s, the wrong-path record every
+//!   technique feeds the timing model, one per pull;
+//!   [`Emulator::emulate_wrong_path`] drains one eagerly,
 //! * [`InstrQueue`] — the runahead queue between functional and
 //!   performance simulation, with lookahead peeking for the convergence
 //!   technique (paper §III-C) and [`FrontendPolicy`] hooks for the
@@ -66,7 +67,7 @@ mod undo;
 
 pub use cancel::{CancelCause, CancelToken};
 pub use dyninst::{
-    BranchOutcome, DynInst, FaultPolicy, MemAccess, WpRecord, WrongPathBundle, WrongPathCheckpoint,
+    BranchOutcome, DynInst, FaultPolicy, MemAccess, WpInst, WrongPathBundle, WrongPathCheckpoint,
     WrongPathFaultStats, WrongPathStop,
 };
 pub use emulator::{BranchOracle, EmuError, Emulator, FollowComputed, StepError, WrongPathStream};

@@ -15,6 +15,7 @@
 //! mark; a never-written clone of an already-digested image folds none.
 
 use crate::hash::FxBuildHasher;
+use ffsim_isa::fnv::{Fnv1a, OFFSET_BASIS};
 use ffsim_isa::Addr;
 use std::collections::HashMap;
 use std::error::Error;
@@ -30,18 +31,6 @@ const PAGE_MASK: u64 = PAGE_BYTES as u64 - 1;
 /// No page has been written since the memo was taken (page indices stop
 /// at 2^52, so this is never a real page).
 const ALL_CLEAN: u64 = u64::MAX;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x100_0000_01b3;
-
-/// Folds `bytes` into the FNV-1a state `h`.
-fn fnv_fold(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
 
 /// How far the digest fold of one memory image has been computed.
 #[derive(Debug, Default)]
@@ -60,7 +49,7 @@ impl Folded {
     fn state_below(&self, page: u64) -> u64 {
         let n = self.states.partition_point(|&(i, _)| i < page);
         n.checked_sub(1)
-            .map_or(FNV_OFFSET, |last| self.states[last].1)
+            .map_or(OFFSET_BASIS, |last| self.states[last].1)
     }
 
     /// The part of this fold that holds for any image equal to this one
@@ -275,7 +264,10 @@ impl Memory {
         // same image at the same time.
         let mut learned = Vec::new();
         for i in indices {
-            h = fnv_fold(fnv_fold(h, &i.to_le_bytes()), &self.pages[&i][..]);
+            h = Fnv1a::resume(h)
+                .update(&i.to_le_bytes())
+                .update(&self.pages[&i][..])
+                .finish();
             if i < clean {
                 learned.push((i, h));
             }

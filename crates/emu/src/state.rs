@@ -1,5 +1,6 @@
 //! Architectural register state and checkpoints.
 
+use ffsim_isa::fnv::Fnv1a;
 use ffsim_isa::{Addr, FReg, Reg, NUM_FP_REGS, NUM_INT_REGS};
 
 /// The architectural register state of the simulated machine: 32 integer
@@ -74,21 +75,14 @@ impl ArchState {
     /// across runs.
     #[must_use]
     pub fn digest(&self) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        let mut fold = |v: u64| {
-            for b in v.to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x100_0000_01b3);
-            }
-        };
+        let mut h = Fnv1a::new();
         for &r in &self.int_regs {
-            fold(r);
+            h = h.update(&r.to_le_bytes());
         }
         for &f in &self.fp_regs {
-            fold(f.to_bits());
+            h = h.update(&f.to_bits().to_le_bytes());
         }
-        fold(self.pc);
-        h
+        h.update(&self.pc.to_le_bytes()).finish()
     }
 }
 

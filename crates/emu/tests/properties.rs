@@ -746,11 +746,11 @@ proptest! {
         prop_assert_eq!(injected.emulator().digest(), clean.emulator().digest());
     }
 
-    /// Every packed record of a replica-driven wrong path decodes against
-    /// the program text: its pc holds an instruction, `mem` is present
+    /// Every record of a replica-driven wrong path agrees with the program
+    /// text: its instruction is the one at its pc, `mem` is present
     /// exactly for loads and stores with the instruction's size and kind
-    /// at an address inside the data region, and its redirect flag says
-    /// whether the next record's pc is anything but the fall-through.
+    /// at an address inside the data region, and each record's `next_pc`
+    /// is the pc of the record after it.
     #[test]
     fn wrong_path_records_decode_against_the_text(
         program in arb_branchy_program(),
@@ -775,26 +775,22 @@ proptest! {
                 .collect();
             prop_assert!(records.len() <= budget);
             for rec in &records {
-                let instr = p.instr_at(rec.pc());
-                prop_assert!(instr.is_some(), "record pc {:#x} outside the text", rec.pc());
-                let instr = instr.unwrap();
-                let shape = match *instr {
+                prop_assert_eq!(p.instr_at(rec.pc), Some(&rec.instr), "at {:#x}", rec.pc);
+                let shape = match rec.instr {
                     Instr::Load { width, .. } => Some((width.bytes(), false)),
                     Instr::Store { width, .. } => Some((width.bytes(), true)),
                     Instr::FpLoad { .. } => Some((8, false)),
                     Instr::FpStore { .. } => Some((8, true)),
                     _ => None,
                 };
-                let mem = rec.mem(instr);
-                prop_assert_eq!(mem.map(|m| (u64::from(m.size), m.is_store)), shape);
-                if let Some(m) = mem {
+                prop_assert_eq!(rec.mem.map(|m| (u64::from(m.size), m.is_store)), shape);
+                if let Some(m) = rec.mem {
                     prop_assert!((DATA_BASE..DATA_BASE + 64 * 8).contains(&m.addr));
                     prop_assert_eq!(m.addr % u64::from(m.size), 0);
                 }
             }
             for pair in records.windows(2) {
-                let falls_through = pair[1].pc() == pair[0].pc() + INSTR_BYTES;
-                prop_assert_eq!(pair[0].redirected(), !falls_through, "at {:#x}", pair[0].pc());
+                prop_assert_eq!(pair[0].next_pc, pair[1].pc, "after {:#x}", pair[0].pc);
             }
         }
         prop_assert!(q.fault().is_none());

@@ -9,24 +9,19 @@
 //! it before fuzzing and writes newly shrunk divergences back to it.
 
 use crate::artifact;
+use ffsim_isa::fnv::fnv1a;
 use ffsim_isa::Program;
 use std::path::{Path, PathBuf};
 
-/// FNV-1a over the canonical `.fsm` body; the corpus entry's identity.
-fn digest(text: &str) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in text.as_bytes() {
-        hash ^= u64::from(*byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
-/// The corpus file name for `program` (stable across note changes: only
-/// the program text is digested).
+/// The corpus file name for `program`: FNV-1a over its canonical `.fsm`
+/// body, the entry's identity (stable across note changes: only the
+/// program text is digested).
 #[must_use]
 pub fn entry_name(program: &Program) -> String {
-    format!("corpus-{:016x}.fsm", digest(&artifact::to_text(program)))
+    format!(
+        "corpus-{:016x}.fsm",
+        fnv1a(artifact::to_text(program).as_bytes())
+    )
 }
 
 /// Lists the corpus entries in `dir`, sorted by file name so replay

@@ -16,8 +16,10 @@
 //! * [`Reg`]/[`FReg`]/[`ArchReg`]/[`RegSet`] — typed register names and a
 //!   dense register set used for dependence ("dirty register") tracking by
 //!   the convergence-exploitation technique,
-//! * [`Program`] — an assembled code image, and
-//! * [`Asm`] — a label-based assembler all bundled workloads are written in.
+//! * [`Program`] — an assembled code image,
+//! * [`Asm`] — a label-based assembler all bundled workloads are written in,
+//!   and
+//! * [`fnv`] — the FNV-1a hash behind every stable digest in the workspace.
 //!
 //! # Examples
 //!
@@ -46,6 +48,7 @@
 #![warn(missing_debug_implementations)]
 
 mod asm;
+pub mod fnv;
 mod instr;
 mod program;
 mod reg;

@@ -1,5 +1,6 @@
 //! Assembled programs: a contiguous code image plus entry point.
 
+use crate::fnv::fnv1a;
 use crate::instr::{Addr, Instr, INSTR_BYTES};
 use std::fmt::{self, Write as _};
 use std::sync::{Arc, OnceLock};
@@ -103,9 +104,7 @@ impl Program {
             for instr in &self.instrs {
                 let _ = writeln!(text, "{instr}");
             }
-            text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
-                (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
-            })
+            fnv1a(text.as_bytes())
         })
     }
 
