@@ -102,7 +102,7 @@ pub struct SimResult {
     /// the same digest, whatever happened on wrong paths — the invariant
     /// the fault-injection harness checks.
     pub state_digest: u64,
-    /// Per-cycle stall attribution over the measured sample. Its
+    /// Per-cycle stall attribution over the whole run. Its
     /// [`CpiStack::total`] equals [`SimResult::cycles`] exactly, so
     /// [`SimResult::error_vs`] gaps between wrong-path techniques can be
     /// decomposed into which stall class moved. Always collected — the

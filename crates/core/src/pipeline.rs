@@ -214,13 +214,6 @@ impl Pipeline {
         &self.hierarchy
     }
 
-    /// Resets the hierarchy's statistics, keeping all warm state (cache
-    /// and TLB contents, predictor-visible history). Used at the warmup
-    /// boundary of a measured sample.
-    pub fn reset_hierarchy_stats(&mut self) {
-        self.hierarchy.reset_stats();
-    }
-
     /// Total cycles elapsed (cycle of the last retirement).
     #[must_use]
     pub fn cycles(&self) -> u64 {
@@ -239,19 +232,11 @@ impl Pipeline {
         self.wrong_path_injected
     }
 
-    /// The CPI stack accumulated since construction (or the last
-    /// [`Pipeline::reset_cpi`]). Its [`CpiStack::total`] equals
-    /// [`Pipeline::cycles`] minus the cycle count at the last reset.
+    /// The CPI stack accumulated since construction. Its
+    /// [`CpiStack::total`] equals [`Pipeline::cycles`].
     #[must_use]
     pub fn cpi(&self) -> CpiStack {
         self.cpi
-    }
-
-    /// Zeroes the CPI stack (warmup boundary). Attribution after the reset
-    /// telescopes from the current retire cycle, so the components of the
-    /// measured sample still sum exactly to its cycle count.
-    pub fn reset_cpi(&mut self) {
-        self.cpi.reset();
     }
 
     /// The cycle the next instruction would be fetched.
@@ -575,7 +560,7 @@ impl Pipeline {
     /// Charges the cycles between consecutive retires to stall classes.
     /// Gaps telescope (`retire - prev_retire` summed over all retires is
     /// exactly the final retire cycle), so the stack's total always equals
-    /// [`Pipeline::cycles`] relative to the last [`Pipeline::reset_cpi`].
+    /// [`Pipeline::cycles`].
     fn attribute_retire_gap(&mut self, gap: u64) {
         if gap > 0 {
             // The retire slot itself is useful bandwidth.
@@ -981,13 +966,6 @@ mod tests {
         assert!(p.cpi().get(StallClass::FrontendMispredict) > 0);
         assert!(p.cpi().get_lane(StallClass::WrongPathFetch, true) > 0);
         assert!(p.cpi().get(StallClass::DramBound) > 0);
-        // Reset re-anchors the telescoping at the current cycle.
-        let before = p.cycles();
-        p.reset_cpi();
-        for i in 0..20u64 {
-            let _ = p.feed_correct(0x4000 + i * 4, &alu(6, 6, 6), None);
-        }
-        assert_eq!(p.cpi().total(), p.cycles() - before);
     }
 
     #[test]

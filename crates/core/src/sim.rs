@@ -32,8 +32,8 @@ pub struct SimConfig {
     pub core: CoreConfig,
     /// The wrong-path modeling technique.
     pub mode: WrongPathMode,
-    /// Stop after this many *measured* correct-path instructions
-    /// (`None` = run to `halt`).
+    /// Stop after this many correct-path instructions (`None` = run to
+    /// `halt`).
     pub max_instructions: Option<u64>,
     /// How many entries the run loop pulls from the frontend per batched
     /// [`FetchSource::fill`] call. Any positive value produces the
@@ -42,11 +42,6 @@ pub struct SimConfig {
     /// [`SimConfig::DEFAULT_HANDOFF_BATCH`] is chosen by the
     /// `handoff_batch` Criterion bench. Must be non-zero.
     pub handoff_batch: usize,
-    /// Simulate this many instructions before measurement starts: caches,
-    /// TLBs and predictors stay warm, but every statistic (including
-    /// cycles and IPC) is reset at the boundary. This mirrors the paper's
-    /// SimPoint-sample methodology of measuring a representative window.
-    pub warmup_instructions: u64,
     /// Bound the code cache (`None` = unbounded, the paper's setup).
     pub code_cache_capacity: Option<usize>,
     /// Convergence-technique tunables (used in
@@ -64,10 +59,6 @@ pub struct SimConfig {
     /// limits, divide-by-zero trapping). The default is permissive RISC-V
     /// semantics: no address limit, `x / 0 = -1`.
     pub fault_model: FaultModel,
-    /// Bound on the sparse memory's materialized page count (`None` =
-    /// unbounded). A correct-path store past the limit is a fatal
-    /// [`Fault::OutOfRange`](ffsim_emu::Fault); must be non-zero.
-    pub max_memory_pages: Option<usize>,
     /// Deterministic wrong-path start-pc corruption (fault injection,
     /// [`WrongPathMode::WrongPathEmulation`] only). `None` disables it.
     pub wp_pc_corruption: Option<PcCorruption>,
@@ -108,13 +99,11 @@ impl SimConfig {
             mode,
             max_instructions: None,
             handoff_batch: SimConfig::DEFAULT_HANDOFF_BATCH,
-            warmup_instructions: 0,
             code_cache_capacity: None,
             convergence: ConvergenceConfig::default(),
             fault_policy: FaultPolicy::default(),
             wrong_path_watchdog: Some(SimConfig::DEFAULT_WATCHDOG),
             fault_model: FaultModel::default(),
-            max_memory_pages: None,
             wp_pc_corruption: None,
             cancel: None,
             obs: ObsConfig::from_env(),
@@ -159,11 +148,6 @@ impl SimConfig {
         if self.wrong_path_watchdog == Some(0) {
             return Err(SimError::InvalidConfig(
                 "wrong_path_watchdog must be non-zero (use None for unbounded)".into(),
-            ));
-        }
-        if self.max_memory_pages == Some(0) {
-            return Err(SimError::InvalidConfig(
-                "max_memory_pages must be non-zero (use None for unbounded)".into(),
             ));
         }
         if let Some(c) = self.wp_pc_corruption {
@@ -243,14 +227,11 @@ impl Simulator {
     /// As for [`Simulator::new`].
     pub fn with_technique(
         program: Program,
-        mut memory: Memory,
+        memory: Memory,
         cfg: SimConfig,
         technique: Box<dyn WrongPathTechnique>,
     ) -> Result<Simulator, SimError> {
         cfg.validate()?;
-        if cfg.max_memory_pages.is_some() {
-            memory.set_page_limit(cfg.max_memory_pages);
-        }
         let mut emu = Emulator::with_memory(program, memory)?;
         emu.set_fault_model(cfg.fault_model);
         emu.set_cancel_token(cfg.cancel.clone());
@@ -298,13 +279,8 @@ impl Simulator {
         // child scopes is attributed (to the pipeline) rather than lost —
         // that glue is what would otherwise break the telescoping floor.
         self.prof.enter(Phase::TimingPipeline);
-        let warmup = self.cfg.warmup_instructions;
         let cancel = self.cfg.cancel.clone();
         let mut instructions: u64 = 0;
-        // Measurement baselines, captured at the warmup boundary.
-        let mut cycles_base: u64 = 0;
-        let mut wp_base: u64 = 0;
-        let mut warmed = warmup == 0;
         // The hot loop consumes the frontend in batched runs: one
         // `fill` call delivers up to `handoff_batch` entries into this
         // reusable buffer, and the per-entry processing below works on
@@ -317,7 +293,7 @@ impl Simulator {
 
         'run: loop {
             let headroom = match self.cfg.max_instructions {
-                Some(max) => (warmup + max).saturating_sub(instructions),
+                Some(max) => max.saturating_sub(instructions),
                 None => u64::MAX,
             };
             if headroom == 0 {
@@ -336,18 +312,6 @@ impl Simulator {
                 // instruction.
                 if let Some(cause) = cancel.as_ref().and_then(CancelToken::cause) {
                     return Err(cause.into());
-                }
-                if !warmed && instructions >= warmup {
-                    warmed = true;
-                    cycles_base = self.pipeline.cycles();
-                    wp_base = self.pipeline.wrong_path_injected();
-                    self.pipeline.reset_hierarchy_stats();
-                    // The CPI stack re-anchors at the boundary so its
-                    // components sum to the measured sample's cycles.
-                    self.pipeline.reset_cpi();
-                    self.predictor.reset_stats();
-                    self.technique.reset_stats();
-                    self.wp_episode_hist = Log2Hist::new();
                 }
                 let entries = batch.entries();
                 let entry = &entries[idx];
@@ -493,9 +457,9 @@ impl Simulator {
         let h = self.pipeline.hierarchy();
         Ok(SimResult {
             mode: self.cfg.mode,
-            instructions: instructions.saturating_sub(warmup.min(instructions)),
-            cycles: self.pipeline.cycles().saturating_sub(cycles_base),
-            wrong_path_instructions: self.pipeline.wrong_path_injected().saturating_sub(wp_base),
+            instructions,
+            cycles: self.pipeline.cycles(),
+            wrong_path_instructions: self.pipeline.wrong_path_injected(),
             wrong_path_emulated: technique_stats.wrong_path_emulated,
             branch: self.predictor.stats(),
             convergence: technique_stats.convergence,
@@ -578,7 +542,7 @@ mod tests {
     }
 
     /// A loop with a data-dependent branch over zero-initialized memory:
-    /// never taken, so after warmup the only mispredictions are cold ones.
+    /// never taken, so the only mispredictions are cold ones.
     fn simple_loop(n: i64) -> Program {
         let (i, limit) = (Reg::new(1), Reg::new(2));
         let mut a = Asm::new();
@@ -684,8 +648,8 @@ mod tests {
         assert!(r.branch.cond_mispredicts <= 5);
     }
 
-    /// A loop streaming over an array larger than the tiny L1D: cold runs
-    /// pay compulsory misses, warmed-up samples mostly hit.
+    /// A loop streaming twice over an array: the first pass pays
+    /// compulsory misses, the second mostly hits.
     fn streaming_loop(elems: i64) -> Program {
         let (i, n, base, v) = (Reg::new(1), Reg::new(2), Reg::new(5), Reg::new(6));
         let mut a = Asm::new();
@@ -711,54 +675,6 @@ mod tests {
     }
 
     #[test]
-    fn warmup_excludes_cold_start_from_measurement() {
-        // 100 elements x 8 B = 800 B fits the tiny 1 KiB L1D.
-        let p = streaming_loop(100);
-        // Cold: measure everything.
-        let cold = Simulator::new(p.clone(), Memory::new(), {
-            let mut c = tiny(WrongPathMode::NoWrongPath);
-            c.max_instructions = Some(500);
-            c
-        })
-        .unwrap()
-        .run()
-        .unwrap();
-        // Warm: skip the first pass (5 instrs/elem + 3 setup), measure after.
-        let warm = Simulator::new(p, Memory::new(), {
-            let mut c = tiny(WrongPathMode::NoWrongPath);
-            c.warmup_instructions = 503;
-            c.max_instructions = Some(500);
-            c
-        })
-        .unwrap()
-        .run()
-        .unwrap();
-        assert_eq!(cold.instructions, 500);
-        assert_eq!(warm.instructions, 500);
-        assert!(
-            warm.cycles < cold.cycles,
-            "warmed sample ({}) must be faster than cold ({})",
-            warm.cycles,
-            cold.cycles
-        );
-        let miss = |r: &SimResult| r.l1d.misses.get(ffsim_uarch::PathKind::Correct);
-        assert!(miss(&warm) < miss(&cold) / 2, "warm caches barely miss");
-        assert!(warm.ipc() > cold.ipc());
-    }
-
-    #[test]
-    fn warmup_longer_than_program_yields_empty_sample() {
-        let p = simple_loop(10);
-        let mut cfg = tiny(WrongPathMode::NoWrongPath);
-        cfg.warmup_instructions = 1_000_000;
-        let r = Simulator::new(p, Memory::new(), cfg)
-            .unwrap()
-            .run()
-            .unwrap();
-        assert_eq!(r.instructions, 0, "no measured instructions");
-    }
-
-    #[test]
     fn invalid_configs_are_rejected() {
         let p = simple_loop(5);
         let mut cfg = tiny(WrongPathMode::NoWrongPath);
@@ -767,9 +683,6 @@ mod tests {
             Simulator::new(p.clone(), Memory::new(), cfg),
             Err(SimError::InvalidConfig(_))
         ));
-        let mut cfg = tiny(WrongPathMode::NoWrongPath);
-        cfg.max_memory_pages = Some(0);
-        assert!(Simulator::new(p.clone(), Memory::new(), cfg).is_err());
         let mut cfg = tiny(WrongPathMode::WrongPathEmulation);
         cfg.wp_pc_corruption = Some(PcCorruption {
             every_nth: 0,
@@ -848,8 +761,8 @@ mod tests {
 
     #[test]
     fn correct_path_fault_is_a_typed_error() {
-        // Two stores to far-apart pages under a one-page memory limit: the
-        // second materialization faults on the correct path.
+        // Two stores to either side of an address limit: the second
+        // faults on the correct path.
         let a1 = Reg::new(1);
         let a2 = Reg::new(2);
         let mut a = Asm::new();
@@ -860,7 +773,7 @@ mod tests {
         a.halt();
         let p = a.assemble().unwrap();
         let mut cfg = tiny(WrongPathMode::NoWrongPath);
-        cfg.max_memory_pages = Some(1);
+        cfg.fault_model.addr_limit = Some(0x2000_0000);
         let err = Simulator::new(p, Memory::new(), cfg)
             .unwrap()
             .run()
@@ -888,25 +801,6 @@ mod tests {
                 "{mode}: CPI stack must sum exactly to cycles"
             );
             assert!(r.cpi.get(ffsim_obs::StallClass::Base) > 0, "{mode}");
-        }
-    }
-
-    #[test]
-    fn cpi_components_sum_to_cycles_with_warmup() {
-        let p = streaming_loop(100);
-        for mode in WrongPathMode::ALL {
-            let mut cfg = tiny(mode);
-            cfg.warmup_instructions = 300;
-            cfg.max_instructions = Some(400);
-            let r = Simulator::new(p.clone(), Memory::new(), cfg)
-                .unwrap()
-                .run()
-                .unwrap();
-            assert_eq!(
-                r.cpi.total(),
-                r.cycles,
-                "{mode}: warmup reset must re-anchor the CPI stack"
-            );
         }
     }
 

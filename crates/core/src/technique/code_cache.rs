@@ -189,11 +189,6 @@ impl CodeCache {
         self.stats
     }
 
-    /// Resets statistics (entries are kept — use after warmup).
-    pub fn reset_stats(&mut self) {
-        self.stats = CodeCacheStats::default();
-    }
-
     /// The table index of `pc`, if it lies on the table's grid.
     fn slot(&self, pc: Addr) -> Option<usize> {
         let off = pc.wrapping_sub(self.base);

@@ -107,12 +107,6 @@ impl WrongPathTechnique for ConvergenceTechnique {
         }
     }
 
-    fn reset_stats(&mut self) {
-        self.code_cache.reset_stats();
-        self.stats = ConvergenceStats::default();
-        self.dist_hist = Log2Hist::new();
-    }
-
     fn conv_distance(&self) -> Log2Hist {
         self.dist_hist
     }

@@ -56,8 +56,4 @@ impl WrongPathTechnique for ReconstructionTechnique {
             ..TechniqueStats::default()
         }
     }
-
-    fn reset_stats(&mut self) {
-        self.code_cache.reset_stats();
-    }
 }

@@ -190,8 +190,9 @@ pub trait WrongPathTechnique: Send + fmt::Debug {
         TechniqueStats::default()
     }
 
-    /// Resets technique-owned statistics at the warmup boundary (state —
-    /// e.g. code-cache entries — stays warm).
+    /// Resets technique-owned statistics, keeping technique state warm.
+    /// The simulator never calls it and no built-in technique overrides
+    /// it; it remains for wrappers that forward every hook.
     fn reset_stats(&mut self) {}
 
     /// Convergence-distance histogram for the observability report; empty

@@ -182,11 +182,6 @@ impl WrongPathTechnique for EmulationTechnique {
             ..TechniqueStats::default()
         }
     }
-
-    fn reset_stats(&mut self) {
-        self.faults = FaultStats::default();
-        self.emulated = 0;
-    }
 }
 
 #[cfg(test)]

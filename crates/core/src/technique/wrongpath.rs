@@ -22,7 +22,7 @@ use crate::technique::code_cache::{CodeCache, Decoded, StretchEnd};
 pub use ffsim_emu::WpInst;
 use ffsim_emu::{DynInst, FetchSource, MemAccess, StreamEntry};
 use ffsim_isa::{Addr, ArchReg, Instr, RegSet, INSTR_BYTES};
-use ffsim_uarch::{BranchPredictor, SpeculativeState};
+use ffsim_uarch::{BranchPredictor, WrongPathPredictor};
 
 /// The reconstructed wrong path from a start pc, one code-cache lookup
 /// per instruction pulled, steering branch directions with speculative
@@ -35,8 +35,7 @@ use ffsim_uarch::{BranchPredictor, SpeculativeState};
 #[derive(Debug)]
 pub struct Reconstruct<'a> {
     code_cache: &'a mut CodeCache,
-    predictor: &'a BranchPredictor,
-    spec: SpeculativeState,
+    predictor: WrongPathPredictor<'a>,
     /// The pc to look up next; `None` once the path has ended.
     pc: Option<Addr>,
 }
@@ -50,8 +49,7 @@ impl<'a> Reconstruct<'a> {
     ) -> Reconstruct<'a> {
         Reconstruct {
             code_cache,
-            predictor,
-            spec: predictor.speculative_state(),
+            predictor: predictor.wrong_path_view(),
             pc: Some(start),
         }
     }
@@ -72,10 +70,7 @@ impl Iterator for Reconstruct<'_> {
         if instr.is_branch() {
             // An unpredictable branch is still fetched, but reconstruction
             // cannot continue past it.
-            self.pc = self
-                .predictor
-                .predict_speculative(pc, &instr, &mut self.spec)
-                .next_pc;
+            self.pc = self.predictor.predict(pc, &instr).next_pc;
             next_pc = self.pc.unwrap_or(next_pc);
         }
         Some(WpInst {
@@ -169,8 +164,7 @@ impl WpView<'_> {
 #[derive(Debug)]
 pub struct Walk<'a> {
     code_cache: &'a mut CodeCache,
-    predictor: &'a BranchPredictor,
-    spec: SpeculativeState,
+    predictor: WrongPathPredictor<'a>,
     /// Where the walk goes next: the successor of its last instruction.
     pc: Addr,
     budget: usize,
@@ -192,8 +186,7 @@ impl<'a> Walk<'a> {
         buf.segs.clear();
         Walk {
             code_cache,
-            predictor,
-            spec: predictor.speculative_state(),
+            predictor: predictor.wrong_path_view(),
             pc: start,
             budget,
             buf,
@@ -277,11 +270,7 @@ impl<'a> Walk<'a> {
             StretchEnd::Branch => {
                 let instr = self.buf.instrs[self.len() - 1].instr;
                 let bpc = end_pc - INSTR_BYTES;
-                match self
-                    .predictor
-                    .predict_speculative(bpc, &instr, &mut self.spec)
-                    .next_pc
-                {
+                match self.predictor.predict(bpc, &instr).next_pc {
                     Some(t) => self.pc = t,
                     // Unpredictable: the branch itself was fetched, but
                     // reconstruction cannot continue past it.

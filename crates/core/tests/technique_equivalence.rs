@@ -146,13 +146,6 @@ impl WrongPathTechnique for MonolithOracle {
             wrong_path_emulated: self.emulated,
         }
     }
-
-    fn reset_stats(&mut self) {
-        self.code_cache.reset_stats();
-        self.conv_stats = ConvergenceStats::default();
-        self.faults = FaultStats::default();
-        self.emulated = 0;
-    }
 }
 
 fn arb_reg() -> impl Strategy<Value = Reg> {
@@ -286,55 +279,6 @@ fn emulated_within_the_eager_oracle(refactored: &SimResult, oracle: &SimResult) 
     assert!(r.watchdog_trips <= o.watchdog_trips, "{r:?} vs {o:?}");
     assert!(r.illegal_pc_stops <= o.illegal_pc_stops, "{r:?} vs {o:?}");
     assert!(refactored.wrong_path_emulated <= oracle.wrong_path_emulated);
-}
-
-/// The same equivalence holds across the warmup boundary, where
-/// `reset_stats` must clear counters without cooling technique state
-/// (code-cache contents survive, statistics do not).
-#[test]
-fn warmup_reset_matches_the_monolith() {
-    let body: Vec<Instr> = (0..8)
-        .map(|i| Instr::Load {
-            rd: Reg::new(1 + (i % 8) as u8),
-            base: Reg::new(30),
-            offset: i * 8,
-            width: MemWidth::D,
-            signed: false,
-        })
-        .collect();
-    let program = loop_program(&body, 24);
-    for mode in WrongPathMode::ALL {
-        let mut cfg = SimConfig::with_core(CoreConfig::tiny_for_tests(), mode);
-        cfg.obs = ObsConfig::disabled();
-        cfg.warmup_instructions = 50;
-        let refactored = Simulator::new(program.clone(), Memory::new(), cfg.clone())
-            .unwrap()
-            .run()
-            .unwrap();
-        let oracle = Simulator::with_technique(
-            program.clone(),
-            Memory::new(),
-            cfg.clone(),
-            Box::new(MonolithOracle::new(&cfg)),
-        )
-        .unwrap()
-        .run()
-        .unwrap();
-        assert_eq!(refactored.cycles, oracle.cycles, "{mode}: cycles diverged");
-        assert_eq!(refactored.instructions, oracle.instructions);
-        assert_eq!(
-            refactored.wrong_path_instructions,
-            oracle.wrong_path_instructions
-        );
-        assert_eq!(refactored.convergence, oracle.convergence);
-        // See techniques_match_the_pre_refactor_monolith: instrec's fused
-        // walk probes fewer pcs than the eager oracle.
-        if mode != WrongPathMode::InstructionReconstruction {
-            assert_eq!(refactored.code_cache, oracle.code_cache);
-        }
-        assert_eq!(refactored.state_digest, oracle.state_digest);
-        emulated_within_the_eager_oracle(&refactored, &oracle);
-    }
 }
 
 /// A loop opening with a hammock on a pseudo-random bit (one LCG step),

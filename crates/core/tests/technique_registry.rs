@@ -41,11 +41,6 @@ impl WrongPathTechnique for CountingTechnique {
             ..TechniqueStats::default()
         }
     }
-
-    fn reset_stats(&mut self) {
-        self.mispredicts_seen = 0;
-        self.resolves_seen = 0;
-    }
 }
 
 fn branchy_program() -> Program {

@@ -15,8 +15,9 @@
 //!   budgets, fault model, convergence tunables, …) plus the job's
 //!   supervision fingerprint (attempts per rung and whether the
 //!   degradation ladder is enabled, both of which change which terminal
-//!   record a deterministic workload reaches). The cancellation token and
-//!   observability config are excluded: neither changes the result.
+//!   record a deterministic workload reaches). The handoff batch size,
+//!   the cancellation token and the observability config are excluded:
+//!   none of them changes a finished result.
 //!
 //! Each entry is its own checksum-sealed file (the same
 //! [`seal`](crate::manifest::seal)/[`unseal`](crate::manifest::unseal)
@@ -74,24 +75,33 @@ pub fn workload_digest(program: &Program, memory: &Memory) -> u64 {
 /// on/off). See the [module docs](self) for what is included and why.
 #[must_use]
 pub fn config_digest(cfg: &SimConfig, max_attempts: u32, degrade: bool) -> u64 {
+    // No `..`: a new `SimConfig` field fails to compile here until the
+    // digest decides whether it changes results.
+    let SimConfig {
+        core,
+        mode,
+        max_instructions,
+        // Batching never changes the simulated stream.
+        handoff_batch: _,
+        code_cache_capacity,
+        convergence,
+        fault_policy,
+        wrong_path_watchdog,
+        fault_model,
+        wp_pc_corruption,
+        // Cancellation ends a run early; it never changes a finished one.
+        cancel: _,
+        // Observability is observer-effect free.
+        obs: _,
+    } = cfg;
     // Debug renderings are deterministic within a build; a rendering
     // change across versions merely misses (and repopulates) the cache.
     let text = format!(
-        "v{CACHE_VERSION}|{:?}|{:?}|{:?}|{}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|attempts={max_attempts}|degrade={degrade}",
-        cfg.core,
-        cfg.mode,
-        cfg.max_instructions,
-        cfg.warmup_instructions,
-        cfg.code_cache_capacity,
-        cfg.convergence,
-        cfg.fault_policy,
-        cfg.wrong_path_watchdog,
-        cfg.fault_model,
-        cfg.max_memory_pages,
+        "v{CACHE_VERSION}|{core:?}|{mode:?}|{max_instructions:?}|{code_cache_capacity:?}|\
+         {convergence:?}|{fault_policy:?}|{wrong_path_watchdog:?}|{fault_model:?}|\
+         {wp_pc_corruption:?}|attempts={max_attempts}|degrade={degrade}",
     );
-    // `wp_pc_corruption` folded separately so older digests of the
-    // common None case stay aligned with the field list above.
-    crate::fnv::fnv1a(format!("{text}|{:?}", cfg.wp_pc_corruption).as_bytes())
+    crate::fnv::fnv1a(text.as_bytes())
 }
 
 /// What a cache probe found.
@@ -396,6 +406,9 @@ mod tests {
         let mut cancelled = cfg.clone();
         cancelled.cancel = Some(ffsim_core::CancelToken::new());
         assert_eq!(base, config_digest(&cancelled, 3, true));
+        let mut batched = cfg.clone();
+        batched.handoff_batch = 1;
+        assert_eq!(base, config_digest(&batched, 3, true), "host-only knob");
     }
 
     #[test]

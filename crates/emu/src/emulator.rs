@@ -324,16 +324,10 @@ impl Emulator {
             .map_err(StepError::Fault)?;
         if let Some(st) = out.store {
             if let Some(log) = &mut self.store_log {
-                // A store refused below ends the run, so logging it first
-                // is harmless: its "old" bytes are still in memory.
                 let old = self.mem.read_uint(st.addr, st.width);
                 log.record(self.seq, st.addr, st.width, old);
             }
-            // Commit the store first so a page-limit hit faults before any
-            // register effect lands.
-            self.mem
-                .try_write_uint(st.addr, st.width, st.bits)
-                .map_err(|e| StepError::Fault(Fault::OutOfRange { pc, addr: e.addr }))?;
+            self.mem.write_uint(st.addr, st.width, st.bits);
         }
         match out.reg_write {
             Some(RegWrite::Int(r, v)) => self.state.set_reg(r, v),
@@ -965,17 +959,18 @@ mod tests {
     }
 
     #[test]
-    fn page_limit_store_faults_on_correct_path() {
+    fn addr_limit_store_faults_on_correct_path() {
         let (x1, x2) = (Reg::new(1), Reg::new(2));
         let mut a = Asm::new();
         a.li(x1, 0x10_0000);
         a.li(x2, 7);
         a.sd(x2, 0, x1);
         a.halt();
-        let mut mem = Memory::new();
-        mem.write_u64(0x100, 1); // consume the only allowed page
-        mem.set_page_limit(Some(1));
-        let mut emu = Emulator::with_memory(a.assemble().unwrap(), mem).unwrap();
+        let mut emu = Emulator::new(a.assemble().unwrap()).unwrap();
+        emu.set_fault_model(FaultModel {
+            addr_limit: Some(0x10_0000),
+            ..FaultModel::default()
+        });
         emu.step().unwrap();
         emu.step().unwrap();
         match emu.step() {

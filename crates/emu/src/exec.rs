@@ -35,9 +35,8 @@ pub enum Fault {
         /// Offending pc.
         pc: Addr,
     },
-    /// A memory access beyond the configured address-space or page-count
-    /// bound (see [`FaultModel::addr_limit`] and
-    /// [`Memory::set_page_limit`](crate::Memory::set_page_limit)).
+    /// A memory access beyond the configured address-space bound (see
+    /// [`FaultModel::addr_limit`]).
     OutOfRange {
         /// Instruction address.
         pc: Addr,

@@ -72,7 +72,7 @@ pub use dyninst::{
 };
 pub use emulator::{BranchOracle, EmuError, Emulator, FollowComputed, StepError, WrongPathStream};
 pub use exec::{Fault, FaultModel};
-pub use mem::{Memory, MemoryLimitError, PAGE_BYTES};
+pub use mem::{Memory, PAGE_BYTES};
 pub use queue::{
     FetchSource, FrontendPolicy, InstrQueue, NoFrontendWrongPath, StreamBuf, StreamEntry,
     WrongPathRequest,

@@ -18,8 +18,6 @@ use crate::hash::FxBuildHasher;
 use ffsim_isa::fnv::{Fnv1a, OFFSET_BASIS};
 use ffsim_isa::Addr;
 use std::collections::HashMap;
-use std::error::Error;
-use std::fmt;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Bytes per backing page.
@@ -92,28 +90,6 @@ fn lock(memo: &Memo) -> MutexGuard<'_, Folded> {
     memo.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// A write was refused because it would materialize a page past the
-/// configured [`Memory::set_page_limit`] bound.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct MemoryLimitError {
-    /// The address whose page could not be materialized.
-    pub addr: Addr,
-    /// The configured page-count limit.
-    pub limit: usize,
-}
-
-impl fmt::Display for MemoryLimitError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "write to {:#x} exceeds the {}-page memory limit",
-            self.addr, self.limit
-        )
-    }
-}
-
-impl Error for MemoryLimitError {}
-
 /// Read-only data memory as instruction execution sees it: the
 /// architectural [`Memory`] on the correct path, or a view of it as of an
 /// earlier branch for lazily emulated wrong paths. Accesses are naturally
@@ -155,7 +131,6 @@ pub struct Memory {
     // Fx-hashed: every emulated load probes this map, and `digest()` sorts
     // page indices, so the hasher never shows in results.
     pages: HashMap<u64, Box<[u8; PAGE_BYTES]>, FxBuildHasher>,
-    page_limit: Option<usize>,
     /// The digest memo of the image this memory was created or cloned as.
     memo: Memo,
     /// The lowest page index written since `memo` was taken
@@ -170,7 +145,6 @@ impl Default for Memory {
     fn default() -> Memory {
         Memory {
             pages: HashMap::default(),
-            page_limit: None,
             memo: new_memo(Folded::default()),
             clean: ALL_CLEAN,
             current: OnceLock::new(),
@@ -182,7 +156,6 @@ impl Clone for Memory {
     fn clone(&self) -> Memory {
         Memory {
             pages: self.pages.clone(),
-            page_limit: self.page_limit,
             memo: Arc::clone(self.clone_memo()),
             clean: ALL_CLEAN,
             current: OnceLock::new(),
@@ -195,34 +168,6 @@ impl Memory {
     #[must_use]
     pub fn new() -> Memory {
         Memory::default()
-    }
-
-    /// Creates an empty memory that refuses to materialize more than
-    /// `limit` pages (see [`Memory::set_page_limit`]).
-    #[must_use]
-    pub fn with_page_limit(limit: usize) -> Memory {
-        Memory {
-            page_limit: Some(limit),
-            ..Memory::default()
-        }
-    }
-
-    /// Bounds the sparse page map to at most `limit` resident pages.
-    ///
-    /// Once the limit is reached, writes that would materialize a new page
-    /// fail ([`Memory::try_write_bytes`]) — the emulator surfaces them as
-    /// [`Fault::OutOfRange`](crate::Fault::OutOfRange). Writes to already
-    /// resident pages still succeed; reads are unaffected (never-written
-    /// memory reads as zero without allocating). Pages already resident
-    /// above the limit stay resident.
-    pub fn set_page_limit(&mut self, limit: Option<usize>) {
-        self.page_limit = limit;
-    }
-
-    /// The configured page-count bound, if any.
-    #[must_use]
-    pub fn page_limit(&self) -> Option<usize> {
-        self.page_limit
     }
 
     /// Number of pages that have been materialized by writes.
@@ -319,40 +264,18 @@ impl Memory {
         }
     }
 
-    /// Materializes the page containing `addr`, honouring the page limit,
-    /// and marks it written.
-    fn page_mut(&mut self, addr: Addr) -> Result<&mut [u8; PAGE_BYTES], MemoryLimitError> {
+    /// Materializes the page containing `addr` and marks it written.
+    fn page_mut(&mut self, addr: Addr) -> &mut [u8; PAGE_BYTES] {
         let idx = addr >> PAGE_SHIFT;
-        if !self.pages.contains_key(&idx) {
-            if let Some(limit) = self.page_limit {
-                if self.pages.len() >= limit {
-                    return Err(MemoryLimitError { addr, limit });
-                }
-            }
-        }
         self.mark_written(idx);
-        Ok(self
-            .pages
+        self.pages
             .entry(idx)
-            .or_insert_with(|| Box::new([0u8; PAGE_BYTES])))
-    }
-
-    /// Writes a single byte, failing if a new page would exceed the limit.
-    pub fn try_write_u8(&mut self, addr: Addr, value: u8) -> Result<(), MemoryLimitError> {
-        self.page_mut(addr)?[(addr & PAGE_MASK) as usize] = value;
-        Ok(())
+            .or_insert_with(|| Box::new([0u8; PAGE_BYTES]))
     }
 
     /// Writes a single byte, materializing the page if needed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a configured page limit is exceeded; trusted setup code
-    /// may use the infallible writers, emulated stores go through
-    /// [`Memory::try_write_uint`].
     pub fn write_u8(&mut self, addr: Addr, value: u8) {
-        self.try_write_u8(addr, value)
-            .expect("page limit exceeded by trusted setup write");
+        self.page_mut(addr)[(addr & PAGE_MASK) as usize] = value;
     }
 
     /// Reads `N` little-endian bytes starting at `addr`.
@@ -375,36 +298,18 @@ impl Memory {
         out
     }
 
-    /// Writes little-endian bytes starting at `addr`, failing (with no
-    /// partial effects for single-page writes) if a new page would exceed
-    /// the configured limit.
-    pub fn try_write_bytes(&mut self, addr: Addr, bytes: &[u8]) -> Result<(), MemoryLimitError> {
+    /// Writes little-endian bytes starting at `addr`.
+    ///
+    /// Accesses may straddle page boundaries.
+    pub fn write_bytes(&mut self, addr: Addr, bytes: &[u8]) {
         let off = (addr & PAGE_MASK) as usize;
         if off + bytes.len() <= PAGE_BYTES {
-            let page = self.page_mut(addr)?;
-            page[off..off + bytes.len()].copy_from_slice(bytes);
-            return Ok(());
+            self.page_mut(addr)[off..off + bytes.len()].copy_from_slice(bytes);
+            return;
         }
-        // Straddling write: materialize both pages up front so a limit hit
-        // cannot leave a half-written value behind.
-        let last = addr.wrapping_add(bytes.len() as u64 - 1);
-        self.page_mut(addr)?;
-        self.page_mut(last)?;
         for (i, &b) in bytes.iter().enumerate() {
-            self.try_write_u8(addr.wrapping_add(i as u64), b)?;
+            self.write_u8(addr.wrapping_add(i as u64), b);
         }
-        Ok(())
-    }
-
-    /// Writes `N` little-endian bytes starting at `addr`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a configured page limit is exceeded (see
-    /// [`Memory::write_u8`]).
-    pub fn write_bytes(&mut self, addr: Addr, bytes: &[u8]) {
-        self.try_write_bytes(addr, bytes)
-            .expect("page limit exceeded by trusted setup write");
     }
 
     /// Reads a little-endian `u16`.
@@ -472,31 +377,13 @@ impl Memory {
     /// # Panics
     ///
     /// Panics if `width` is not 1, 2, 4 or 8 (internal invariant: widths
-    /// come from `MemWidth::bytes()`), or if a configured page limit is
-    /// exceeded (see [`Memory::write_u8`]).
-    pub fn write_uint(&mut self, addr: Addr, width: u64, value: u64) {
-        self.try_write_uint(addr, width, value)
-            .expect("page limit exceeded by trusted setup write");
-    }
-
-    /// Writes the low `width` bytes of `value` (width ∈ {1,2,4,8}),
-    /// failing if a new page would exceed the configured limit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `width` is not 1, 2, 4 or 8 (internal invariant: widths
     /// come from `MemWidth::bytes()`).
-    pub fn try_write_uint(
-        &mut self,
-        addr: Addr,
-        width: u64,
-        value: u64,
-    ) -> Result<(), MemoryLimitError> {
+    pub fn write_uint(&mut self, addr: Addr, width: u64, value: u64) {
         match width {
-            1 => self.try_write_bytes(addr, &[value as u8]),
-            2 => self.try_write_bytes(addr, &(value as u16).to_le_bytes()),
-            4 => self.try_write_bytes(addr, &(value as u32).to_le_bytes()),
-            8 => self.try_write_bytes(addr, &value.to_le_bytes()),
+            1 => self.write_bytes(addr, &[value as u8]),
+            2 => self.write_bytes(addr, &(value as u16).to_le_bytes()),
+            4 => self.write_bytes(addr, &(value as u32).to_le_bytes()),
+            8 => self.write_bytes(addr, &value.to_le_bytes()),
             w => panic!("unsupported access width {w}"),
         }
     }
@@ -568,34 +455,6 @@ mod tests {
     #[should_panic(expected = "unsupported access width")]
     fn bad_width_panics() {
         let _ = Memory::new().read_uint(0, 3);
-    }
-
-    #[test]
-    fn page_limit_bounds_materialization() {
-        let mut m = Memory::with_page_limit(2);
-        assert!(m.try_write_u8(0x0, 1).is_ok());
-        assert!(m.try_write_u8(0x1000, 2).is_ok());
-        assert_eq!(
-            m.try_write_u8(0x2000, 3),
-            Err(MemoryLimitError {
-                addr: 0x2000,
-                limit: 2
-            })
-        );
-        // Resident pages stay writable at the limit.
-        assert!(m.try_write_u8(0x5, 9).is_ok());
-        assert_eq!(m.resident_pages(), 2);
-        // Reads never allocate.
-        assert_eq!(m.read_u64(0x9_0000), 0);
-        assert_eq!(m.resident_pages(), 2);
-    }
-
-    #[test]
-    fn straddling_write_at_limit_has_no_partial_effect() {
-        let mut m = Memory::with_page_limit(1);
-        let addr = PAGE_BYTES as u64 - 4;
-        assert!(m.try_write_uint(addr, 8, u64::MAX).is_err());
-        assert_eq!(m.read_u64(addr), 0, "failed write must not be partial");
     }
 
     #[test]

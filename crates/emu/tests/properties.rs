@@ -506,7 +506,7 @@ impl BranchOracle for FlipEveryThird {
 /// memos through clones.
 #[derive(Clone, Debug)]
 enum MemOp {
-    /// `try_write_uint(addr, width, value)` on one memory.
+    /// `write_uint(addr, width, value)` on one memory.
     Write {
         slot: usize,
         addr: Addr,
@@ -517,8 +517,6 @@ enum MemOp {
     Clone { from: usize, to: usize },
     /// Digests one memory.
     Digest { slot: usize },
-    /// Sets one memory's page limit.
-    Limit { slot: usize, limit: Option<usize> },
 }
 
 /// Live memories in a digest script.
@@ -547,8 +545,6 @@ fn arb_mem_op() -> impl Strategy<Value = MemOp> {
         write(),
         (slot(), slot()).prop_map(|(from, to)| MemOp::Clone { from, to }),
         slot().prop_map(|slot| MemOp::Digest { slot }),
-        (slot(), prop_oneof![Just(None), (1usize..6).prop_map(Some)])
-            .prop_map(|(slot, limit)| MemOp::Limit { slot, limit }),
     ]
 }
 
@@ -858,14 +854,13 @@ proptest! {
         for op in script {
             match op {
                 MemOp::Write { slot, addr, width, value } => {
-                    if mems[slot].try_write_uint(addr, width, value).is_ok() {
-                        for (i, b) in value.to_le_bytes().iter().take(width as usize).enumerate() {
-                            let a = addr + i as u64;
-                            let page = shadows[slot]
-                                .entry(a / PAGE)
-                                .or_insert_with(|| vec![0; PAGE as usize]);
-                            page[(a % PAGE) as usize] = *b;
-                        }
+                    mems[slot].write_uint(addr, width, value);
+                    for (i, b) in value.to_le_bytes().iter().take(width as usize).enumerate() {
+                        let a = addr + i as u64;
+                        let page = shadows[slot]
+                            .entry(a / PAGE)
+                            .or_insert_with(|| vec![0; PAGE as usize]);
+                        page[(a % PAGE) as usize] = *b;
                     }
                 }
                 MemOp::Clone { from, to } => {
@@ -875,7 +870,6 @@ proptest! {
                 MemOp::Digest { slot } => {
                     prop_assert_eq!(mems[slot].digest(), reference_digest(&shadows[slot]));
                 }
-                MemOp::Limit { slot, limit } => mems[slot].set_page_limit(limit),
             }
         }
         for (mem, shadow) in mems.iter().zip(&shadows) {

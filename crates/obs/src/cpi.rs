@@ -152,11 +152,6 @@ impl CpiStack {
         self.cycles.iter().map(|[_, w]| w).sum()
     }
 
-    /// Resets the stack to empty.
-    pub fn reset(&mut self) {
-        *self = CpiStack::default();
-    }
-
     /// Folds another stack into this one (campaign-level aggregation).
     pub fn merge(&mut self, other: &CpiStack) {
         for (mine, theirs) in self.cycles.iter_mut().zip(other.cycles.iter()) {
@@ -264,8 +259,6 @@ mod tests {
         assert_eq!(a.get(StallClass::L2Bound), 7);
         assert_eq!(a.get_lane(StallClass::WrongPathFetch, true), 2);
         assert_eq!(a.total(), 17);
-        a.reset();
-        assert_eq!(a.total(), 0);
     }
 
     #[test]

@@ -227,12 +227,6 @@ impl BranchPredictor {
         self.stats
     }
 
-    /// Resets accuracy statistics (predictor state is kept — use after
-    /// warmup).
-    pub fn reset_stats(&mut self) {
-        self.stats = BranchStats::default();
-    }
-
     fn gshare_index(&self, pc: Addr, ghr: u64) -> usize {
         let hist = ghr & ((1u64 << self.cfg.gshare_history_bits) - 1);
         (((pc >> 2) ^ hist) & ((1 << self.cfg.gshare_table_bits) - 1)) as usize
@@ -395,41 +389,6 @@ impl BranchPredictor {
         }
     }
 
-    /// Captures the speculative fetch state (global history + RAS copy)
-    /// from which wrong-path predictions evolve.
-    #[must_use]
-    pub fn speculative_state(&self) -> SpeculativeState {
-        SpeculativeState {
-            ghr: self.ghr,
-            ras: self.ras.clone(),
-        }
-    }
-
-    /// Predicts a wrong-path branch at `pc`, reading committed tables and
-    /// advancing `state` speculatively (history shift, RAS push/pop).
-    /// Never mutates the predictor itself.
-    pub fn predict_speculative(
-        &self,
-        pc: Addr,
-        instr: &Instr,
-        state: &mut SpeculativeState,
-    ) -> Prediction {
-        let p = self.predict_with(pc, instr, state.ghr, state.ras.peek());
-        match instr.branch_kind() {
-            Some(BranchKind::Conditional) => {
-                state.ghr = (state.ghr << 1) | u64::from(p.taken);
-            }
-            Some(BranchKind::DirectCall | BranchKind::IndirectCall) => {
-                state.ras.push(pc + INSTR_BYTES);
-            }
-            Some(BranchKind::Return) => {
-                let _ = state.ras.pop();
-            }
-            _ => {}
-        }
-        p
-    }
-
     /// Starts a wrong-path prediction view: reads committed tables, with
     /// scratch global history and a scratch copy of the RAS. Used to steer
     /// branch directions while reconstructing or emulating a wrong path.
@@ -437,18 +396,10 @@ impl BranchPredictor {
     pub fn wrong_path_view(&self) -> WrongPathPredictor<'_> {
         WrongPathPredictor {
             parent: self,
-            state: self.speculative_state(),
+            ghr: self.ghr,
+            ras: self.ras.clone(),
         }
     }
-}
-
-/// Ownable speculative fetch state for wrong-path prediction (global
-/// history and a scratch return-address stack). Pair with
-/// [`BranchPredictor::predict_speculative`].
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct SpeculativeState {
-    ghr: u64,
-    ras: ReturnStack,
 }
 
 /// Speculative predictor view for steering wrong-path fetch.
@@ -459,14 +410,30 @@ pub struct SpeculativeState {
 #[derive(Clone, Debug)]
 pub struct WrongPathPredictor<'a> {
     parent: &'a BranchPredictor,
-    state: SpeculativeState,
+    ghr: u64,
+    ras: ReturnStack,
 }
 
 impl WrongPathPredictor<'_> {
     /// Predicts the wrong-path branch at `pc` and speculatively advances
     /// the local history/RAS.
     pub fn predict(&mut self, pc: Addr, instr: &Instr) -> Prediction {
-        self.parent.predict_speculative(pc, instr, &mut self.state)
+        let p = self
+            .parent
+            .predict_with(pc, instr, self.ghr, self.ras.peek());
+        match instr.branch_kind() {
+            Some(BranchKind::Conditional) => {
+                self.ghr = (self.ghr << 1) | u64::from(p.taken);
+            }
+            Some(BranchKind::DirectCall | BranchKind::IndirectCall) => {
+                self.ras.push(pc + INSTR_BYTES);
+            }
+            Some(BranchKind::Return) => {
+                let _ = self.ras.pop();
+            }
+            _ => {}
+        }
+        p
     }
 }
 

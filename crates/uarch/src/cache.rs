@@ -124,11 +124,6 @@ impl Cache {
         self.stats
     }
 
-    /// Resets statistics (e.g. after cache warm-up).
-    pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
-    }
-
     fn index(&self, addr: Addr) -> (usize, u64) {
         let line = addr >> self.line_shift;
         (

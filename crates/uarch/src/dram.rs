@@ -53,11 +53,6 @@ impl Dram {
         self.stats
     }
 
-    /// Resets statistics (the bandwidth timeline is kept).
-    pub fn reset_stats(&mut self) {
-        self.stats = DramStats::default();
-    }
-
     /// Requests one line at cycle `now`; returns the total latency
     /// (fixed latency + any bandwidth queueing).
     pub fn access(&mut self, now: u64, path: PathKind) -> u64 {

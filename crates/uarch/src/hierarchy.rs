@@ -131,18 +131,6 @@ impl MemoryHierarchy {
         self.prefetch_issued
     }
 
-    /// Resets all statistics (cache/TLB contents and the DRAM bandwidth
-    /// timeline are kept — use after warmup).
-    pub fn reset_stats(&mut self) {
-        self.l1i.reset_stats();
-        self.l1d.reset_stats();
-        self.l2.reset_stats();
-        self.llc.reset_stats();
-        self.itlb.reset_stats();
-        self.dtlb.reset_stats();
-        self.dram.reset_stats();
-    }
-
     /// Handles a dirty line evicted from L2 by pushing it to the LLC,
     /// chaining to DRAM bandwidth if the LLC evicts dirty in turn.
     fn writeback_from_l2(&mut self, victim: Addr, now: u64, path: PathKind) {

@@ -44,8 +44,7 @@ mod path;
 mod tlb;
 
 pub use branch::{
-    BranchPredictor, BranchResolution, BranchStats, Prediction, ReturnStack, SpeculativeState,
-    WrongPathPredictor,
+    BranchPredictor, BranchResolution, BranchStats, Prediction, ReturnStack, WrongPathPredictor,
 };
 pub use cache::{Cache, CacheStats, Lookup};
 pub use config::{BranchConfig, CacheConfig, CoreConfig, DramConfig, FuPool, TlbConfig};

@@ -83,11 +83,6 @@ impl Tlb {
         self.stats
     }
 
-    /// Resets statistics (entries are kept — use after warmup).
-    pub fn reset_stats(&mut self) {
-        self.stats = TlbStats::default();
-    }
-
     /// Translates `addr`, returning the extra latency (0 on a hit, the
     /// configured walk latency on a miss). Misses allocate, evicting the
     /// least recently used entry when the TLB is full.
