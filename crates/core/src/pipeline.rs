@@ -23,10 +23,11 @@
 
 use crate::issue_queue::IssueQueue;
 use ffsim_emu::MemAccess;
-use ffsim_isa::{Addr, ExecClass, Instr, NUM_ARCH_REGS};
+use ffsim_isa::{Addr, ExecClass, Instr, Program, Uop, INSTR_BYTES, NUM_ARCH_REGS};
 use ffsim_obs::{CpiStack, StallClass};
 use ffsim_uarch::{CoreConfig, Level, MemoryHierarchy, PathKind};
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// Maps the hierarchy level that served an access to the stall class that
 /// charges cycles to it.
@@ -55,6 +56,12 @@ pub enum LoadTiming {
 }
 
 /// The pipeline timestamps assigned to one instruction.
+///
+/// A wrong-path instruction whose operands are ready only at or after its
+/// mispredicted branch resolves is squashed before it issues. It never
+/// executes: `issue` and `complete` both read the cycle its operands are
+/// ready, which is at or after the flush. No functional unit and no cache
+/// sees it.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct InstrTimes {
     /// Cycle the instruction was fetched.
@@ -68,20 +75,8 @@ pub struct InstrTimes {
     pub complete: u64,
 }
 
-fn class_index(c: ExecClass) -> usize {
-    match c {
-        ExecClass::IntAlu => 0,
-        ExecClass::IntMul => 1,
-        ExecClass::IntDiv => 2,
-        ExecClass::FpAdd => 3,
-        ExecClass::FpMul => 4,
-        ExecClass::FpDiv => 5,
-        ExecClass::Load => 6,
-        ExecClass::Store => 7,
-        ExecClass::Branch => 8,
-    }
-}
-
+/// Every execution class, in discriminant order: `ALL_CLASSES[i] as
+/// usize == i`.
 const ALL_CLASSES: [ExecClass; 9] = [
     ExecClass::IntAlu,
     ExecClass::IntMul,
@@ -94,13 +89,159 @@ const ALL_CLASSES: [ExecClass; 9] = [
     ExecClass::Branch,
 ];
 
-/// Out-of-order window occupancy: vacate cycles of in-flight instructions
-/// in the ROB (dispatch order), issue queue, and load/store queues.
+/// The functional units of one execution class.
+#[derive(Clone, Debug)]
+struct FuClass {
+    /// Cycles a server stays booked per instruction: 1 when pipelined,
+    /// the whole latency when not.
+    busy: u64,
+    /// Result latency in cycles.
+    latency: u64,
+    /// Next-free cycle of each server; never empty.
+    free: Vec<u64>,
+}
+
+impl FuClass {
+    /// Computes the issue cycle on the first of the servers that free
+    /// earliest (the one `min_by_key` would pick) and returns it with the
+    /// latency. The booking is only committed for instructions that
+    /// actually execute: wrong-path instructions squashed before issue
+    /// (the flush happens first) must not hold functional units.
+    #[inline(always)]
+    fn acquire(&mut self, ready: u64, squash_at: Option<u64>) -> (u64, u64) {
+        let mut best = 0;
+        for (i, &free) in self.free.iter().enumerate().skip(1) {
+            if free < self.free[best] {
+                best = i;
+            }
+        }
+        let issue = ready.max(self.free[best]);
+        if squash_at.is_none_or(|resolve| issue < resolve) {
+            self.free[best] = issue + self.busy;
+        }
+        (issue, self.latency)
+    }
+}
+
+/// The correct-path window occupancy: vacate cycles of in-flight
+/// instructions in the ROB (dispatch order), issue queue, and load/store
+/// queues. See [`WindowState`] for the issue queue's floor.
+#[derive(Default, Debug)]
+struct Window {
+    rob: VecDeque<u64>,
+    iq: IssueQueue,
+    lq: VecDeque<u64>,
+    sq: VecDeque<u64>,
+}
+
+impl Window {
+    /// The issue queue and the ROB, LQ and SQ as the path being fed sees
+    /// them: this window's own, or a wrong-path episode's `scratch`.
+    #[inline(always)]
+    fn view<'a>(
+        &'a mut self,
+        scratch: Option<&'a mut WindowState>,
+    ) -> (&'a mut IssueQueue, [Fifo<'a>; 3]) {
+        let Window { rob, iq, lq, sq } = self;
+        match scratch {
+            Some(s) => (
+                &mut s.iq,
+                [
+                    Fifo::new(rob, Some(&mut s.rob)),
+                    Fifo::new(lq, Some(&mut s.lq)),
+                    Fifo::new(sq, Some(&mut s.sq)),
+                ],
+            ),
+            None => (
+                iq,
+                [
+                    Fifo::new(rob, None),
+                    Fifo::new(lq, None),
+                    Fifo::new(sq, None),
+                ],
+            ),
+        }
+    }
+}
+
+/// One FIFO window resource (ROB, LQ or SQ) as a wrong-path episode sees
+/// it: the correct-path queue without its first `popped` entries, then
+/// the entries the episode pushed. The correct-path queue is read in
+/// place and never written.
+#[derive(Clone, Default, Debug)]
+struct Overlay {
+    popped: usize,
+    pushed: VecDeque<u64>,
+}
+
+impl Overlay {
+    fn len(&self, base: &VecDeque<u64>) -> usize {
+        base.len() - self.popped + self.pushed.len()
+    }
+
+    fn pop_front(&mut self, base: &VecDeque<u64>) -> Option<u64> {
+        match base.get(self.popped) {
+            Some(&oldest) => {
+                self.popped += 1;
+                Some(oldest)
+            }
+            None => self.pushed.pop_front(),
+        }
+    }
+
+    fn clear(&mut self) {
+        self.popped = 0;
+        self.pushed.clear();
+    }
+}
+
+/// A FIFO window resource as the path being fed sees it: the correct-path
+/// queue itself, or a wrong-path overlay on it.
+struct Fifo<'a> {
+    base: &'a mut VecDeque<u64>,
+    overlay: Option<&'a mut Overlay>,
+}
+
+impl<'a> Fifo<'a> {
+    fn new(base: &'a mut VecDeque<u64>, overlay: Option<&'a mut Overlay>) -> Fifo<'a> {
+        Fifo { base, overlay }
+    }
+
+    /// Pops the oldest entry if the resource holds `size` or more.
+    /// Invariant: the pop cannot fail, since `SimConfig::validate`
+    /// rejects zero-sized windows, so `len() >= size` implies the
+    /// resource is non-empty.
+    #[inline(always)]
+    fn pop_if_full(&mut self, size: usize) -> Option<u64> {
+        let oldest = match self.overlay.as_deref_mut() {
+            Some(o) if o.len(self.base) >= size => o.pop_front(self.base),
+            Some(_) => return None,
+            None if self.base.len() >= size => self.base.pop_front(),
+            None => return None,
+        };
+        Some(oldest.expect("a full window resource is non-empty"))
+    }
+
+    #[inline(always)]
+    fn push(&mut self, vacate: u64) {
+        match self.overlay.as_deref_mut() {
+            Some(o) => o.pushed.push_back(vacate),
+            None => self.base.push_back(vacate),
+        }
+    }
+}
+
+/// A wrong-path episode's window, from [`Pipeline::begin_wrong_path`].
 ///
-/// Wrong-path injection operates on a *clone* of this state
-/// ([`Pipeline::begin_wrong_path`]): squashed instructions occupy window
-/// entries while they are in flight, but their bookkeeping must not leak
-/// into the post-resolution correct path.
+/// Squashed instructions contend for window entries against the
+/// genuinely in-flight instructions, but their bookkeeping must not leak
+/// into the post-resolution correct path. The ROB, LQ and SQ are
+/// overlays on the correct-path queues: each records how many
+/// correct-path entries the episode has popped, plus the episode's own
+/// pushes, and reads the correct-path queue in place. The issue queue is
+/// a copy, since a pop takes its earliest entry from anywhere in it. So
+/// until the episode ends, only wrong-path instructions may be fed: a
+/// correct-path feed would move the queues under the overlays.
 ///
 /// The issue queue keeps a *floor*: `fetch + frontend_depth` of the latest
 /// instruction fed on this window, below which no later dispatch on the
@@ -108,28 +249,18 @@ const ALL_CLASSES: [ExecClass; 9] = [
 /// never decreases: `fetch_one`, `break_fetch_group` and decode
 /// backpressure only raise it, and [`Pipeline::redirect`] resumes at the
 /// mispredicted branch's resolution plus the redirect penalty, which is
-/// after that branch's fetch. A wrong-path scratch copy starts from the
+/// after that branch's fetch. A wrong-path episode starts from the
 /// correct-path floor and the correct-path cursor, and wrong-path fetch
 /// only raises the cursor too. Entries that vacate at or below the floor
 /// are therefore only counted (see `IssueQueue`).
 #[derive(Clone, Default, Debug)]
 pub struct WindowState {
-    rob: VecDeque<u64>,
+    rob: Overlay,
     iq: IssueQueue,
-    lq: VecDeque<u64>,
-    sq: VecDeque<u64>,
-}
-
-impl WindowState {
-    /// Field-wise `clone_from`: the derived `Clone` allocates four fresh
-    /// collections, and this runs once per injection episode. The std
-    /// `clone_from` impls reuse the destination's allocations.
-    fn copy_from(&mut self, src: &WindowState) {
-        self.rob.clone_from(&src.rob);
-        self.iq.copy_from(&src.iq);
-        self.lq.clone_from(&src.lq);
-        self.sq.clone_from(&src.sq);
-    }
+    lq: Overlay,
+    sq: Overlay,
+    /// Correct-path instructions retired when the episode began.
+    retired_at_begin: u64,
 }
 
 /// The core timing model. See the module-level documentation for the
@@ -138,6 +269,10 @@ impl WindowState {
 pub struct Pipeline {
     cfg: CoreConfig,
     hierarchy: MemoryHierarchy,
+    // The µop of each text slot of the timed program, from `text_base`;
+    // empty when the pipeline was built without a program.
+    text_base: Addr,
+    uops: Arc<[Uop]>,
     // Frontend state.
     fetch_cycle: u64,
     fetch_in_cycle: usize,
@@ -147,9 +282,9 @@ pub struct Pipeline {
     // latest writer.
     reg_ready: [u64; NUM_ARCH_REGS],
     // Correct-path window occupancy.
-    window: WindowState,
-    // Functional units: next-free cycle per server.
-    fu_free: [Vec<u64>; 9],
+    window: Window,
+    // Functional units, indexed by `ExecClass as usize`.
+    fu: [FuClass; 9],
     // Retirement.
     last_retire: u64,
     retired_in_cycle: usize,
@@ -162,7 +297,7 @@ pub struct Pipeline {
     // Stall class each architectural register's latest correct-path writer
     // completed under — propagates memory-boundness down RAW chains.
     reg_class: [StallClass; NUM_ARCH_REGS],
-    // Culprit profile of the most recently fed instruction:
+    // Culprit profile of the most recently fed correct-path instruction:
     // (critical-path class, cycles of memory latency beyond the FU).
     last_profile: (StallClass, u64),
     // Misprediction-recovery state: set by `redirect`, consumed by the
@@ -178,22 +313,33 @@ pub struct Pipeline {
 }
 
 impl Pipeline {
-    /// Creates an idle pipeline over a fresh memory hierarchy.
+    /// Creates an idle pipeline over a fresh memory hierarchy. It decodes
+    /// each instruction it times; [`Pipeline::for_program`] reads a
+    /// program's µop table instead.
     #[must_use]
     pub fn new(cfg: CoreConfig) -> Pipeline {
         let hierarchy = MemoryHierarchy::new(&cfg);
-        let fu_free = ALL_CLASSES.map(|c| vec![0u64; cfg.fu_pool(c).count.max(1)]);
+        let fu = ALL_CLASSES.map(|c| {
+            let pool = cfg.fu_pool(c);
+            FuClass {
+                busy: if pool.pipelined { 1 } else { pool.latency },
+                latency: pool.latency,
+                free: vec![0; pool.count.max(1)],
+            }
+        });
         let line_shift = cfg.l1i.line_bytes.trailing_zeros();
         Pipeline {
             cfg,
             hierarchy,
+            text_base: 0,
+            uops: Arc::from([]),
             fetch_cycle: 0,
             fetch_in_cycle: 0,
             last_fetch_line: None,
             line_shift,
             reg_ready: [0; NUM_ARCH_REGS],
-            window: WindowState::default(),
-            fu_free,
+            window: Window::default(),
+            fu,
             last_retire: 0,
             retired_in_cycle: 0,
             retired: 0,
@@ -205,6 +351,20 @@ impl Pipeline {
             wp_fetch_pending: 0,
             last_wp_fetch_cycle: u64::MAX,
             wp_spare: None,
+        }
+    }
+
+    /// Creates an idle pipeline that times `program`'s instructions: it
+    /// reads each pc's µop from the program's table
+    /// ([`Program::uops`]), and decodes only instructions fed from outside
+    /// the program's text. Every instruction fed at a pc in the text must
+    /// be the program's instruction there.
+    #[must_use]
+    pub fn for_program(cfg: CoreConfig, program: &Program) -> Pipeline {
+        Pipeline {
+            text_base: program.base(),
+            uops: Arc::clone(program.uops()),
+            ..Pipeline::new(cfg)
         }
     }
 
@@ -324,25 +484,17 @@ impl Pipeline {
         (self.fetch_cycle, served_by)
     }
 
-    /// Computes the issue cycle on the least-loaded server of the class.
-    /// The booking is only committed for instructions that actually
-    /// execute: wrong-path instructions squashed before issue (the flush
-    /// happens first) must not hold functional units.
-    fn acquire_fu(&mut self, class: ExecClass, ready: u64, squash_at: Option<u64>) -> (u64, u64) {
-        let pool = self.cfg.fu_pool(class);
-        let servers = &mut self.fu_free[class_index(class)];
-        let (best, _) = servers
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, &free)| free)
-            // Invariant: every server vector is built `count.max(1)` long
-            // in `Pipeline::new`, so the pool is never empty.
-            .expect("pool is non-empty");
-        let issue = ready.max(servers[best]);
-        if squash_at.is_none_or(|resolve| issue < resolve) {
-            servers[best] = issue + if pool.pipelined { 1 } else { pool.latency };
-        }
-        (issue, pool.latency)
+    /// The µop of `instr`, fed at `pc`: the program's table entry when
+    /// `pc` lies in its text, else decoded on the spot.
+    #[inline(always)]
+    fn uop_at(&self, pc: Addr, instr: &Instr) -> Uop {
+        let slot = pc.wrapping_sub(self.text_base) / INSTR_BYTES;
+        let uop = usize::try_from(slot)
+            .ok()
+            .and_then(|i| self.uops.get(i))
+            .map_or_else(|| instr.uop(), |&uop| uop);
+        debug_assert_eq!(uop, instr.uop(), "{instr} at {pc:#x} is not the program's");
+        uop
     }
 
     /// Sends one instruction through fetch→dispatch→issue→complete.
@@ -350,19 +502,20 @@ impl Pipeline {
     /// `flush_at` is `None` for correct-path instructions (they will
     /// retire) and `Some(resolve)` for wrong-path instructions (they
     /// vacate the window when the mispredicted branch resolves).
-    /// `scratch` is the wrong-path scratch window, or `None` for the
-    /// pipeline's own correct-path window; borrowing that in place rather
-    /// than moving it out and back keeps the window's size off the
-    /// per-instruction cost.
+    /// `scratch` is the wrong-path episode's window, or `None` for the
+    /// pipeline's own correct-path window. The body is inlined into
+    /// [`Pipeline::feed_correct`] and [`Pipeline::feed_wrong`], so each
+    /// keeps only its own path's work.
     ///
     /// Each call raises the window's issue-queue floor to this instruction's
     /// `fetch + frontend_depth`. That is only sound because fetch never
-    /// moves backwards along the path `window` belongs to (see
+    /// moves backwards along the path the window belongs to (see
     /// [`WindowState`] and [`Pipeline::redirect`]).
+    #[inline(always)]
     #[allow(clippy::too_many_arguments)] // one timing model entry point, mirrored stages
     fn feed(
         &mut self,
-        mut scratch: Option<&mut WindowState>,
+        scratch: Option<&mut WindowState>,
         pc: Addr,
         instr: &Instr,
         mem: Option<MemAccess>,
@@ -370,45 +523,33 @@ impl Pipeline {
         load_timing: LoadTiming,
         flush_at: Option<u64>,
     ) -> InstrTimes {
-        let class = instr.exec_class();
+        let uop = self.uop_at(pc, instr);
+        let class = uop.class();
         let (fetch, fetch_level) = self.fetch_one(pc, path);
 
-        // Dispatch: wait for window resources. Invariant: the pops below
-        // cannot fail — `SimConfig::validate` rejects zero-sized windows,
-        // so `len() >= size` implies the structure is non-empty.
-        // `window_clamp` remembers which full resource (if any) pushed
-        // dispatch back the furthest, for CPI attribution.
+        let (iq, [mut rob, mut lq, mut sq]) = self.window.view(scratch);
+
+        // Dispatch: wait for window resources. `window_clamp` remembers
+        // which full resource (if any) pushed dispatch back the furthest,
+        // for CPI attribution.
         let mut dispatch = fetch + self.cfg.frontend_depth;
-        let window = scratch.as_deref_mut().unwrap_or(&mut self.window);
-        window.iq.advance(dispatch);
+        iq.advance(dispatch);
         let mut window_clamp = None;
-        if window.rob.len() >= self.cfg.rob_size {
-            let oldest = window.rob.pop_front().expect("rob non-empty");
-            if oldest > dispatch {
+        let mut wait_for = |oldest: Option<u64>, full: StallClass| {
+            if let Some(oldest) = oldest.filter(|&oldest| oldest > dispatch) {
                 dispatch = oldest;
-                window_clamp = Some(StallClass::RobFull);
+                window_clamp = Some(full);
             }
+        };
+        wait_for(rob.pop_if_full(self.cfg.rob_size), StallClass::RobFull);
+        if iq.len() >= self.cfg.iq_size {
+            wait_for(Some(iq.pop_earliest()), StallClass::IqFull);
         }
-        if window.iq.len() >= self.cfg.iq_size {
-            let earliest = window.iq.pop_earliest();
-            if earliest > dispatch {
-                dispatch = earliest;
-                window_clamp = Some(StallClass::IqFull);
-            }
+        if uop.is_load() {
+            wait_for(lq.pop_if_full(self.cfg.load_queue), StallClass::LsqFull);
         }
-        if instr.is_load() && window.lq.len() >= self.cfg.load_queue {
-            let oldest = window.lq.pop_front().expect("lq non-empty");
-            if oldest > dispatch {
-                dispatch = oldest;
-                window_clamp = Some(StallClass::LsqFull);
-            }
-        }
-        if instr.is_store() && window.sq.len() >= self.cfg.store_queue {
-            let oldest = window.sq.pop_front().expect("sq non-empty");
-            if oldest > dispatch {
-                dispatch = oldest;
-                window_clamp = Some(StallClass::LsqFull);
-            }
+        if uop.is_store() {
+            wait_for(sq.pop_if_full(self.cfg.store_queue), StallClass::LsqFull);
         }
         // Decode-buffer backpressure: fetch cannot run arbitrarily far
         // ahead of a stalled dispatch stage.
@@ -418,10 +559,9 @@ impl Pipeline {
 
         // Register dependences. `dep_class` tracks the stall class of the
         // producer that gates readiness the longest.
-        let ops = instr.operands();
         let mut ready = dispatch;
         let mut dep_class = StallClass::Base;
-        for src in ops.src_iter() {
+        for src in uop.srcs() {
             let idx = src.flat_index();
             if self.reg_ready[idx] > ready {
                 ready = self.reg_ready[idx];
@@ -429,102 +569,114 @@ impl Pipeline {
             }
         }
 
-        // Issue on a functional unit.
-        let (issue, fu_latency) = self.acquire_fu(class, ready, flush_at);
-
-        // Wrong-path instructions that have not issued by the time the
-        // mispredicted branch resolves are squashed before execution: they
-        // never reach the cache (the timing simulator "discards the
-        // unneeded instructions of the wrong path", §III-B).
-        let squashed_before_issue = flush_at.is_some_and(|resolve| issue >= resolve);
-
-        // Completion. `mem_level` records which level served a load (for
-        // CPI attribution); `mem_extra` the latency beyond the FU.
-        let mut mem_level = None;
-        let mut mem_extra = 0;
-        let complete = match class {
-            ExecClass::Load => {
-                let lat = match (load_timing, mem) {
-                    _ if squashed_before_issue => 0,
-                    (LoadTiming::Real, Some(m)) => {
-                        let res = self.hierarchy.data_access(m.addr, false, issue, path);
-                        mem_level = Some(res.served_by);
-                        res.latency
-                    }
-                    // Address unknown (instruction reconstruction): model
-                    // as an L1D hit without touching cache state.
-                    _ => {
-                        mem_level = Some(Level::L1);
-                        self.cfg.l1d.latency
-                    }
-                };
-                mem_extra = lat;
-                issue + fu_latency + lat
-            }
-            ExecClass::Store => {
-                // Stores leave the critical path through the store buffer;
-                // the cache access happens for state/bandwidth purposes on
-                // the correct path only (wrong-path stores are suppressed
-                // before they would access the cache).
-                if path == PathKind::Correct {
-                    if let Some(m) = mem {
-                        let _ = self.hierarchy.data_access(m.addr, true, issue, path);
-                    }
-                }
-                issue + fu_latency
-            }
-            _ => issue + fu_latency,
-        };
-
-        // Backward critical-path culprit, in priority order: the
-        // instruction's own below-L1 memory access, then the gating
-        // producer's class (propagating memory-boundness down RAW chains),
-        // then FU contention, a full window resource, an instruction-cache
-        // miss, an L1-hit load, and finally base issue bandwidth.
-        let culprit = if let Some(level) = mem_level.filter(|&l| l != Level::L1) {
-            level_class(level)
-        } else if ready > dispatch {
-            dep_class
-        } else if issue > ready {
-            StallClass::Base
-        } else if let Some(clamp) = window_clamp {
-            clamp
-        } else if fetch_level != Level::L1 {
-            level_class(fetch_level)
-        } else if mem_level.is_some() {
-            StallClass::L1Bound
+        let (issue, complete) = if flush_at.is_some_and(|resolve| ready >= resolve) {
+            // A wrong-path instruction whose operands are ready only at or
+            // after resolution is squashed before issue, whatever the
+            // functional units hold: the timing simulator "discards the
+            // unneeded instructions of the wrong path" (§III-B). It books
+            // no unit and touches no cache, and its result need only read
+            // as not before the flush, which `ready` does.
+            (ready, ready)
         } else {
-            StallClass::Base
-        };
-        self.last_profile = (culprit, mem_extra);
+            // Issue on a functional unit.
+            let (issue, fu_latency) = self.fu[class as usize].acquire(ready, flush_at);
 
-        // Scoreboard update. The class scoreboard only tracks correct-path
-        // writers: wrong-path `reg_ready` writes are rolled back via
-        // `restore_regs`, and stale classes behind rolled-back ready times
-        // are never consulted.
-        if let Some(dst) = ops.dst {
-            self.reg_ready[dst.flat_index()] = complete;
+            // Wrong-path instructions that have not issued by the time the
+            // mispredicted branch resolves are squashed before execution:
+            // they never reach the cache.
+            let squashed_before_issue = flush_at.is_some_and(|resolve| issue >= resolve);
+
+            // Completion. `mem_level` records which level served a load
+            // (for CPI attribution); `mem_extra` the latency beyond the FU.
+            let mut mem_level = None;
+            let mut mem_extra = 0;
+            let complete = match class {
+                ExecClass::Load => {
+                    let lat = match (load_timing, mem) {
+                        _ if squashed_before_issue => 0,
+                        (LoadTiming::Real, Some(m)) => {
+                            let res = self.hierarchy.data_access(m.addr, false, issue, path);
+                            mem_level = Some(res.served_by);
+                            res.latency
+                        }
+                        // Address unknown (instruction reconstruction):
+                        // model as an L1D hit without touching cache state.
+                        _ => {
+                            mem_level = Some(Level::L1);
+                            self.cfg.l1d.latency
+                        }
+                    };
+                    mem_extra = lat;
+                    issue + fu_latency + lat
+                }
+                ExecClass::Store => {
+                    // Stores leave the critical path through the store
+                    // buffer; the cache access happens for state/bandwidth
+                    // purposes on the correct path only (wrong-path stores
+                    // are suppressed before they would access the cache).
+                    if path == PathKind::Correct {
+                        if let Some(m) = mem {
+                            let _ = self.hierarchy.data_access(m.addr, true, issue, path);
+                        }
+                    }
+                    issue + fu_latency
+                }
+                _ => issue + fu_latency,
+            };
+
+            // Backward critical-path culprit of a correct-path instruction
+            // (the next correct-path feed overwrites a wrong-path one
+            // before any retire reads it), in priority order: the
+            // instruction's own below-L1 memory access, then the gating
+            // producer's class (propagating memory-boundness down RAW
+            // chains), then FU contention, a full window resource, an
+            // instruction-cache miss, an L1-hit load, and finally base
+            // issue bandwidth. The class scoreboard only tracks
+            // correct-path writers: wrong-path `reg_ready` writes are
+            // rolled back via `restore_regs`, and stale classes behind
+            // rolled-back ready times are never consulted.
             if path == PathKind::Correct {
-                self.reg_class[dst.flat_index()] = match culprit {
-                    c if c.is_memory_bound() => c,
-                    _ => StallClass::Base,
+                let culprit = if let Some(level) = mem_level.filter(|&l| l != Level::L1) {
+                    level_class(level)
+                } else if ready > dispatch {
+                    dep_class
+                } else if issue > ready {
+                    StallClass::Base
+                } else if let Some(clamp) = window_clamp {
+                    clamp
+                } else if fetch_level != Level::L1 {
+                    level_class(fetch_level)
+                } else if mem_level.is_some() {
+                    StallClass::L1Bound
+                } else {
+                    StallClass::Base
                 };
+                self.last_profile = (culprit, mem_extra);
+                if let Some(dst) = uop.dst() {
+                    self.reg_class[dst.flat_index()] = match culprit {
+                        c if c.is_memory_bound() => c,
+                        _ => StallClass::Base,
+                    };
+                }
             }
+            (issue, complete)
+        };
+        if let Some(dst) = uop.dst() {
+            self.reg_ready[dst.flat_index()] = complete;
         }
 
         // Window occupancy bookkeeping. Wrong-path entries vacate at the
-        // flush; correct-path ROB entries are pushed by `retire`.
+        // flush; correct-path ROB entries are pushed by `feed_correct`.
         let vacate = flush_at.unwrap_or(complete);
-        let window = scratch.unwrap_or(&mut self.window);
-        window.iq.push(issue.min(vacate));
-        if instr.is_load() {
-            window.lq.push_back(complete.min(vacate));
+        iq.push(issue.min(vacate));
+        if uop.is_load() {
+            lq.push(complete.min(vacate));
         }
-        if instr.is_store() {
-            window.sq.push_back(complete.min(vacate));
+        if uop.is_store() {
+            sq.push(complete.min(vacate));
         }
         if let Some(flush) = flush_at {
-            window.rob.push_back(flush);
+            rob.push(flush);
             self.wrong_path_injected += 1;
         }
 
@@ -593,14 +745,17 @@ impl Pipeline {
         self.last_wp_fetch_cycle = u64::MAX;
     }
 
-    /// Starts a wrong-path injection episode: a scratch copy of the
-    /// current window occupancy. Squashed instructions contend for window
-    /// entries against the genuinely in-flight instructions, but their
-    /// bookkeeping is discarded with this scratch state at the flush.
+    /// Starts a wrong-path injection episode: a window that overlays the
+    /// current correct-path occupancy (see [`WindowState`]). Until
+    /// [`Pipeline::end_wrong_path`], feed only wrong-path instructions.
     #[must_use]
     pub fn begin_wrong_path(&mut self) -> WindowState {
         let mut scratch = self.wp_spare.take().unwrap_or_default();
-        scratch.copy_from(&self.window);
+        for overlay in [&mut scratch.rob, &mut scratch.lq, &mut scratch.sq] {
+            overlay.clear();
+        }
+        scratch.iq.copy_from(&self.window.iq);
+        scratch.retired_at_begin = self.retired;
         scratch
     }
 
@@ -614,6 +769,13 @@ impl Pipeline {
     /// Injects one wrong-path instruction that will be flushed when the
     /// mispredicted branch resolves at `resolve`, against the scratch
     /// window from [`Pipeline::begin_wrong_path`].
+    ///
+    /// An instruction whose operands are ready only at or after `resolve`
+    /// is squashed before issue (see [`InstrTimes`]): it still takes a
+    /// fetch slot and window entries until the flush, but it books no
+    /// functional unit, its load reaches no cache, and its `issue` and
+    /// `complete` are the cycle its operands are ready.
+    #[inline]
     pub fn feed_wrong(
         &mut self,
         window: &mut WindowState,
@@ -623,6 +785,10 @@ impl Pipeline {
         load_timing: LoadTiming,
         resolve: u64,
     ) -> InstrTimes {
+        debug_assert_eq!(
+            window.retired_at_begin, self.retired,
+            "a correct-path instruction was fed during a wrong-path episode"
+        );
         self.feed(
             Some(window),
             pc,
@@ -656,6 +822,7 @@ impl Pipeline {
 mod tests {
     use super::*;
     use ffsim_isa::{AluOp, MemWidth, Reg};
+    use proptest::prelude::*;
 
     fn pipeline() -> Pipeline {
         Pipeline::new(CoreConfig::tiny_for_tests())
@@ -993,5 +1160,238 @@ mod tests {
         // Far line: cold instruction fetch stalls.
         let t3 = p.feed_correct(0x8000, &alu(3, 4, 5), None);
         assert!(t3.fetch > t2.fetch + 10);
+    }
+
+    fn div(rd: u8, rs1: u8) -> Instr {
+        Instr::Alu {
+            op: AluOp::Div,
+            rd: Reg::new(rd),
+            rs1: Reg::new(rs1),
+            rs2: Reg::new(3),
+        }
+    }
+
+    fn store(src: u8, base: u8) -> Instr {
+        Instr::Store {
+            src: Reg::new(src),
+            base: Reg::new(base),
+            offset: 0,
+            width: MemWidth::D,
+        }
+    }
+
+    #[test]
+    fn classes_index_their_own_table() {
+        for (i, class) in ALL_CLASSES.into_iter().enumerate() {
+            assert_eq!(class as usize, i, "{class:?}");
+        }
+    }
+
+    /// The ROB, LQ and SQ as plain queues.
+    type Queues = [VecDeque<u64>; 3];
+
+    proptest! {
+        /// The first-minimum scan books the server `min_by_key` picks.
+        #[test]
+        fn acquire_books_the_server_min_by_key_picks(
+            free in proptest::collection::vec(0u64..6, 1..6),
+            ready in 0u64..8,
+            resolve in 0u64..12,
+        ) {
+            let mut fu = FuClass { busy: 4, latency: 4, free: free.clone() };
+            let (issue, _) = fu.acquire(ready, Some(resolve));
+            let (best, &earliest) = free
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, &f)| f)
+                .expect("non-empty");
+            let mut want = free.clone();
+            if ready.max(earliest) < resolve {
+                want[best] = ready.max(earliest) + 4;
+            }
+            prop_assert_eq!(issue, ready.max(earliest));
+            prop_assert_eq!(fu.free, want);
+        }
+
+        /// The overlaid ROB, LQ and SQ agree with clones of the
+        /// correct-path queues, the copying window they replace, on every
+        /// pop and length: through correct-path pops and pushes, and
+        /// through episodes begun and ended on the recycled spare window.
+        /// An ended episode leaves the correct-path queues as they were.
+        #[test]
+        fn overlay_matches_a_cloned_window(
+            ops in proptest::collection::vec((0u8..7, 0u64..1 << 16), 1..500),
+        ) {
+            let mut p = pipeline();
+            // The episode's window, the reference clones it works on, and
+            // the correct-path queues as they were at its start.
+            let mut episode: Option<(WindowState, Queues, Queues)> = None;
+            for &(kind, arg) in &ops {
+                let q = (arg % 3) as usize;
+                if kind == 0 {
+                    match episode.take() {
+                        None => {
+                            let w = p.begin_wrong_path();
+                            let copy = [
+                                p.window.rob.clone(),
+                                p.window.lq.clone(),
+                                p.window.sq.clone(),
+                            ];
+                            episode = Some((w, copy.clone(), copy));
+                        }
+                        Some((w, _, before)) => {
+                            p.end_wrong_path(w);
+                            prop_assert_eq!(
+                                [&p.window.rob, &p.window.lq, &p.window.sq],
+                                [&before[0], &before[1], &before[2]]
+                            );
+                        }
+                    }
+                    continue;
+                }
+                let (scratch, reference) = match episode.as_mut() {
+                    Some((w, reference, _)) => (Some(w), Some(reference)),
+                    None => (None, None),
+                };
+                let (_, mut fifos) = p.window.view(scratch);
+                let fifo = &mut fifos[q];
+                match (kind, reference) {
+                    // Pops, twice as often as pushes.
+                    (1..=4, Some(r)) => prop_assert_eq!(fifo.pop_if_full(1), r[q].pop_front()),
+                    (1..=4, None) => {
+                        let _ = fifo.pop_if_full(1);
+                    }
+                    (_, r) => {
+                        fifo.push(arg);
+                        if let Some(r) = r {
+                            r[q].push_back(arg);
+                        }
+                    }
+                }
+                if let Some((w, r, _)) = &episode {
+                    let bases = [&p.window.rob, &p.window.lq, &p.window.sq];
+                    for (i, overlay) in [&w.rob, &w.lq, &w.sq].into_iter().enumerate() {
+                        prop_assert_eq!(overlay.len(bases[i]), r[i].len());
+                    }
+                }
+            }
+        }
+    }
+
+    /// Wrong-path loads and stores that fill the episode's ROB, LQ and SQ
+    /// pop correct-path entries through the overlay; ending the episode
+    /// leaves the correct-path queues exactly as they were, episode after
+    /// episode on the recycled window.
+    #[test]
+    fn an_episode_leaves_the_correct_path_window_unchanged() {
+        let mut p = pipeline();
+        for i in 0..60u64 {
+            let pc = 0x1000 + i * 4;
+            let addr = 0x8_0000 + i * 64;
+            let _ = match i % 3 {
+                0 => p.feed_correct(pc, &load(1, 2), mem(addr)),
+                1 => p.feed_correct(
+                    pc,
+                    &store(4, 2),
+                    Some(MemAccess {
+                        addr,
+                        size: 8,
+                        is_store: true,
+                    }),
+                ),
+                _ => p.feed_correct(pc, &alu(5, 1, 1), None),
+            };
+        }
+        let cfg = CoreConfig::tiny_for_tests();
+        assert_eq!(p.window.rob.len(), cfg.rob_size);
+        let before = (
+            p.window.rob.clone(),
+            p.window.lq.clone(),
+            p.window.sq.clone(),
+        );
+        let resolve = p.cycles() + 500;
+        for episode in 0..3u64 {
+            let mut w = p.begin_wrong_path();
+            for i in 0..80u64 {
+                let pc = 0x4000 + (episode * 80 + i) * 4;
+                let instr = if i % 2 == 0 { load(6, 7) } else { store(6, 7) };
+                let _ = p.feed_wrong(&mut w, pc, &instr, mem(0x9_0000), LoadTiming::Real, resolve);
+            }
+            assert!(w.rob.popped > 0 && w.lq.popped > 0 && w.sq.popped > 0);
+            p.end_wrong_path(w);
+            let after = (
+                p.window.rob.clone(),
+                p.window.lq.clone(),
+                p.window.sq.clone(),
+            );
+            assert_eq!(after, before, "episode {episode}");
+        }
+    }
+
+    /// A wrong-path instruction whose operand is ready only after the
+    /// mispredicted branch resolves is squashed before issue: its load
+    /// reaches no cache and its divide books no divider.
+    #[test]
+    fn operands_ready_after_resolve_squash_before_issue() {
+        let cfg = CoreConfig::tiny_for_tests();
+        let run = |wrong_path: bool| {
+            let mut p = pipeline();
+            // x1 comes from DRAM, long after the mispredicted branch (an
+            // independent add) resolves.
+            let t_load = p.feed_correct(0x1000, &load(1, 2), mem(0x80_0000));
+            let resolve = p.feed_correct(0x1004, &alu(4, 5, 6), None).complete;
+            assert!(t_load.complete > resolve);
+            if wrong_path {
+                let accesses = p.hierarchy().l1d().stats().accesses();
+                let snapshot = p.snapshot_regs();
+                let mut w = p.begin_wrong_path();
+                // In the branch's fetch line: no instruction-cache miss
+                // delays dispatch, so the operand is what gates issue.
+                let t = p.feed_wrong(
+                    &mut w,
+                    0x1010,
+                    &load(7, 1),
+                    mem(0x90_0000),
+                    LoadTiming::Real,
+                    resolve,
+                );
+                assert_eq!(p.hierarchy().l1d().stats().accesses(), accesses);
+                assert_eq!(p.wrong_path_injected(), 1);
+                assert_eq!((t.issue, t.complete), (t_load.complete, t_load.complete));
+                let _ = p.feed_wrong(&mut w, 0x1014, &div(8, 1), None, LoadTiming::Real, resolve);
+                assert_eq!(p.wrong_path_injected(), 2);
+                p.end_wrong_path(w);
+                p.restore_regs(snapshot);
+            }
+            p.redirect(resolve + cfg.redirect_penalty);
+            p.feed_correct(0x1008, &div(9, 10), None)
+        };
+        assert!(run(true).issue <= run(false).issue);
+    }
+
+    /// The rule's boundary: a wrong-path load whose operand is ready the
+    /// cycle before resolve still issues and reaches the cache; one whose
+    /// operand is ready at resolve does not.
+    #[test]
+    fn squash_before_issue_starts_at_resolve() {
+        let accesses_at = |resolve_after_ready: u64| {
+            let mut p = pipeline();
+            let ready = p.feed_correct(0x1000, &load(1, 2), mem(0x80_0000)).complete;
+            let before = p.hierarchy().l1d().stats().accesses();
+            let mut w = p.begin_wrong_path();
+            let resolve = ready + resolve_after_ready;
+            let t = p.feed_wrong(
+                &mut w,
+                0x1010,
+                &load(7, 1),
+                mem(0x90_0000),
+                LoadTiming::Real,
+                resolve,
+            );
+            assert_eq!(t.issue, ready);
+            p.hierarchy().l1d().stats().accesses() - before
+        };
+        assert_eq!(accesses_at(0), 0);
+        assert_eq!(accesses_at(1), 1);
     }
 }

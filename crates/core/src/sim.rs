@@ -232,12 +232,12 @@ impl Simulator {
         technique: Box<dyn WrongPathTechnique>,
     ) -> Result<Simulator, SimError> {
         cfg.validate()?;
+        let pipeline = Pipeline::for_program(cfg.core.clone(), &program);
         let mut emu = Emulator::with_memory(program, memory)?;
         emu.set_fault_model(cfg.fault_model);
         emu.set_cancel_token(cfg.cancel.clone());
         let mut frontend = technique.build_frontend(emu, &cfg);
         let predictor = BranchPredictor::new(cfg.core.branch);
-        let pipeline = Pipeline::new(cfg.core.clone());
         let trace = cfg.obs.ring();
         let prof = cfg.obs.prof_handle();
         prof.set_hook_label(cfg.mode.label());
@@ -319,9 +319,11 @@ impl Simulator {
                 // future correct-path entries a technique may peek before
                 // falling through to the frontend's own runahead buffer.
                 let lookahead = &entries[idx + 1..];
-                let inst = entry.inst;
+                // By reference: a copy of the record, read back in pieces
+                // for the calls below, stalls on store forwarding.
+                let inst = &entry.inst;
                 self.prof.enter(Phase::TechniqueHook);
-                self.technique.on_instruction(&inst);
+                self.technique.on_instruction(inst);
                 self.prof.exit();
                 let times = self.pipeline.feed_correct(inst.pc, &inst.instr, inst.mem);
                 instructions += 1;

@@ -280,6 +280,22 @@ impl CodeCache {
         }
     }
 
+    /// The remembered instruction at `pc` by reference, with whether it
+    /// is a branch (read from the slot's kind), for a wrong-path walk.
+    /// Counts a hit or a miss as [`CodeCache::lookup`] does; a remembered
+    /// `halt` is a hit that ends the walk, so it reads as `None`.
+    pub(crate) fn walk_at(&mut self, pc: Addr) -> Option<(&Instr, bool)> {
+        let Some(i) = self.known(pc) else {
+            self.stats.misses += 1;
+            return None;
+        };
+        self.stats.hits += 1;
+        match self.kinds[i] {
+            Kind::Halt => None,
+            kind => Some((&self.slots[i].instr, kind == Kind::Branch)),
+        }
+    }
+
     /// Checks presence without touching statistics.
     #[must_use]
     pub fn contains(&self, pc: Addr) -> bool {

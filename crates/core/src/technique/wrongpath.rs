@@ -61,21 +61,18 @@ impl Iterator for Reconstruct<'_> {
     #[inline]
     fn next(&mut self) -> Option<WpInst> {
         let pc = self.pc.take()?;
-        let instr = self
-            .code_cache
-            .lookup(pc)
-            .filter(|i| !matches!(i, Instr::Halt))?;
+        let (instr, is_branch) = self.code_cache.walk_at(pc)?;
         let mut next_pc = pc + INSTR_BYTES;
         self.pc = Some(next_pc);
-        if instr.is_branch() {
+        if is_branch {
             // An unpredictable branch is still fetched, but reconstruction
             // cannot continue past it.
-            self.pc = self.predictor.predict(pc, &instr).next_pc;
+            self.pc = self.predictor.predict(pc, instr).next_pc;
             next_pc = self.pc.unwrap_or(next_pc);
         }
         Some(WpInst {
             pc,
-            instr,
+            instr: *instr,
             mem: None,
             next_pc,
         })

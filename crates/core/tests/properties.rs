@@ -10,10 +10,14 @@ use ffsim_core::{
     ObsConfig, Pipeline, SimConfig, Simulator, WpInst, WrongPathMode,
 };
 use ffsim_emu::{BranchOutcome, DynInst, MemAccess, Memory, StreamEntry};
-use ffsim_isa::{Addr, AluOp, BranchCond, Instr, MemWidth, Program, Reg, INSTR_BYTES};
+use ffsim_isa::{
+    Addr, AluOp, BranchCond, ExecClass, FReg, FpCmpOp, FpOp, Instr, MemWidth, Program, Reg,
+    INSTR_BYTES,
+};
 use ffsim_uarch::{BranchPredictor, CoreConfig};
 use proptest::prelude::*;
 use std::collections::{HashMap, VecDeque};
+use std::sync::Arc;
 
 fn arb_reg() -> impl Strategy<Value = Reg> {
     (1u8..30).prop_map(Reg::new)
@@ -49,6 +53,73 @@ fn arb_instr() -> impl Strategy<Value = Instr> {
             width: MemWidth::D,
         }),
         Just(Instr::Nop),
+    ]
+}
+
+/// [`arb_instr`] and every other instruction shape the decoders tell
+/// apart (control flow, FP, divides), with `x0` among the operands.
+fn arb_any_instr() -> impl Strategy<Value = Instr> {
+    let reg = || (0u8..32).prop_map(Reg::new);
+    let freg = || (0u8..16).prop_map(FReg::new);
+    prop_oneof![
+        arb_instr(),
+        (reg(), reg(), reg()).prop_map(|(rd, rs1, rs2)| Instr::Alu {
+            op: AluOp::Div,
+            rd,
+            rs1,
+            rs2
+        }),
+        (reg(), reg()).prop_map(|(rd, rs1)| Instr::AluImm {
+            op: AluOp::And,
+            rd,
+            rs1,
+            imm: 1
+        }),
+        reg().prop_map(|rd| Instr::LoadImm { rd, imm: 7 }),
+        (reg(), reg()).prop_map(|(rd, base)| Instr::Load {
+            rd,
+            base,
+            offset: 0,
+            width: MemWidth::W,
+            signed: true,
+        }),
+        (freg(), freg(), freg()).prop_map(|(fd, fs1, fs2)| Instr::FpAlu {
+            op: FpOp::Div,
+            fd,
+            fs1,
+            fs2
+        }),
+        (freg(), reg()).prop_map(|(fd, base)| Instr::FpLoad {
+            fd,
+            base,
+            offset: 8
+        }),
+        (freg(), reg()).prop_map(|(fs, base)| Instr::FpStore {
+            fs,
+            base,
+            offset: 8
+        }),
+        (reg(), freg(), freg()).prop_map(|(rd, fs1, fs2)| Instr::FpCmp {
+            op: FpCmpOp::Lt,
+            rd,
+            fs1,
+            fs2
+        }),
+        (freg(), reg()).prop_map(|(fd, rs)| Instr::IntToFp { fd, rs }),
+        (reg(), freg()).prop_map(|(rd, fs)| Instr::FpToInt { rd, fs }),
+        (reg(), reg()).prop_map(|(rs1, rs2)| Instr::Branch {
+            cond: BranchCond::Ne,
+            rs1,
+            rs2,
+            target: 0x1000
+        }),
+        reg().prop_map(|rd| Instr::Jal { rd, target: 0x1000 }),
+        (reg(), reg()).prop_map(|(rd, base)| Instr::Jalr {
+            rd,
+            base,
+            offset: 0
+        }),
+        Just(Instr::Halt),
     ]
 }
 
@@ -307,6 +378,45 @@ proptest! {
         }
         prop_assert_eq!(p.retired(), instrs.len() as u64);
         prop_assert_eq!(p.wrong_path_injected(), 0);
+    }
+
+    /// The timing model's four-byte decode agrees with the full one: the
+    /// class, the sources in order and the destination, `x0` excluded;
+    /// and a class of load, store or branch holds exactly when the
+    /// instruction is one.
+    #[test]
+    fn uop_agrees_with_the_full_decode(
+        instrs in proptest::collection::vec(prop_oneof![arb_instr(), arb_any_instr()], 1..64),
+    ) {
+        for instr in &instrs {
+            let (uop, ops) = (instr.uop(), instr.operands());
+            prop_assert_eq!(uop.class(), instr.exec_class(), "{}", instr);
+            prop_assert_eq!(
+                uop.srcs().collect::<Vec<_>>(),
+                ops.src_iter().collect::<Vec<_>>(),
+                "{}", instr
+            );
+            prop_assert_eq!(uop.dst(), ops.dst, "{}", instr);
+            prop_assert_eq!(uop.class() == ExecClass::Load, instr.is_load(), "{}", instr);
+            prop_assert_eq!(uop.class() == ExecClass::Store, instr.is_store(), "{}", instr);
+            prop_assert_eq!(uop.class() == ExecClass::Branch, instr.is_branch(), "{}", instr);
+            prop_assert_eq!((uop.is_load(), uop.is_store()), (instr.is_load(), instr.is_store()));
+        }
+    }
+
+    /// A program's µop table holds each slot's decode, and its clones
+    /// share the one allocation.
+    #[test]
+    fn program_uop_table_is_the_per_slot_decode(
+        instrs in proptest::collection::vec(arb_any_instr(), 1..64),
+    ) {
+        let program = Program::new(0x1000, instrs.clone());
+        let table = program.uops();
+        prop_assert_eq!(table.len(), instrs.len());
+        for (i, instr) in instrs.iter().enumerate() {
+            prop_assert_eq!(table[i], instr.uop(), "slot {}", i);
+        }
+        prop_assert!(Arc::ptr_eq(table, program.clone().uops()));
     }
 
     /// Wrong-path injection with register snapshot/restore never slows the

@@ -53,6 +53,7 @@ pub enum AluOp {
 
 impl AluOp {
     /// The execution class this operation occupies in the timing model.
+    #[inline]
     #[must_use]
     pub fn exec_class(self) -> ExecClass {
         match self {
@@ -82,6 +83,7 @@ pub enum FpOp {
 
 impl FpOp {
     /// The execution class this operation occupies in the timing model.
+    #[inline]
     #[must_use]
     pub fn exec_class(self) -> ExecClass {
         match self {
@@ -148,7 +150,11 @@ impl MemWidth {
 
 /// Coarse µop classes used by the timing model to pick functional units,
 /// latencies and queue resources.
+///
+/// The discriminants run from 0 in declaration order, so `class as usize`
+/// indexes a per-class table.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+#[repr(u8)]
 pub enum ExecClass {
     /// Single-cycle integer ALU operation.
     IntAlu,
@@ -202,6 +208,7 @@ pub struct Operands {
 }
 
 impl Operands {
+    #[inline]
     fn new(srcs: &[ArchReg], dst: Option<ArchReg>) -> Operands {
         let mut out = Operands::default();
         let mut n = 0;
@@ -218,8 +225,78 @@ impl Operands {
     }
 
     /// Iterates over the (non-zero) source registers.
+    #[inline]
     pub fn src_iter(&self) -> impl Iterator<Item = ArchReg> + '_ {
         self.srcs.iter().flatten().copied()
+    }
+}
+
+/// What the timing model needs of one instruction, in four bytes: its
+/// execution class, its source registers and its destination, with the
+/// zero register excluded as in [`Operands`].
+///
+/// This is the paper's code-cache record, "instruction address,
+/// instruction type, input and output registers" (§III-A), less the
+/// address. [`Program`](crate::Program) decodes one per text slot, so a
+/// timing model reads a pc's µop from that table instead of decoding the
+/// [`Instr`] again every time the instruction is timed.
+///
+/// # Examples
+///
+/// ```
+/// use ffsim_isa::{ArchReg, ExecClass, Instr, MemWidth, Reg};
+/// let (rd, base) = (Reg::new(3), Reg::new(4));
+/// let ld = Instr::Load { rd, base, offset: 8, width: MemWidth::D, signed: false };
+/// let uop = ld.uop();
+/// assert_eq!(uop.class(), ExecClass::Load);
+/// assert!(uop.is_load());
+/// assert_eq!(uop.srcs().collect::<Vec<_>>(), [ArchReg::from(base)]);
+/// assert_eq!(uop.dst(), Some(ArchReg::from(rd)));
+/// ```
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct Uop {
+    class: ExecClass,
+    /// Flat indices of the sources in operand order, then zeros. `x0` is
+    /// never a dependence, so its index 0 marks an empty slot.
+    srcs: [u8; 2],
+    /// Flat index of the destination, or 0 for none.
+    dst: u8,
+}
+
+impl Uop {
+    /// The execution class.
+    #[inline]
+    #[must_use]
+    pub fn class(self) -> ExecClass {
+        self.class
+    }
+
+    /// The source registers, in operand order (as [`Operands::src_iter`]).
+    #[inline]
+    pub fn srcs(self) -> impl Iterator<Item = ArchReg> {
+        self.srcs.into_iter().filter(|&r| r != 0).map(ArchReg)
+    }
+
+    /// The destination register, if the instruction writes one other than
+    /// `x0`.
+    #[inline]
+    #[must_use]
+    pub fn dst(self) -> Option<ArchReg> {
+        (self.dst != 0).then_some(ArchReg(self.dst))
+    }
+
+    /// Whether the instruction reads memory (as [`Instr::is_load`]).
+    #[inline]
+    #[must_use]
+    pub fn is_load(self) -> bool {
+        self.class == ExecClass::Load
+    }
+
+    /// Whether the instruction writes memory (as [`Instr::is_store`]).
+    #[inline]
+    #[must_use]
+    pub fn is_store(self) -> bool {
+        self.class == ExecClass::Store
     }
 }
 
@@ -381,6 +458,7 @@ pub enum Instr {
 
 impl Instr {
     /// The µop execution class, used by the timing model.
+    #[inline]
     #[must_use]
     pub fn exec_class(&self) -> ExecClass {
         match self {
@@ -398,6 +476,7 @@ impl Instr {
     ///
     /// By convention `jalr x0, x1, 0` is a [`BranchKind::Return`]; `jal`/`jalr`
     /// with a non-zero link register are calls.
+    #[inline]
     #[must_use]
     pub fn branch_kind(&self) -> Option<BranchKind> {
         match *self {
@@ -419,12 +498,14 @@ impl Instr {
     }
 
     /// Whether this is any control-flow instruction.
+    #[inline]
     #[must_use]
     pub fn is_branch(&self) -> bool {
         self.branch_kind().is_some()
     }
 
     /// Whether this instruction reads or writes memory.
+    #[inline]
     #[must_use]
     pub fn is_mem(&self) -> bool {
         matches!(
@@ -434,12 +515,14 @@ impl Instr {
     }
 
     /// Whether this instruction writes memory.
+    #[inline]
     #[must_use]
     pub fn is_store(&self) -> bool {
         matches!(self, Instr::Store { .. } | Instr::FpStore { .. })
     }
 
     /// Whether this instruction reads memory.
+    #[inline]
     #[must_use]
     pub fn is_load(&self) -> bool {
         matches!(self, Instr::Load { .. } | Instr::FpLoad { .. })
@@ -450,6 +533,7 @@ impl Instr {
     /// This is exactly the decode information the paper's *code cache*
     /// stores: "instruction address, instruction type, input and output
     /// registers" (§III-A). The zero register is filtered out.
+    #[inline]
     #[must_use]
     pub fn operands(&self) -> Operands {
         use ArchReg as A;
@@ -478,7 +562,22 @@ impl Instr {
         }
     }
 
+    /// The timing model's decode of this instruction: [`Instr::exec_class`]
+    /// and [`Instr::operands`] in four bytes.
+    #[inline]
+    #[must_use]
+    pub fn uop(&self) -> Uop {
+        let ops = self.operands();
+        let flat = |r: Option<ArchReg>| r.map_or(0, |r| r.0);
+        Uop {
+            class: self.exec_class(),
+            srcs: [flat(ops.srcs[0]), flat(ops.srcs[1])],
+            dst: flat(ops.dst),
+        }
+    }
+
     /// The direct branch/jump target, if statically known.
+    #[inline]
     #[must_use]
     pub fn direct_target(&self) -> Option<Addr> {
         match *self {

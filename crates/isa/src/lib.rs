@@ -13,10 +13,11 @@
 //!   ([`BranchKind`]) for the timing model,
 //! * [`Operands`] extraction — exactly the decode information the paper's
 //!   *code cache* keeps (instruction address, type, input/output registers),
+//!   and [`Uop`], the same in four bytes for the timing model,
 //! * [`Reg`]/[`FReg`]/[`ArchReg`]/[`RegSet`] — typed register names and a
 //!   dense register set used for dependence ("dirty register") tracking by
 //!   the convergence-exploitation technique,
-//! * [`Program`] — an assembled code image,
+//! * [`Program`] — an assembled code image with a µop per text slot,
 //! * [`Asm`] — a label-based assembler all bundled workloads are written in,
 //!   and
 //! * [`fnv`] — the FNV-1a hash behind every stable digest in the workspace.
@@ -55,7 +56,7 @@ mod reg;
 
 pub use asm::{Asm, AsmError};
 pub use instr::{
-    Addr, AluOp, BranchCond, BranchKind, ExecClass, FpCmpOp, FpOp, Instr, MemWidth, Operands,
+    Addr, AluOp, BranchCond, BranchKind, ExecClass, FpCmpOp, FpOp, Instr, MemWidth, Operands, Uop,
     INSTR_BYTES,
 };
 pub use program::{Program, DEFAULT_TEXT_BASE};

@@ -1,7 +1,7 @@
 //! Assembled programs: a contiguous code image plus entry point.
 
 use crate::fnv::fnv1a;
-use crate::instr::{Addr, Instr, INSTR_BYTES};
+use crate::instr::{Addr, Instr, Uop, INSTR_BYTES};
 use std::fmt::{self, Write as _};
 use std::sync::{Arc, OnceLock};
 
@@ -32,6 +32,8 @@ pub struct Program {
     base: Addr,
     entry: Addr,
     instrs: Vec<Instr>,
+    /// [`Program::uops`]: one µop per text slot, shared by every clone.
+    uops: Arc<[Uop]>,
     /// [`Program::text_digest`], computed on first use and shared by every
     /// clone.
     text_digest: Arc<OnceLock<u64>>,
@@ -67,6 +69,7 @@ impl Program {
         Program {
             base,
             entry: base,
+            uops: instrs.iter().map(Instr::uop).collect(),
             instrs,
             text_digest: Arc::default(),
         }
@@ -106,6 +109,15 @@ impl Program {
             }
             fnv1a(text.as_bytes())
         })
+    }
+
+    /// The decoded µop of every text slot: entry `i` is the
+    /// [`Instr::uop`] of the instruction at `base + 4 * i`. Decoded once
+    /// when the program is built and shared by every clone, so a timing
+    /// model that holds the table never decodes an instruction it times.
+    #[must_use]
+    pub fn uops(&self) -> &Arc<[Uop]> {
+        &self.uops
     }
 
     /// The address of the first instruction.
@@ -233,6 +245,14 @@ mod tests {
         assert_eq!(p, sample(), "a digested program equals an undigested one");
         let other = Program::with_entry(0x1000, 0x1004, vec![Instr::Nop, Instr::Nop, Instr::Halt]);
         assert_ne!(other.text_digest(), digest, "the entry is part of the text");
+    }
+
+    #[test]
+    fn uop_table_is_decoded_per_slot_and_shared_by_clones() {
+        let p = sample();
+        let uops: Vec<Uop> = p.iter().map(|(_, i)| i.uop()).collect();
+        assert_eq!(&p.uops()[..], &uops[..]);
+        assert!(Arc::ptr_eq(p.uops(), p.clone().uops()));
     }
 
     #[test]

@@ -50,6 +50,7 @@ impl Reg {
     ///
     /// Panics if `index >= 32`.
     #[must_use]
+    #[inline]
     pub fn new(index: u8) -> Reg {
         assert!(
             (index as usize) < NUM_INT_REGS,
@@ -60,12 +61,14 @@ impl Reg {
 
     /// The register's index within the integer register file.
     #[must_use]
+    #[inline]
     pub fn index(self) -> usize {
         self.0 as usize
     }
 
     /// Whether this is the hard-wired zero register `x0`.
     #[must_use]
+    #[inline]
     pub fn is_zero(self) -> bool {
         self.0 == 0
     }
@@ -96,6 +99,7 @@ impl FReg {
     ///
     /// Panics if `index >= 16`.
     #[must_use]
+    #[inline]
     pub fn new(index: u8) -> FReg {
         assert!(
             (index as usize) < NUM_FP_REGS,
@@ -131,7 +135,7 @@ impl fmt::Display for FReg {
 /// assert_eq!(ArchReg::from(FReg::new(2)).flat_index(), 34);
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub struct ArchReg(u8);
+pub struct ArchReg(pub(crate) u8);
 
 impl ArchReg {
     /// Creates an `ArchReg` directly from a flat index.
@@ -140,6 +144,7 @@ impl ArchReg {
     ///
     /// Panics if `flat >= 48`.
     #[must_use]
+    #[inline]
     pub fn from_flat(flat: u8) -> ArchReg {
         assert!(
             (flat as usize) < NUM_ARCH_REGS,
@@ -150,36 +155,42 @@ impl ArchReg {
 
     /// The dense flat index (`0..48`).
     #[must_use]
+    #[inline]
     pub fn flat_index(self) -> usize {
         self.0 as usize
     }
 
     /// Whether this identifies an integer register.
     #[must_use]
+    #[inline]
     pub fn is_int(self) -> bool {
         (self.0 as usize) < NUM_INT_REGS
     }
 
     /// The integer register, if this identifies one.
     #[must_use]
+    #[inline]
     pub fn as_int(self) -> Option<Reg> {
         self.is_int().then_some(Reg(self.0))
     }
 
     /// The floating-point register, if this identifies one.
     #[must_use]
+    #[inline]
     pub fn as_fp(self) -> Option<FReg> {
         (!self.is_int()).then(|| FReg(self.0 - NUM_INT_REGS as u8))
     }
 }
 
 impl From<Reg> for ArchReg {
+    #[inline]
     fn from(r: Reg) -> ArchReg {
         ArchReg(r.0)
     }
 }
 
 impl From<FReg> for ArchReg {
+    #[inline]
     fn from(f: FReg) -> ArchReg {
         ArchReg(f.0 + NUM_INT_REGS as u8)
     }
@@ -218,46 +229,54 @@ pub struct RegSet(u64);
 impl RegSet {
     /// Creates an empty register set.
     #[must_use]
+    #[inline]
     pub fn new() -> RegSet {
         RegSet(0)
     }
 
     /// Inserts a register into the set.
+    #[inline]
     pub fn insert(&mut self, r: ArchReg) {
         self.0 |= 1u64 << r.flat_index();
     }
 
     /// Removes a register from the set.
+    #[inline]
     pub fn remove(&mut self, r: ArchReg) {
         self.0 &= !(1u64 << r.flat_index());
     }
 
     /// Whether the register is in the set.
     #[must_use]
+    #[inline]
     pub fn contains(self, r: ArchReg) -> bool {
         self.0 & (1u64 << r.flat_index()) != 0
     }
 
     /// Whether any register from `other` is also in `self`.
     #[must_use]
+    #[inline]
     pub fn intersects(self, other: RegSet) -> bool {
         self.0 & other.0 != 0
     }
 
     /// The union of two sets.
     #[must_use]
+    #[inline]
     pub fn union(self, other: RegSet) -> RegSet {
         RegSet(self.0 | other.0)
     }
 
     /// Number of registers in the set.
     #[must_use]
+    #[inline]
     pub fn len(self) -> usize {
         self.0.count_ones() as usize
     }
 
     /// Whether the set is empty.
     #[must_use]
+    #[inline]
     pub fn is_empty(self) -> bool {
         self.0 == 0
     }
