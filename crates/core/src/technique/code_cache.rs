@@ -17,6 +17,7 @@
 
 use ffsim_isa::{Addr, ArchReg, Instr, RegSet, INSTR_BYTES};
 use std::collections::VecDeque;
+use std::ops::Range;
 
 /// Lookup/insert statistics of the code cache.
 #[derive(Clone, Copy, PartialEq, Eq, Default, Debug)]
@@ -104,8 +105,8 @@ pub(crate) enum StretchEnd {
 /// as the text the run has touched (pcs inserted far apart would make it
 /// span the gap; the simulator inserts only program text). Each slot
 /// holds the decoded instruction and a one-byte kind (unknown, plain,
-/// branch or halt), so a wrong-path walk reads a whole straight-line
-/// stretch with one byte scan and one copy.
+/// branch or halt), so a wrong-path walk finds a whole straight-line
+/// stretch with one byte scan and then reads its slots in place.
 ///
 /// By default the cache is unbounded — program text is finite, which
 /// mirrors the paper's implementation. A capacity bound (with FIFO
@@ -302,13 +303,13 @@ impl CodeCache {
         self.known(pc).is_some()
     }
 
-    /// The remembered straight-line stretch from `pc`, at most `room`
-    /// instructions: it ends after a branch, before a `halt` or an
-    /// unknown pc, or when the room runs out. The statistics count
+    /// The slots of the remembered straight-line stretch from `pc`, at
+    /// most `room` instructions: it ends after a branch, before a `halt`
+    /// or an unknown pc, or when the room runs out. The statistics count
     /// exactly what looking up each pc in turn would: a hit per
     /// instruction returned, a hit for a `halt` met within the room, and
     /// a miss for an unknown pc met within the room.
-    pub(crate) fn stretch(&mut self, pc: Addr, room: usize) -> (&[Decoded], StretchEnd) {
+    pub(crate) fn stretch(&mut self, pc: Addr, room: usize) -> (Range<usize>, StretchEnd) {
         // Off the table, the scan starts at its end: the first pc is
         // unknown.
         let i = self.slot(pc).unwrap_or(self.kinds.len());
@@ -325,7 +326,23 @@ impl CodeCache {
         };
         self.stats.hits += n as u64 + u64::from(how == StretchEnd::Halt);
         self.stats.misses += u64::from(how == StretchEnd::Unknown);
-        (&self.slots[i..i + n], how)
+        (i..i + n, how)
+    }
+
+    /// The decoded instruction in slot `i`, which a [`CodeCache::stretch`]
+    /// returned since the last insert. A walk holds the cache borrowed
+    /// while it reads, so nothing can insert or evict in between.
+    #[inline]
+    pub(crate) fn decoded(&self, i: usize) -> &Decoded {
+        debug_assert_ne!(self.kinds[i], Kind::Unknown, "slot {i} is not remembered");
+        &self.slots[i]
+    }
+
+    /// The slot of `pc`, which a [`CodeCache::stretch`] returned since the
+    /// last insert.
+    #[inline]
+    pub(crate) fn walked_slot(&self, pc: Addr) -> usize {
+        ((pc - self.base) / INSTR_BYTES) as usize
     }
 }
 
@@ -482,7 +499,7 @@ mod tests {
                 }
                 let mut cc = mixed();
                 let (got, end) = cc.stretch(start, room);
-                let got: Vec<Instr> = got.iter().map(|d| d.instr).collect();
+                let got: Vec<Instr> = got.map(|i| cc.decoded(i).instr).collect();
                 assert_eq!((got, end), (want, how), "{start:#x}, room {room}");
                 assert_eq!(cc.stats(), by_lookup.stats(), "{start:#x}, room {room}");
             }

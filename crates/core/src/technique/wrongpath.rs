@@ -117,12 +117,11 @@ impl Segment {
 }
 
 /// The buffers a [`Walk`] fills, owned by the caller so that one
-/// allocation serves every episode.
+/// allocation serves every episode. They hold pcs only: a walked
+/// instruction's decoded form is read from its code-cache slot.
 #[derive(Clone, Default, Debug)]
 pub struct WalkBuf {
-    /// Every walked instruction, in path order.
-    instrs: Vec<Decoded>,
-    /// The pc of each walked instruction.
+    /// The pc of each walked instruction, in path order.
     pcs: Vec<Addr>,
     /// The segments covering the walk, in order and without gaps.
     segs: Vec<Segment>,
@@ -135,29 +134,20 @@ struct WpView<'d> {
     decoded: &'d Decoded,
 }
 
-impl WpView<'_> {
-    /// The instruction, with no memory access.
-    fn inst(&self) -> WpInst {
-        WpInst {
-            pc: self.pc,
-            instr: self.decoded.instr,
-            mem: None,
-            next_pc: self.next_pc,
-        }
-    }
-}
-
 /// A resumable wrong-path reconstruction walk over the code cache: the
 /// path of [`reconstruct`], extended on demand so a consumer that stops
 /// early never walks the tail of the budget.
 ///
 /// The walk appends one remembered straight-line stretch of at most
-/// `WALK_STEP` (64) instructions at a time: the decoded instructions and
-/// their pcs go to flat buffers, and the stretch to a list of segments,
-/// so a pc search is one range test per segment. A [`WpInst`] is built
-/// only when a consumer asks for instruction `i`. The code cache counts
-/// a hit or miss for each pc of a stretch exactly as a per-instruction
-/// walk would, so the statistics count the stretches actually walked.
+/// `WALK_STEP` (64) instructions at a time: their pcs go to a flat
+/// buffer, and the stretch to a list of segments, so a pc search is one
+/// range test per segment. The decoded instructions stay in the code
+/// cache and are read in place: the walk holds the cache borrowed for
+/// its whole life, so no insert can move or evict a walked slot. A
+/// [`WpInst`] is built only when a consumer asks for instruction `i`.
+/// The code cache counts a hit or miss for each pc of a stretch exactly
+/// as a per-instruction walk would, so the statistics count the
+/// stretches actually walked.
 #[derive(Debug)]
 pub struct Walk<'a> {
     code_cache: &'a mut CodeCache,
@@ -178,7 +168,6 @@ impl<'a> Walk<'a> {
         budget: usize,
         buf: &'a mut WalkBuf,
     ) -> Walk<'a> {
-        buf.instrs.clear();
         buf.pcs.clear();
         buf.segs.clear();
         Walk {
@@ -193,16 +182,31 @@ impl<'a> Walk<'a> {
 
     /// Instructions walked so far.
     fn len(&self) -> usize {
-        self.buf.instrs.len()
+        self.buf.pcs.len()
     }
 
     /// Walks until instruction `i` exists; returns whether it does (it
-    /// does not when the walk ends first).
+    /// does not when the walk ends first). Most queries read an
+    /// instruction already walked, so only the test is inlined.
+    #[inline]
     fn reach(&mut self, i: usize) -> bool {
+        i < self.len() || self.walk_to(i)
+    }
+
+    /// [`Walk::reach`] past the instructions walked so far.
+    #[inline(never)]
+    fn walk_to(&mut self, i: usize) -> bool {
         while self.len() <= i && !self.ended {
             self.extend();
         }
         i < self.len()
+    }
+
+    /// The decoded form of walked instruction `i`, read from its slot.
+    #[inline]
+    fn decoded(&self, i: usize) -> &Decoded {
+        let cc = &*self.code_cache;
+        cc.decoded(cc.walked_slot(self.buf.pcs[i]))
     }
 
     /// The pc of instruction `i`, walking until it exists; `None` when the
@@ -214,12 +218,13 @@ impl<'a> Walk<'a> {
     /// Walked instruction `i` as lock-step matching reads it. The walk
     /// goes on at each instruction's successor, so that is the next
     /// instruction's pc, or for the last one the walk's next pc.
+    #[inline]
     fn view(&self, i: usize) -> WpView<'_> {
         let pcs = &self.buf.pcs;
         WpView {
             pc: pcs[i],
             next_pc: pcs.get(i + 1).copied().unwrap_or(self.pc),
-            decoded: &self.buf.instrs[i],
+            decoded: self.decoded(i),
         }
     }
 
@@ -258,16 +263,15 @@ impl<'a> Walk<'a> {
         let start = self.len();
         let entry = self.pc;
         let room = (self.budget - start).min(WALK_STEP);
-        let (stretch, end) = self.code_cache.stretch(entry, room);
-        self.buf.instrs.extend_from_slice(stretch);
-        let end_pc = entry + stretch.len() as Addr * INSTR_BYTES;
+        let (slots, end) = self.code_cache.stretch(entry, room);
+        let end_pc = entry + slots.len() as Addr * INSTR_BYTES;
         self.pc = end_pc;
         match end {
             StretchEnd::Room => self.ended = room == 0,
             StretchEnd::Branch => {
-                let instr = self.buf.instrs[self.len() - 1].instr;
+                let instr = &self.code_cache.decoded(slots.end - 1).instr;
                 let bpc = end_pc - INSTR_BYTES;
-                match self.predictor.predict(bpc, &instr).next_pc {
+                match self.predictor.predict(bpc, instr).next_pc {
                     Some(t) => self.pc = t,
                     // Unpredictable: the branch itself was fetched, but
                     // reconstruction cannot continue past it.
@@ -276,11 +280,11 @@ impl<'a> Walk<'a> {
             }
             StretchEnd::Halt | StretchEnd::Unknown => self.ended = true,
         }
-        let end = self.len();
-        if end == start {
+        if slots.is_empty() {
             return;
         }
-        let pcs = (0..(end - start) as Addr).map(|j| entry + j * INSTR_BYTES);
+        let end = start + slots.len();
+        let pcs = (0..slots.len() as Addr).map(|j| entry + j * INSTR_BYTES);
         self.buf.pcs.extend(pcs);
         match self.buf.segs.last_mut() {
             // A stretch the previous one falls through to (one split at
@@ -779,13 +783,23 @@ impl<'a> FutureWindow<'a> {
     }
 
     /// The `i`th future correct-path instruction (0 = the architecturally
-    /// next one), if the window reaches that deep.
+    /// next one), if the window reaches that deep. Most queries read an
+    /// entry already kept, so only the test is inlined.
+    #[inline]
     fn at(&mut self, i: usize) -> Option<&FutureInst> {
         if i >= self.cap {
             return None;
         }
-        while self.cache.kept() <= i && self.fill_next() {}
+        if self.cache.kept() <= i {
+            self.fill_to(i);
+        }
         self.cache.insts.get(self.cache.start + i)
+    }
+
+    /// Reads the future until entry `i` is kept or the stream ends.
+    #[inline(never)]
+    fn fill_to(&mut self, i: usize) {
+        while self.cache.kept() <= i && self.fill_next() {}
     }
 
     /// Future instructions `range`, which detection has already read.
@@ -953,8 +967,8 @@ impl<'a> ConvergenceStream<'a> {
     fn converge_at(&mut self, dj: usize, dk: usize) {
         let (wi, fi) = (self.wi + dj, self.fi + dk);
         if self.cfg.track_dirty_regs {
-            for d in &self.walk.buf.instrs[self.wi..wi] {
-                if let Some(dst) = d.dst {
+            for j in self.wi..wi {
+                if let Some(dst) = self.walk.decoded(j).dst {
                     self.dirty.insert(dst);
                 }
             }
@@ -1025,17 +1039,23 @@ impl Iterator for ConvergenceStream<'_> {
                 mem = m;
             }
         }
-        let mut w = self.walk.view(k).inst();
-        w.mem = mem;
+        // The record is built once, from the slot, and never read back.
+        let w = self.walk.view(k);
+        let instr = &w.decoded.instr;
         // Table III accounting: the injector feeds every instruction it
         // pulls, so the memory operations yielded are those executed.
-        if w.instr.is_mem() {
+        if instr.is_mem() {
             self.stats.wp_mem_ops += 1;
             if mem.is_some() {
                 self.stats.wp_mem_recovered += 1;
             }
         }
-        Some(w)
+        Some(WpInst {
+            pc: w.pc,
+            instr: *instr,
+            mem,
+            next_pc: w.next_pc,
+        })
     }
 }
 

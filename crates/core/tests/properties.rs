@@ -169,6 +169,8 @@ impl Mix {
 /// over a small branchy region, a trained predictor, a wrong-path start
 /// and budget, and a future correct path through the same region.
 struct Episode {
+    /// The region's text, from [`EPISODE_BASE`].
+    code: Vec<Instr>,
     code_cache: CodeCache,
     predictor: BranchPredictor,
     start: Addr,
@@ -178,9 +180,12 @@ struct Episode {
     cap: usize,
 }
 
+/// Where an [`Episode`]'s region starts.
+const EPISODE_BASE: Addr = 0x4000;
+
 fn random_episode(seed: u64) -> Episode {
     let mut r = Mix(seed);
-    let base = 0x4000u64;
+    let base = EPISODE_BASE;
     let n = 8 + r.below(40);
     let pc_of = |i: usize| base + i as u64 * INSTR_BYTES;
     let mut code = Vec::with_capacity(n);
@@ -299,6 +304,7 @@ fn random_episode(seed: u64) -> Episode {
     }
     let cap = r.below(future.len() + 8);
     Episode {
+        code,
         code_cache,
         predictor,
         start: pc_of(r.below(n)),
@@ -608,6 +614,55 @@ proptest! {
                 prop_assert_eq!(without_mem(s), eager_stats, "from {}", first);
                 prop_assert_eq!((s.wp_mem_ops, s.wp_mem_recovered), mem_counts(&drained), "from {}", first);
             }
+        }
+    }
+
+    /// The walk reads the code cache in place, so it is pinned against a
+    /// bounded cache whose contents change between episodes: correct-path
+    /// inserts of a stretch of the region evict the oldest pcs, and the
+    /// next episode walks what is left. In every episode, for every cut
+    /// point, the stream yields the eager `reconstruct` +
+    /// `recover_addresses` result element-wise, and a drained stream
+    /// leaves the code cache's hits, misses and evictions equal to the
+    /// eager walk's.
+    #[test]
+    fn convergence_stream_reads_a_bounded_cache_in_place(
+        seed in any::<u64>(),
+        cap in 1usize..40,
+    ) {
+        let ep = random_episode(seed);
+        let n = ep.code.len();
+        let pc_of = |i: usize| EPISODE_BASE + i as Addr * INSTR_BYTES;
+        let mut r = Mix(!seed);
+        let cfg = ConvergenceConfig::default();
+        let mut live = CodeCache::with_capacity(cap);
+        let (mut walk_buf, mut cache) = (WalkBuf::default(), FutureCache::default());
+        for episode in 0..6 {
+            let from = r.below(n);
+            for i in from..n.min(from + 1 + r.below(n)) {
+                live.insert(pc_of(i), ep.code[i]);
+            }
+            let start = pc_of(r.below(n));
+            let mut reference = live.clone();
+            let mut eager = reconstruct(&mut reference, &ep.predictor, start, ep.budget);
+            let window: Vec<DynInst> = ep.future.iter().take(ep.cap).map(|e| e.inst).collect();
+            let _ = recover_addresses(&mut eager, &window, &cfg, &mut ConvergenceStats::default());
+            for k in 0..=eager.len() + 1 {
+                let mut cc = live.clone();
+                let walk = Walk::new(&mut cc, &ep.predictor, start, ep.budget, &mut walk_buf);
+                let future = FutureWindow::new(0, &ep.future, None, ep.cap, &mut cache);
+                let pulled: Vec<WpInst> = ConvergenceStream::new(walk, future, cfg).take(k).collect();
+                prop_assert_eq!(&pulled[..], &eager[..k.min(eager.len())], "episode {} cut {}", episode, k);
+                if k > eager.len() {
+                    prop_assert_eq!(cc.stats(), reference.stats(), "episode {}", episode);
+                }
+            }
+            // The live cache goes on from a drained episode.
+            let walk = Walk::new(&mut live, &ep.predictor, start, ep.budget, &mut walk_buf);
+            let future = FutureWindow::new(0, &ep.future, None, ep.cap, &mut cache);
+            let drained: Vec<WpInst> = ConvergenceStream::new(walk, future, cfg).collect();
+            prop_assert_eq!(&drained, &eager, "episode {}", episode);
+            prop_assert_eq!(live.stats(), reference.stats(), "episode {}", episode);
         }
     }
 

@@ -553,6 +553,9 @@ impl<O: BranchOracle> WrongPathStream<'_, O> {
     }
 
     /// Emulates one instruction, or says why the wrong path ends.
+    /// Inlined with [`Iterator::next`] into the consumer, so the record
+    /// reaches it in registers rather than through a stack copy.
+    #[inline]
     fn step(&mut self) -> Result<WpInst, WrongPathStop> {
         if let Some(cause) = self.cancel.and_then(CancelToken::cause) {
             return Err(WrongPathStop::Cancelled(cause));
@@ -592,6 +595,7 @@ impl<O: BranchOracle> WrongPathStream<'_, O> {
 impl<O: BranchOracle> Iterator for WrongPathStream<'_, O> {
     type Item = WpInst;
 
+    #[inline]
     fn next(&mut self) -> Option<WpInst> {
         if self.stop.is_some() {
             return None;

@@ -263,6 +263,10 @@ pub struct InstrQueue<P> {
     len: usize,
     /// Entries per new chunk.
     chunk: usize,
+    /// Chunks other than the back one that do not hold exactly `chunk`
+    /// entries. While there are none, entry `i` from the front lies in
+    /// chunk `i / chunk`, or in the back one.
+    odd: usize,
     /// Emptied vectors, reused as chunks.
     spare: Vec<Vec<StreamEntry>>,
     depth: usize,
@@ -292,6 +296,7 @@ impl<P: FrontendPolicy> InstrQueue<P> {
             head: 0,
             len: 0,
             chunk: depth,
+            odd: 0,
             spare: Vec::new(),
             depth,
             ended: false,
@@ -317,6 +322,9 @@ impl<P: FrontendPolicy> InstrQueue<P> {
         self.prof.enter(Phase::EmuHandoff);
         while self.len < want && !self.ended {
             if self.chunks.back().is_none_or(|c| c.len() >= self.chunk) {
+                if let Some(back) = self.chunks.back() {
+                    self.odd += usize::from(back.len() != self.chunk);
+                }
                 let fresh = self.spare.pop().unwrap_or_default();
                 self.chunks.push_back(fresh);
             }
@@ -348,6 +356,9 @@ impl<P: FrontendPolicy> InstrQueue<P> {
             if chunk.is_empty() {
                 let empty = self.chunks.pop_back().expect("the chunk just filled");
                 self.spare.push(empty);
+                if let Some(back) = self.chunks.back() {
+                    self.odd -= usize::from(back.len() != self.chunk);
+                }
             }
         }
         self.prof.exit();
@@ -380,10 +391,26 @@ impl<P: FrontendPolicy> InstrQueue<P> {
 
     /// Retires the front chunk, all delivered, as a spare.
     fn recycle_front(&mut self) {
-        let mut done = self.chunks.pop_front().expect("a front chunk");
+        let mut done = self.pop_front_chunk();
         done.clear();
         self.spare.push(done);
         self.head = 0;
+    }
+
+    /// Counts the chunks other than the back one that do not hold
+    /// `chunk` entries.
+    fn count_odd(&self) -> usize {
+        let older = self.chunks.iter().rev().skip(1);
+        older.filter(|c| c.len() != self.chunk).count()
+    }
+
+    /// Removes the front chunk.
+    fn pop_front_chunk(&mut self) -> Vec<StreamEntry> {
+        let front = self.chunks.pop_front().expect("a front chunk");
+        if !self.chunks.is_empty() {
+            self.odd -= usize::from(front.len() != self.chunk);
+        }
+        front
     }
 
     /// Pops the next correct-path entry, or `None` at end of stream.
@@ -412,8 +439,9 @@ impl<P: FrontendPolicy> InstrQueue<P> {
     /// the same batch into an emptied buffer gets each batch by a swap.
     pub fn fill(&mut self, out: &mut StreamBuf, max: usize) -> usize {
         self.prune_delivered();
-        if max > 0 {
+        if max > 0 && max != self.chunk {
             self.chunk = max;
+            self.odd = self.count_odd();
         }
         self.refill_to(max.saturating_add(self.depth));
         let take = max.min(self.len);
@@ -421,7 +449,7 @@ impl<P: FrontendPolicy> InstrQueue<P> {
             return 0;
         }
         if out.entries.is_empty() && self.head == 0 && self.chunks[0].len() == take {
-            let front = self.chunks.pop_front().expect("a front chunk");
+            let front = self.pop_front_chunk();
             let old = std::mem::replace(&mut out.entries, front);
             self.spare.push(old);
             self.len -= take;
@@ -440,12 +468,22 @@ impl<P: FrontendPolicy> InstrQueue<P> {
     /// functional runahead on demand up to the queue depth.
     ///
     /// Returns `None` past the end of the program or beyond the depth.
+    ///
+    /// While every chunk but the back one holds the same number of
+    /// entries, as in a run that asks for one batch size, the entry's
+    /// chunk is found by a division; otherwise by a walk over the chunks.
     pub fn peek(&mut self, index: usize) -> Option<&StreamEntry> {
         if index >= self.depth {
             return None;
         }
         self.refill_to(index + 1);
+        debug_assert_eq!(self.odd, self.count_odd());
         let mut at = self.head + index;
+        if self.odd == 0 {
+            let back = self.chunks.len().checked_sub(1)?;
+            let c = (at / self.chunk).min(back);
+            return self.chunks[c].get(at - c * self.chunk);
+        }
         for chunk in &self.chunks {
             if at < chunk.len() {
                 return Some(&chunk[at]);

@@ -247,3 +247,52 @@ proptest! {
         prop_assert_eq!(q.emulator().digest(), r.emu.digest());
     }
 }
+
+proptest! {
+    /// Peeks at every depth, after each pop or fill, agree with the
+    /// `VecDeque` queue. Each run of fills keeps one batch size, as the run
+    /// loop does, so the chunks become uniform and `peek` indexes them
+    /// directly; the next run changes the size, and a pop or a fill into a
+    /// non-empty buffer splits a chunk, so `peek` also walks mixed ones.
+    #[test]
+    fn peeks_at_every_depth_match_the_vecdeque_queue(
+        trips in 1i64..80,
+        body in proptest::collection::vec((0u8..3, 0u8..8), 1..8),
+        depth in 1usize..64,
+        k in 1u64..20,
+        runs in proptest::collection::vec((1usize..40, 1usize..10, 0u8..4), 1..8),
+    ) {
+        let p = program(trips, &body, false);
+        let emulator = || {
+            let mut emu = Emulator::new(p.clone()).unwrap();
+            emu.set_store_log(true);
+            emu
+        };
+        let mut q = InstrQueue::new(emulator(), EveryK { k, seen: 0 }, depth);
+        let mut r = Reference::new(emulator(), EveryK { k, seen: 0 }, depth);
+        let (mut qbuf, mut rbuf) = (StreamBuf::new(), StreamBuf::new());
+        for (run, &(batch, fills, split)) in runs.iter().enumerate() {
+            for fill in 0..fills {
+                // The run loop's fill into a cleared buffer, except that
+                // every third one is a pop (`split` 0), a fill appending
+                // to the buffer (1), or the same (2 and 3).
+                let odd_one = fill % 3 == 2;
+                if odd_one && split == 0 {
+                    prop_assert_eq!(q.pop(), r.pop(), "run {} fill {}", run, fill);
+                } else {
+                    if !(odd_one && split == 1) {
+                        qbuf.clear();
+                        rbuf.clear();
+                    }
+                    prop_assert_eq!(q.fill(&mut qbuf, batch), r.fill(&mut rbuf, batch));
+                    prop_assert_eq!(qbuf.entries(), rbuf.entries(), "run {} fill {}", run, fill);
+                }
+                for index in 0..depth {
+                    let (got, want) = (q.peek(index).cloned(), r.peek(index).cloned());
+                    prop_assert_eq!(got, want, "run {} fill {} peek {}", run, fill, index);
+                }
+                prop_assert_eq!(q.buffered(), r.buf.len());
+            }
+        }
+    }
+}
